@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .beliefs import Belief, degenerate, state_set
-from .exceptions import NotNormalized
+from .exceptions import InvariantViolation, NotNormalized
 from .experiments import StrategyProfile, product
 from .geometry import (
     cell_is_nonempty,
     closure_vertices,
+    has_nondegenerate_point,
     piece_regions,
     strictly_feasible_point,
     subsimplex_constraints,
@@ -93,7 +94,8 @@ def is_zero_on_subsimplex(
         if bad is None:
             continue
         p = strictly_feasible_point(n, constraints)
-        assert p is not None
+        if p is None:
+            raise InvariantViolation(f"nonempty cell without a point: {constraints}")
         if form.at_point(p) != 0:
             return ZeroCheck(False, Belief(p))
         # midway between an interior point and the nonzero closure vertex:
@@ -254,20 +256,19 @@ class SurplusSufficiency:
 def strict_surplus_sufficiency(g: GamePayoffs) -> SurplusSufficiency:
     _require_normalized(g.utilities)
     n = g.n_states
-    nonneg_witness = None
-    for cell, _, form in overlay_regions(g.utilities):
+    for cell, form in overlay_regions(g.utilities):
         bad = cell + (Constraint(-form, "<="),)  # points with sum >= 0
         if not cell_is_nonempty(n, bad):
             continue
-        vertices = closure_vertices(n, bad)
-        if len(vertices) == 1 and Belief(vertices[0]).is_degenerate():
+        if not has_nondegenerate_point(n, bad):
             continue  # the only offending point is a simplex vertex
         p = strictly_feasible_point(n, bad)
-        assert p is not None
+        if p is None:
+            raise InvariantViolation(f"nonempty cell without a point: {bad}")
         witness = Belief(p)
         if witness.is_degenerate():
             # slide toward another closure vertex to leave the corner
-            other = next(v for v in vertices if v != p)
+            other = next(v for v in closure_vertices(n, bad) if v != p)
             witness = Belief(tuple((a + b) / 2 for a, b in zip(p, other)))
         return SurplusSufficiency(False, witness)
     return SurplusSufficiency(True, None)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .analysis import (
     strict_surplus_sufficiency,
 )
 from .equilibrium import (
+    DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERIFY_GRID,
     ExploitCertificate,
     construct_fully_revealing,
@@ -356,24 +358,25 @@ def _cmd_emit_plot(args) -> int:
     l, k = (int(t) for t in args.edge.split(","))
     fns = [edge_restriction(u, l, k) for u in g.utilities]
     points = args.points
-    writer = csv.writer(
-        open(args.out, "w", newline="") if args.out else sys.stdout
-    )
-    # decimal approximations; exact values live in `induce`/scenario JSON
-    writer.writerow(
-        ["# decimal approximations (not exact rationals)"]
-    )
-    writer.writerow(
-        ["t"] + [f"sender{i}" for i in range(g.n_senders)]
-    )
     ts = sorted(
         {Fraction(j, points) for j in range(points + 1)}
         | {t for f in fns for t in f.breakpoints}
     )
-    for t in ts:
+    with (
+        open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    ) as fh:
+        writer = csv.writer(fh)
+        # decimal approximations; exact values live in `induce`/scenario JSON
         writer.writerow(
-            [float(t)] + [float(f(t)) for f in fns]
+            ["# decimal approximations (not exact rationals)"]
         )
+        writer.writerow(
+            ["t"] + [f"sender{i}" for i in range(g.n_senders)]
+        )
+        for t in ts:
+            writer.writerow(
+                [float(t)] + [float(f(t)) for f in fns]
+            )
     return 0
 
 
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--profile", required=True, help="name or JSON path")
     p.add_argument("--set", required=True, metavar="SET", help="pooled states")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=_cmd_exploit)
 
     p = sub.add_parser("verify", help="screen a profile for equilibrium")

@@ -214,7 +214,7 @@ def _lexicographic_target(
         current = [
             cell + (eq,)
             for cell in current
-            if polytope_nonempty(n, cell + (eq,))
+            if cell_is_nonempty(n, cell + (eq,))
         ]
     points = {
         v for cell in current for v in closure_vertices(n, cell)
@@ -224,10 +224,6 @@ def _lexicographic_target(
             f"lexicographic ratio maximizer is not unique: {sorted(points)}"
         )
     return [t for t in targets], Belief(next(iter(points)))  # type: ignore[misc]
-
-
-def polytope_nonempty(n: int, cell: tuple[Constraint, ...]) -> bool:
-    return bool(closure_vertices(n, cell))
 
 
 def _solve_x_star(
@@ -437,7 +433,7 @@ def _general_exploit(
         for sub in itertools.combinations(theta, size):
             subface = tuple(subsimplex_constraints(n, sub))
             if any(
-                polytope_nonempty(n, cell + subface) for cell in closed_cells
+                cell_is_nonempty(n, cell + subface) for cell in closed_cells
             ):
                 hit = sub
                 break
@@ -454,7 +450,7 @@ def _general_exploit(
         cells = [
             cell + carrier_face
             for cell in closed_cells
-            if polytope_nonempty(n, cell + carrier_face)
+            if cell_is_nonempty(n, cell + carrier_face)
         ]
         targets, beta_bar = _lexicographic_target(n, cells, carrier)
         x_star, minimizers = _solve_x_star(prior, z_atoms, carrier, targets)
@@ -500,7 +496,8 @@ def _general_exploit(
             if spent >= budget:
                 break
             w_pt = strictly_feasible_point(n, cell)
-            assert w_pt is not None
+            if w_pt is None:
+                raise InvariantViolation(f"nonempty cell without a point: {cell}")
             beta_prime = Belief(
                 tuple(
                     (1 - step) * a + step * b

@@ -1,10 +1,15 @@
 """Exact polyhedral computations on the belief simplex.
 
 Cells are conjunctions of affine constraints (strict or weak) intersected
-with the simplex.  Everything here is rational: vertex enumeration via
-Gaussian elimination over Fraction, emptiness tests that handle strict
-constraints exactly, strictly feasible interior points, and disjoint
-first-match decompositions of piecewise utilities.
+with the simplex.  Everything here is rational.  Emptiness is decided by a
+two-phase simplex method over Fraction with Bland's pivoting rule: one slack
+variable s, shared by every strict constraint, turns "some point satisfies
+the strict constraints strictly" into "the linear program max s has an
+optimum above 0".  Vertices, enumerated by Gaussian elimination over active
+sets, are computed only where a vertex or a printed point is needed:
+closures and strictly feasible interior points.  The disjoint first-match
+decompositions of piecewise utilities, and their overlays, need only the
+emptiness test.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .affine import AffineForm, Constraint
+from .exceptions import InvariantViolation
 
 Point = tuple[Fraction, ...]
 
@@ -135,20 +141,187 @@ def closure_vertices(n: int, constraints: Sequence[Constraint]) -> list[Point]:
     return polytope_vertices(n, [c.weakened() for c in constraints])
 
 
+def _lp_rows(
+    n: int, constraints: Sequence[Constraint]
+) -> Optional[list[tuple[tuple[Fraction, ...], Fraction, bool]]]:
+    """The cell as rows (a, b, equality) of a.x <= b or a.x == b over
+    x = (beta_0, ..., beta_{n-2}, s), with beta_{n-1} = 1 - sum(others)
+    substituted, so x >= 0 covers all but beta_{n-1} >= 0, which is a row.
+    Strict rows get the slack s, and s <= 1 keeps the program bounded.
+    Duplicates and rows without a variable are dropped; None when such a
+    row fails."""
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        (tuple(one for _ in range(n - 1)) + (zero,), one, False),
+        (tuple(zero for _ in range(n - 1)) + (one,), one, False),
+    ]
+    for c in constraints:
+        coeffs, last = c.expr.coeffs, c.expr.coeffs[-1]
+        sign = -1 if c.op in (">", ">=") else 1
+        a = tuple(sign * (v - last) for v in coeffs[:-1])
+        b = -sign * (c.expr.const + last)
+        rows.append((a + (one if c.is_strict else zero,), b, c.op == "=="))
+    kept = []
+    for a, b, eq in dict.fromkeys(rows):
+        if any(a):
+            kept.append((a, b, eq))
+        elif b < 0 or (eq and b != 0):  # a constant row that fails
+            return None
+    return kept
+
+
+def _pivot(
+    table: list[list[Fraction]], rhs: list[Fraction], r: int, c: int
+) -> None:
+    """Exchange the basic variable of row r with the nonbasic variable of
+    column c in the dictionary x_B = rhs - table . x_N (the last row of
+    table and rhs is the objective)."""
+    row, p = table[r], table[r][c]
+    row[c] = Fraction(1)  # the leaving variable's column: 1 / p after division
+    support = [j for j, v in enumerate(row) if v]
+    for j in support:
+        row[j] /= p
+    rhs[r] /= p
+    for i, other in enumerate(table):
+        f = other[c]
+        if i == r or not f:
+            continue
+        other[c] = Fraction(0)
+        for j in support:
+            other[j] -= f * row[j]
+        rhs[i] -= f * rhs[r]
+
+
+def _bland_step(
+    table: list[list[Fraction]],
+    rhs: list[Fraction],
+    basic: list[int],
+    nonbasic: list[int],
+) -> bool:
+    """One pivot of the simplex method under Bland's rule: the entering
+    variable is the lowest-numbered one that improves the objective, the
+    leaving one the lowest-numbered among the tightest ratios.  False at
+    an optimum."""
+    entering = [j for j, d in enumerate(table[-1]) if d < 0]
+    if not entering:
+        return False
+    c = min(entering, key=lambda j: nonbasic[j])
+    ratios = [
+        (rhs[i] / table[i][c], basic[i], i)
+        for i in range(len(basic))
+        if table[i][c] > 0
+    ]
+    if not ratios:
+        # never: the beta sum to at most 1 and s <= 1
+        raise InvariantViolation("linear program over a cell is unbounded")
+    r = min(ratios)[2]
+    _pivot(table, rhs, r, c)
+    basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    return True
+
+
+def _drop_column(table: list[list[Fraction]], nonbasic: list[int], c: int) -> None:
+    for row in table:
+        del row[c]
+    del nonbasic[c]
+
+
+def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> bool:
+    """Is max s > 0 over the rows of ``_lp_rows``?  Two-phase simplex with
+    Bland's rule from the vertex e_{n-1} (x = 0), stopping at the first
+    feasible basis where s > 0."""
+    rows = _lp_rows(n, constraints)
+    if rows is None:
+        return False
+    # variables: x_0..x_{n-1} (s last), then the slack of row i is n + i
+    # and its artificial artificial + i.  Equalities, and rows that x = 0
+    # violates, start with their artificial basic; for b < 0 the row reads
+    # -a.x - slack + artificial = -b.
+    s_var, artificial = n - 1, n + len(rows)
+    negative = [i for i, (_, b, eq) in enumerate(rows) if b < 0 and not eq]
+    nonbasic = list(range(n)) + [n + i for i in negative]
+    table: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basic: list[int] = []
+    for i, (a, b, eq) in enumerate(rows):
+        sign = -1 if b < 0 else 1
+        table.append(
+            [sign * v for v in a] + [Fraction(-1 if i == j else 0) for j in negative]
+        )
+        rhs.append(sign * b)
+        basic.append(artificial + i if eq or b < 0 else n + i)
+
+    # phase 1: maximize minus the sum of the artificials, dropping each
+    # artificial once it leaves the basis
+    started = [i for i, v in enumerate(basic) if v >= artificial]
+    table.append([
+        -sum((table[i][j] for i in started), Fraction(0))
+        for j in range(len(nonbasic))
+    ])
+    rhs.append(-sum((rhs[i] for i in started), Fraction(0)))
+    while rhs[-1] < 0:
+        if not _bland_step(table, rhs, basic, nonbasic):
+            return False  # even the closure is empty
+        for c in reversed([j for j, v in enumerate(nonbasic) if v >= artificial]):
+            _drop_column(table, nonbasic, c)
+    # artificials still basic sit at 0: pivot each out, or drop its row
+    # when no other variable is left in it (the row repeats others)
+    for i in range(len(basic) - 1, -1, -1):
+        if basic[i] < artificial:
+            continue
+        c = next((j for j, v in enumerate(table[i]) if v), None)
+        if c is None:
+            del table[i], rhs[i], basic[i]
+            continue
+        _pivot(table, rhs, i, c)
+        basic[i], nonbasic[c] = nonbasic[c], basic[i]
+        _drop_column(table, nonbasic, c)
+
+    # phase 2: maximize s
+    if s_var in basic:
+        r = basic.index(s_var)
+        table[-1], rhs[-1] = table[r][:], rhs[r]
+    else:
+        table[-1] = [Fraction(-1 if v == s_var else 0) for v in nonbasic]
+        rhs[-1] = Fraction(0)
+    while rhs[-1] <= 0:
+        if not _bland_step(table, rhs, basic, nonbasic):
+            return False
+    return True
+
+
 def cell_is_nonempty(n: int, constraints: Sequence[Constraint]) -> bool:
     """Exact emptiness test for a cell with strict and weak constraints.
 
-    The cell is nonempty iff its weak relaxation has a vertex and, for every
-    strict constraint, some vertex of the relaxation satisfies it strictly
-    (then the average of such witnesses lies in the cell).
+    Solves the linear program max s subject to expr + s <= 0 for every
+    strict constraint (oriented as expr < 0), expr <= 0 for every weak one,
+    every equality, beta >= 0 on the simplex and s <= 1.  A point of the
+    cell gives s = min(1, -max strict expr) > 0, and a feasible s > 0 gives
+    a point of the cell, so the cell is nonempty iff the optimum is above 0.
+    The two-phase simplex method pivots under Bland's rule, which cannot
+    cycle, and computes in Fraction, so the verdict is exact; it stops at
+    the first feasible basis with s > 0.
     """
-    vertices = closure_vertices(n, constraints)
-    if not vertices:
-        return False
-    for c in constraints:
-        if c.is_strict and not any(c.holds_at(v) for v in vertices):
-            return False
-    return True
+    return _has_strict_point(n, constraints)
+
+
+def has_nondegenerate_point(n: int, constraints: Sequence[Constraint]) -> bool:
+    """Does the cell contain a belief other than the simplex vertices?
+
+    Those beliefs are the convex set where beta_l < 1 for every l, so this is
+    one emptiness test of the cell cut down to it.
+    """
+    off_vertices = [
+        Constraint(
+            AffineForm(
+                Fraction(-1),
+                tuple(Fraction(1 if i == l else 0) for i in range(n)),
+            ),
+            "<",
+        )
+        for l in range(n)
+    ]
+    return _has_strict_point(n, (*constraints, *off_vertices))
 
 
 def strictly_feasible_point(
@@ -247,9 +420,10 @@ def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
 def overlay_regions(utilities):
     """Common refinement of several piecewise utilities' first-match regions.
 
-    Yields (constraints, closure vertices, summed form) for every nonempty
-    intersection of one region per utility; on that cell the sum of the
-    utilities equals the summed affine form.
+    Yields (constraints, summed form) for every nonempty intersection of one
+    region per utility; on that cell the sum of the utilities equals the
+    summed affine form.  No vertices are computed: callers that need the
+    closure's vertices ask ``closure_vertices`` for them.
     """
     n = utilities[0].pieces[0].form.n_states
     decomposed = [piece_regions(u.pieces) for u in utilities]
@@ -260,4 +434,4 @@ def overlay_regions(utilities):
         total = combo[0][1]
         for _, form in combo[1:]:
             total = total + form
-        yield constraints, closure_vertices(n, constraints), total
+        yield constraints, total

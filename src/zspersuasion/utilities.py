@@ -439,7 +439,7 @@ def max_total_surplus(
     returns the best of edge suprema and random interior samples, flagged
     as inexact.
     """
-    from .geometry import overlay_regions
+    from .geometry import closure_vertices, overlay_regions
 
     n = g.n_states
     if n == 1:
@@ -455,8 +455,8 @@ def max_total_surplus(
             best = s if best is None else max(best, s)
     assert best is not None
     if n <= 3:
-        for _, vertices, form in overlay_regions(g.utilities):
-            for v in vertices:
+        for cell, form in overlay_regions(g.utilities):
+            for v in closure_vertices(n, cell):
                 best = max(best, form.at_point(v))
         return SurplusBound(best, True)
     rng = random.Random(seed)

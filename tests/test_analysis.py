@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from zspersuasion import analysis, geometry
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.analysis import (
     classify_full_revelation,
@@ -17,7 +18,7 @@ from zspersuasion.analysis import (
     strict_surplus_sufficiency,
 )
 from zspersuasion.beliefs import Belief, belief, uniform
-from zspersuasion.exceptions import NotNormalized
+from zspersuasion.exceptions import InvariantViolation, NotNormalized
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -272,3 +273,47 @@ class TestStrictSurplus:
         g2 = GamePayoffs((tent, half))
         assert strict_surplus_sufficiency(normalize_payoffs(g)).holds
         assert not strict_surplus_sufficiency(normalize_payoffs(g2)).holds
+
+    def test_cell_without_point_is_an_invariant_violation(
+        self, figure_game, monkeypatch
+    ):
+        monkeypatch.setattr(analysis, "strictly_feasible_point", lambda n, cell: None)
+        with pytest.raises(InvariantViolation):
+            strict_surplus_sufficiency(figure_game)
+
+    def test_holds_without_vertex_enumeration(self, monkeypatch):
+        # sender 0 is induced by a receiver who plays action 0 where
+        # beta_0 >= beta_1 and action 1 elsewhere; sender 1 gets
+        # max_l beta_l - 1 minus sender 0, so the sum is negative except at
+        # the simplex vertices
+        n = 3
+        table = [(2, -1, 1), (-1, 3, 0)]  # sender 0's payoff by action, state
+        guards = [(Constraint(AffineForm(0, (-1, 1, 0)), "<="),), ()]
+        u = PiecewiseAffineUtility(tuple(
+            Piece(guard, AffineForm(0, row)) for guard, row in zip(guards, table)
+        ))
+        v = []
+        for l in range(n):
+            unit = [int(i == l) for i in range(n)]
+            top = tuple(  # beta_j <= beta_l
+                Constraint(
+                    AffineForm(0, tuple(int(i == j) - unit[i] for i in range(n))), "<="
+                )
+                for j in range(n)
+                if j != l
+            )
+            v += [
+                Piece(top + guard, AffineForm(-1, [e - x for e, x in zip(unit, row)]))
+                for guard, row in zip(guards, table)
+            ]
+        g = normalize_payoffs(GamePayoffs((u, PiecewiseAffineUtility(tuple(v)))))
+        calls = []
+        enumerate_vertices = geometry.polytope_vertices
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_vertices(*args)
+
+        monkeypatch.setattr(geometry, "polytope_vertices", counted)
+        assert strict_surplus_sufficiency(g).holds
+        assert calls == []

@@ -1,13 +1,15 @@
 """Convex cells over the simplex: vertices, feasibility, decompositions."""
 
+import random
 from fractions import Fraction
 
-from zspersuasion.affine import AffineForm, Constraint
+from zspersuasion.affine import OPS, AffineForm, Constraint
 from zspersuasion.beliefs import Belief
 from zspersuasion.geometry import (
     cell_is_nonempty,
     closure_vertices,
     complement_cells,
+    has_nondegenerate_point,
     piece_regions,
     polytope_vertices,
     strictly_feasible_point,
@@ -67,6 +69,56 @@ class TestFeasibility:
             Fraction(1, 2),
             Fraction(1, 2),
         )
+
+
+def random_cell(rng, n):
+    """A few random constraints over n states, some paired with their
+    negation, sometimes pinned to a face."""
+    cell = []
+    for _ in range(rng.randint(1, 6 - n)):
+        form = AffineForm(
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+            tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)),
+        )
+        c = Constraint(form, rng.choice(OPS))
+        cell.append(c)
+        if c.op != "==" and rng.random() < 0.2:
+            cell.append(c.negated())
+    if rng.random() < 0.3:
+        cell += subsimplex_constraints(n, rng.sample(range(n), rng.randint(1, n)))
+    rng.shuffle(cell)
+    return tuple(cell)
+
+
+_STRICTER = {"<=": "<", ">=": ">"}
+
+
+class TestSimplexAgainstVertices:
+    def test_agrees_with_closure_vertices_on_3000_cells(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(1000):
+            n = rng.randint(2, 5)
+            drawn = random_cell(rng, n)
+            # one closure, three cells: as drawn, all weak, all strict
+            vertices = closure_vertices(n, drawn)
+            for cell in (
+                drawn,
+                tuple(c.weakened() for c in drawn),
+                tuple(Constraint(c.expr, _STRICTER.get(c.op, c.op)) for c in drawn),
+            ):
+                # reference: the closure has a vertex, and every strict
+                # constraint holds strictly at one of them
+                expected = bool(vertices) and all(
+                    any(c.holds_at(v) for v in vertices) for c in cell if c.is_strict
+                )
+                assert cell_is_nonempty(n, cell) == expected, (n, cell)
+                off_vertices = expected and (
+                    len(vertices) > 1 or not Belief(vertices[0]).is_degenerate()
+                )
+                assert has_nondegenerate_point(n, cell) == off_vertices, (n, cell)
+                outcomes.add((n, expected, off_vertices))
+        assert len(outcomes) == 4 * 3  # every N sees all three verdicts
 
 
 class TestDecompositions:

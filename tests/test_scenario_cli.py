@@ -1,6 +1,9 @@
 """Scenario files, JSON round trips, and the command-line surface."""
 
+import csv
+import gc
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -271,6 +274,24 @@ class TestCli:
         lines = out_path.read_text().splitlines()
         assert "decimal approximations" in lines[0]
         assert lines[1].split(",") == ["t", "sender0", "sender1"]
+
+    def test_emit_plot_out_file_is_complete_and_closed(self, capsys, tmp_path):
+        out_path = tmp_path / "plot.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, out, _ = self.run(
+                capsys, "emit-plot", FIG1, "--points", "4", "--out", str(out_path)
+            )
+            gc.collect()
+        assert code == 0 and out == ""
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        with out_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["t", "sender0", "sender1"]
+        # grid points 0, 1/4, ..., 1 plus the jump at 3/5, in order
+        ts = [float(r[0]) for r in rows[2:]]
+        assert ts == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
+        assert all(len(r) == 3 for r in rows[2:])
 
     def test_deterministic_output(self, capsys):
         _, first, _ = self.run(capsys, "analyze", FIG1)
