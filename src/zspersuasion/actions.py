@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate

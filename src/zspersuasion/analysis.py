@@ -5,7 +5,9 @@ pooled in some equilibrium, whether every equilibrium fully reveals the
 state, which subsets are minimal carriers of advantage, which subsets a
 given profile pools, the edge-slope sufficient condition for the
 infinite-signal case, and the strict-surplus sufficient condition for
-non-zero-sum games.
+non-zero-sum games.  Every verdict is exact: a sign question on a cell is
+one or two emptiness tests of the geometry layer, whose point is the
+witness.
 """
 
 from __future__ import annotations
@@ -16,18 +18,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .beliefs import Belief, degenerate, state_set
-from .exceptions import InvariantViolation, NotNormalized
+from .exceptions import NotNormalized
 from .experiments import StrategyProfile, product
 from .geometry import (
-    cell_is_nonempty,
-    closure_vertices,
-    has_nondegenerate_point,
-    piece_regions,
-    strictly_feasible_point,
-    subsimplex_constraints,
+    nondegenerate_point,
+    nonzero_point,
     overlay_regions,
+    piece_regions,
+    subsimplex_constraints,
 )
-from .affine import AffineForm, Constraint
+from .affine import Constraint
 from .utilities import GamePayoffs, PiecewiseAffineUtility, edge_restriction
 
 
@@ -51,13 +51,11 @@ def _edge_belief(n: int, l: int, k: int, t: Fraction) -> Belief:
 
 @dataclass(frozen=True)
 class ZeroCheck:
-    """zero is exact; the sampled flag is reserved for configurations where
-    the test had to fall back to sampling (never set by the current exact
-    cell decomposition)."""
+    """zero is exact; witness is a belief on the face where the utility is
+    not zero, or None when zero is True."""
 
     zero: bool
     witness: Optional[Belief]
-    sampled: bool = False
 
 
 def is_zero_on_subsimplex(
@@ -70,7 +68,8 @@ def is_zero_on_subsimplex(
     face is the same as being zero there, so this is also the operative
     "linear on the sub-simplex" test.  Two-state faces go through the exact
     edge restriction; larger faces through the disjoint first-match cell
-    decomposition (zero on a cell iff zero at all closure vertices).
+    decomposition (zero on a cell iff neither form < 0 nor form > 0 has a
+    point in the cell on the face).
     """
     n = u.n_states
     omega = state_set(omega, n)
@@ -84,24 +83,11 @@ def is_zero_on_subsimplex(
         if t is None:
             return ZeroCheck(True, None)
         return ZeroCheck(False, _edge_belief(n, l, k, t))
-    face = subsimplex_constraints(n, omega)
+    face = tuple(subsimplex_constraints(n, omega))
     for cell, form in piece_regions(u.pieces):
-        constraints = cell + tuple(face)
-        if not cell_is_nonempty(n, constraints):
-            continue
-        vertices = closure_vertices(n, constraints)
-        bad = next((v for v in vertices if form.at_point(v) != 0), None)
-        if bad is None:
-            continue
-        p = strictly_feasible_point(n, constraints)
-        if p is None:
-            raise InvariantViolation(f"nonempty cell without a point: {constraints}")
-        if form.at_point(p) != 0:
+        p = nonzero_point(n, cell + face, form)
+        if p is not None:
             return ZeroCheck(False, Belief(p))
-        # midway between an interior point and the nonzero closure vertex:
-        # still in the cell, and the form is half the vertex value there
-        mid = tuple((a + b) / 2 for a, b in zip(p, bad))
-        return ZeroCheck(False, Belief(mid))
     return ZeroCheck(True, None)
 
 
@@ -257,18 +243,8 @@ def strict_surplus_sufficiency(g: GamePayoffs) -> SurplusSufficiency:
     _require_normalized(g.utilities)
     n = g.n_states
     for cell, form in overlay_regions(g.utilities):
-        bad = cell + (Constraint(-form, "<="),)  # points with sum >= 0
-        if not cell_is_nonempty(n, bad):
-            continue
-        if not has_nondegenerate_point(n, bad):
-            continue  # the only offending point is a simplex vertex
-        p = strictly_feasible_point(n, bad)
-        if p is None:
-            raise InvariantViolation(f"nonempty cell without a point: {bad}")
-        witness = Belief(p)
-        if witness.is_degenerate():
-            # slide toward another closure vertex to leave the corner
-            other = next(v for v in closure_vertices(n, bad) if v != p)
-            witness = Belief(tuple((a + b) / 2 for a, b in zip(p, other)))
-        return SurplusSufficiency(False, witness)
+        # a point with sum >= 0 other than a simplex vertex
+        p = nondegenerate_point(n, cell + (Constraint(-form, "<="),))
+        if p is not None:
+            return SurplusSufficiency(False, Belief(p))
     return SurplusSufficiency(True, None)

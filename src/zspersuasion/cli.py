@@ -19,9 +19,7 @@ from typing import Optional
 
 from .analysis import (
     classify_full_revelation,
-    classify_pooling,
     condition1_report,
-    detect_pooled_sets,
     minimal_subsets,
     strict_surplus_sufficiency,
 )
@@ -68,7 +66,6 @@ from .utilities import (
     check_zero_sum,
     edge_restriction,
     expected_utility,
-    max_total_surplus,
     normalize_payoffs,
 )
 
@@ -144,7 +141,10 @@ def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     g = scenario.payoffs
     try:
-        for u in g.utilities:
+        # coverage depends on the guards alone, which the utilities of an
+        # action game share
+        by_guards = {tuple(p.guard for p in u.pieces): u for u in g.utilities}
+        for u in by_guards.values():
             check_coverage(u)
         coverage_ok = True
     except NoPieceMatches:
@@ -165,7 +165,7 @@ def _cmd_validate(args) -> int:
             "senders": scenario.n_senders,
             "states": scenario.n_states,
             "zero_sum_ok": zero_sum.ok,
-            "zero_sum_sampled": zero_sum.samples > 0,
+            "zero_sum_sampled": False,
         }
     )
     return 0 if ok else EXIT_PRECONDITION

@@ -36,6 +36,7 @@ from .geometry import (
     subsimplex_constraints,
 )
 from .analysis import detect_pooled_sets, is_zero_on_subsimplex
+from .oracle import grid_beliefs
 from .utilities import (
     EdgeFunction,
     GamePayoffs,
@@ -165,15 +166,17 @@ def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int
 
 def _positive_cells(g: GamePayoffs, theta: tuple[int, ...]):
     """Cells of {some u_i > 0} restricted to the theta face, with the
-    advantaged sender; strict cells, each nonempty."""
+    advantaged sender and a point of the cell; strict cells, each
+    nonempty."""
     n = g.n_states
     face = tuple(subsimplex_constraints(n, theta))
     out = []
     for i, u in enumerate(g.utilities):
         for cell, form in piece_regions(u.pieces):
             strict = cell + (Constraint(-form, "<"),) + face  # form > 0
-            if cell_is_nonempty(n, strict):
-                out.append((i, strict))
+            point = strictly_feasible_point(n, strict)
+            if point is not None:
+                out.append((i, strict, point))
     return out
 
 
@@ -424,7 +427,7 @@ def _general_exploit(
     prior = profile.prior
     face = tuple(subsimplex_constraints(n, theta))
     pos_cells = _positive_cells(g, theta)
-    closed_cells = [tuple(c.weakened() for c in cell) for _, cell in pos_cells]
+    closed_cells = [tuple(c.weakened() for c in cell) for _, cell, _ in pos_cells]
 
     # smallest sub-face of theta whose face the advantage closure touches
     carrier = theta
@@ -477,8 +480,8 @@ def _general_exploit(
     # cells whose closure contains the target give candidates that stay
     # strictly advantaged for every step size.
     preferred = [
-        (i, cell)
-        for (i, cell), closed in zip(pos_cells, closed_cells)
+        pc
+        for pc, closed in zip(pos_cells, closed_cells)
         if all(c.holds(beta_bar) for c in closed)
     ]
     ordered = preferred + [pc for pc in pos_cells if pc not in preferred]
@@ -492,12 +495,9 @@ def _general_exploit(
     )
     for t in range(1, budget + 1):
         step = Fraction(1, 2**t)
-        for i, cell in ordered:
+        for _, _, w_pt in ordered:
             if spent >= budget:
                 break
-            w_pt = strictly_feasible_point(n, cell)
-            if w_pt is None:
-                raise InvariantViolation(f"nonempty cell without a point: {cell}")
             beta_prime = Belief(
                 tuple(
                     (1 - step) * a + step * b
@@ -554,15 +554,6 @@ class VerificationResult:
     gain: Optional[Fraction] = None
 
 
-def _grid_beliefs(n: int, resolution: int):
-    for combo in itertools.combinations(
-        range(resolution + n - 1), n - 1
-    ):
-        cuts = (-1,) + combo + (resolution + n - 1,)
-        counts = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-        yield Belief(tuple(Fraction(c, resolution) for c in counts))
-
-
 def verify_profile(
     g: GamePayoffs,
     profile: StrategyProfile,
@@ -583,7 +574,7 @@ def verify_profile(
         if ui < 0:
             # revealing everything gets this sender back to zero
             return VerificationResult(False, i, fully_revealing(prior), -ui)
-    for x in _grid_beliefs(n, deviation_grid):
+    for x in grid_beliefs(n, deviation_grid):
         if x.is_degenerate():
             continue
         for i in range(g.n_senders):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .beliefs import Belief, as_fraction, combine, degenerate
 from .exceptions import EnumerationTooLarge

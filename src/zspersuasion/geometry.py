@@ -1,22 +1,27 @@
 """Exact polyhedral computations on the belief simplex.
 
 Cells are conjunctions of affine constraints (strict or weak) intersected
-with the simplex.  Everything here is rational.  Emptiness is decided by a
-two-phase simplex method over Fraction with Bland's pivoting rule: one slack
-variable s, shared by every strict constraint, turns "some point satisfies
-the strict constraints strictly" into "the linear program max s has an
-optimum above 0".  Vertices, enumerated by Gaussian elimination over active
-sets, are computed only where a vertex or a printed point is needed:
-closures and strictly feasible interior points.  The disjoint first-match
-decompositions of piecewise utilities, and their overlays, need only the
-emptiness test.
+with the simplex.  Everything here is rational.  Every sign question is
+asked one way: a two-phase simplex method over Fraction with Bland's
+pivoting rule, where one slack variable s, shared by every strict
+constraint, turns "some point satisfies the strict constraints strictly"
+into "the linear program max s has an optimum above 0".  The point where it
+stops is a point of the cell, which is the cell's strictly feasible point
+and the witness when a form does not vanish on a cell or a cell holds a
+belief other than the simplex vertices.  Vertices, enumerated by Gaussian
+elimination over active sets, are computed only where vertices themselves
+are needed: the maximum of an affine form over a cell's closure, and the
+exploit's lexicographic ratio target, read off closure vertices.  The
+disjoint first-match decompositions of piecewise utilities, and their
+overlays, need only the emptiness test.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .affine import AffineForm, Constraint
 from .exceptions import InvariantViolation
@@ -226,13 +231,14 @@ def _drop_column(table: list[list[Fraction]], nonbasic: list[int], c: int) -> No
     del nonbasic[c]
 
 
-def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> bool:
-    """Is max s > 0 over the rows of ``_lp_rows``?  Two-phase simplex with
-    Bland's rule from the vertex e_{n-1} (x = 0), stopping at the first
-    feasible basis where s > 0."""
+def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Point]:
+    """The beta of the first feasible basis with s > 0 over the rows of
+    ``_lp_rows``, or None when max s <= 0.  Two-phase simplex with Bland's
+    rule from the vertex e_{n-1} (x = 0); every strict row holds at the
+    returned point with margin at least s."""
     rows = _lp_rows(n, constraints)
     if rows is None:
-        return False
+        return None
     # variables: x_0..x_{n-1} (s last), then the slack of row i is n + i
     # and its artificial artificial + i.  Equalities, and rows that x = 0
     # violates, start with their artificial basic; for b < 0 the row reads
@@ -261,7 +267,7 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> bool:
     rhs.append(-sum((rhs[i] for i in started), Fraction(0)))
     while rhs[-1] < 0:
         if not _bland_step(table, rhs, basic, nonbasic):
-            return False  # even the closure is empty
+            return None  # even the closure is empty
         for c in reversed([j for j, v in enumerate(nonbasic) if v >= artificial]):
             _drop_column(table, nonbasic, c)
     # artificials still basic sit at 0: pivot each out, or drop its row
@@ -286,8 +292,13 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> bool:
         rhs[-1] = Fraction(0)
     while rhs[-1] <= 0:
         if not _bland_step(table, rhs, basic, nonbasic):
-            return False
-    return True
+            return None
+    beta = [Fraction(0)] * n
+    for v, value in zip(basic, rhs):
+        if v < s_var:
+            beta[v] = value
+    beta[-1] = 1 - sum(beta[:-1], Fraction(0))
+    return tuple(beta)
 
 
 def cell_is_nonempty(n: int, constraints: Sequence[Constraint]) -> bool:
@@ -302,11 +313,21 @@ def cell_is_nonempty(n: int, constraints: Sequence[Constraint]) -> bool:
     cycle, and computes in Fraction, so the verdict is exact; it stops at
     the first feasible basis with s > 0.
     """
+    return _has_strict_point(n, constraints) is not None
+
+
+def strictly_feasible_point(
+    n: int, constraints: Sequence[Constraint]
+) -> Optional[Point]:
+    """A point of the cell itself (not just its closure), or None if empty:
+    the point where the emptiness test's simplex method stops."""
     return _has_strict_point(n, constraints)
 
 
-def has_nondegenerate_point(n: int, constraints: Sequence[Constraint]) -> bool:
-    """Does the cell contain a belief other than the simplex vertices?
+def nondegenerate_point(
+    n: int, constraints: Sequence[Constraint]
+) -> Optional[Point]:
+    """A point of the cell other than the simplex vertices, or None.
 
     Those beliefs are the convex set where beta_l < 1 for every l, so this is
     one emptiness test of the cell cut down to it.
@@ -324,33 +345,20 @@ def has_nondegenerate_point(n: int, constraints: Sequence[Constraint]) -> bool:
     return _has_strict_point(n, (*constraints, *off_vertices))
 
 
-def strictly_feasible_point(
-    n: int, constraints: Sequence[Constraint]
+def nonzero_point(
+    n: int, constraints: Sequence[Constraint], form: AffineForm
 ) -> Optional[Point]:
-    """A point of the cell itself (not just its closure), or None if empty.
-
-    Averages the centroid of the closure's vertices with one witness vertex
-    per strict constraint; weak constraints survive averaging by convexity
-    and each strict one is negative somewhere in the average.
-    """
-    vertices = closure_vertices(n, constraints)
-    if not vertices:
+    """A point of the cell where the affine form is not 0, or None when it
+    vanishes on the whole cell: one emptiness test with form < 0 added and
+    one with form > 0.  A form that is 0 at every simplex vertex vanishes
+    on the whole simplex and needs no test."""
+    if all(form.const + c == 0 for c in form.coeffs):
         return None
-    centroid = tuple(
-        sum((v[i] for v in vertices), Fraction(0)) / len(vertices)
-        for i in range(n)
-    )
-    points: list[Point] = [centroid]
-    for c in constraints:
-        if not c.is_strict:
-            continue
-        witness = next((v for v in vertices if c.holds_at(v)), None)
-        if witness is None:
-            return None
-        points.append(witness)
-    return tuple(
-        sum((p[i] for p in points), Fraction(0)) / len(points) for i in range(n)
-    )
+    for op in ("<", ">"):
+        p = strictly_feasible_point(n, (*constraints, Constraint(form, op)))
+        if p is not None:
+            return p
+    return None
 
 
 def negate_constraint(c: Constraint) -> list[Constraint]:
@@ -393,12 +401,18 @@ def subsimplex_constraints(n: int, omega: Sequence[int]) -> list[Constraint]:
     return out
 
 
-def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+def first_match_sweep(
+    pieces,
+) -> tuple[
+    list[tuple[tuple[Constraint, ...], AffineForm]], list[tuple[Constraint, ...]]
+]:
     """Disjoint decomposition of a first-match piecewise utility.
 
-    Each returned (constraints, form) cell is nonempty, the cells are
-    pairwise disjoint, and on each cell the utility equals the affine form.
-    Pieces are anything with .guard and .form, processed in match order.
+    Returns (regions, uncovered).  Each region (constraints, form) is
+    nonempty, the regions are pairwise disjoint, and on each the utility
+    equals the affine form; the uncovered cells are the nonempty parts of
+    the simplex that no piece matches.  Pieces are anything with .guard and
+    .form, processed in match order.
     """
     n = pieces[0].form.n_states
     regions: list[tuple[tuple[Constraint, ...], AffineForm]] = []
@@ -414,24 +428,38 @@ def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
                 if cell_is_nonempty(n, candidate):
                     next_remainder.append(candidate)
         remainder = next_remainder
-    return regions
+    return regions, remainder
+
+
+def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+    """The regions of ``first_match_sweep``: nonempty, pairwise disjoint
+    cells, each with the affine form the utility equals there."""
+    return first_match_sweep(pieces)[0]
 
 
 def overlay_regions(utilities):
     """Common refinement of several piecewise utilities' first-match regions.
 
-    Yields (constraints, summed form) for every nonempty intersection of one
-    region per utility; on that cell the sum of the utilities equals the
-    summed affine form.  No vertices are computed: callers that need the
-    closure's vertices ask ``closure_vertices`` for them.
+    Yields (constraints, summed form) for every nonempty cell of the
+    refinement; on that cell the sum of the utilities equals the summed
+    affine form.  Utilities with one guard sequence (the induced utilities
+    of an action game, normalized or not) share one partition, so their
+    forms are summed piece by piece and decomposed once; otherwise the cells
+    are the nonempty intersections of one region per utility.  No vertices
+    are computed: callers that need the closure's vertices ask
+    ``closure_vertices`` for them.
     """
-    n = utilities[0].pieces[0].form.n_states
+    n = utilities[0].n_states
+    guards = [tuple(p.guard for p in u.pieces) for u in utilities]
+    if all(g == guards[0] for g in guards):
+        pieces = tuple(
+            replace(column[0], form=sum((p.form for p in column), AffineForm.zero(n)))
+            for column in zip(*(u.pieces for u in utilities))
+        )
+        yield from piece_regions(pieces)
+        return
     decomposed = [piece_regions(u.pieces) for u in utilities]
     for combo in itertools.product(*decomposed):
         constraints = tuple(c for cell, _ in combo for c in cell)
-        if len(decomposed) > 1 and not cell_is_nonempty(n, constraints):
-            continue
-        total = combo[0][1]
-        for _, form in combo[1:]:
-            total = total + form
-        yield constraints, total
+        if cell_is_nonempty(n, constraints):
+            yield constraints, sum((form for _, form in combo), AffineForm.zero(n))

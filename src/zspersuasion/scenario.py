@@ -18,6 +18,7 @@ from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction
 from .exceptions import ScenarioError
 from .experiments import Experiment, StrategyProfile, canonical_experiment
+from .geometry import overlay_regions
 from .utilities import GamePayoffs, Piece, PiecewiseAffineUtility
 
 
@@ -268,7 +269,7 @@ def scenario_from_json(data: Any) -> Scenario:
                     f"assert_zero_sum_structural expects {m - 1} utilities, "
                     f"got {len(utilities)}"
                 )
-            utilities.append(_negated_sum(utilities, n))
+            utilities.append(_negated_sum(utilities))
         elif len(utilities) != m:
             raise ScenarioError(
                 f"expected {m} utilities, got {len(utilities)}"
@@ -286,29 +287,12 @@ def scenario_from_json(data: Any) -> Scenario:
     return Scenario(n, prior, m, payoffs, action_game, profiles)
 
 
-def _negated_sum(
-    utilities: list[PiecewiseAffineUtility], n: int
-) -> PiecewiseAffineUtility:
-    """-(u_1 + ... + u_k) on the common refinement of the utilities' disjoint
-    cell decompositions, so the game is zero-sum by construction."""
-    import itertools
-
-    from .geometry import piece_regions
-
-    if len(utilities) == 1:
-        u = utilities[0]
-        return PiecewiseAffineUtility(
-            tuple(Piece(p.guard, -p.form) for p in u.pieces)
-        )
-    per_u = [piece_regions(u.pieces) for u in utilities]
-    pieces = []
-    for combo in itertools.product(*per_u):
-        guard = tuple(c for cell, _ in combo for c in cell)
-        total = combo[0][1]
-        for _, form in combo[1:]:
-            total = total + form
-        pieces.append(Piece(guard, -total))
-    return PiecewiseAffineUtility(tuple(pieces))
+def _negated_sum(utilities: list[PiecewiseAffineUtility]) -> PiecewiseAffineUtility:
+    """-(u_1 + ... + u_k) on the cells of the utilities' overlay, so the
+    game is zero-sum by construction."""
+    return PiecewiseAffineUtility(
+        tuple(Piece(cell, -total) for cell, total in overlay_regions(utilities))
+    )
 
 
 def load_scenario(path: str) -> Scenario:

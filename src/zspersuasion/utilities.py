@@ -1,27 +1,31 @@
 """Piecewise-affine sender utilities on the belief simplex.
 
 Provides first-match piecewise evaluation, payoff normalization so that every
-utility vanishes at degenerate beliefs, zero-sum verification, exact expected
-and conditional payoffs against strategy profiles, one-dimensional edge
-restrictions with one-sided vertex derivatives, and the maximum total surplus
-of a game.
+utility vanishes at degenerate beliefs, exact expected and conditional
+payoffs against strategy profiles, and one-dimensional edge restrictions.
+The coverage check, the zero-sum check and the maximum total surplus of a
+game are exact: each is decided on the first-match cells of the utilities
+(``geometry.piece_regions`` and ``geometry.overlay_regions``), never by
+sampling beliefs.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, combine, degenerate
 from .exceptions import NoPieceMatches
 from .experiments import Experiment, StrategyProfile, conditional_dist, product
-
-DEFAULT_COVERAGE_SAMPLES = 200
-DEFAULT_ZERO_SUM_SAMPLES = 200
-_SAMPLE_DENOMINATOR = 997
+from .geometry import (
+    closure_vertices,
+    first_match_sweep,
+    nonzero_point,
+    overlay_regions,
+    strictly_feasible_point,
+)
 
 
 @dataclass(frozen=True)
@@ -78,37 +82,16 @@ def constant_utility(n_states: int, value=Fraction(0)) -> PiecewiseAffineUtility
     return PiecewiseAffineUtility((Piece((), form),))
 
 
-def eval_utility(u: PiecewiseAffineUtility, b: Belief) -> Fraction:
-    return u(b)
+def check_coverage(u: PiecewiseAffineUtility) -> None:
+    """Checks the first-match coverage invariant exactly: the first-match
+    sweep over the pieces leaves no nonempty cell of the simplex uncovered.
 
-
-def _random_belief(n_states: int, rng: random.Random) -> Belief:
-    while True:
-        weights = [rng.randint(0, _SAMPLE_DENOMINATOR) for _ in range(n_states)]
-        total = sum(weights)
-        if total > 0:
-            return Belief(tuple(Fraction(w, total) for w in weights))
-
-
-def check_coverage(
-    u: PiecewiseAffineUtility,
-    samples: int = DEFAULT_COVERAGE_SAMPLES,
-    seed: int = 0,
-) -> None:
-    """Checks the first-match coverage invariant: every simplex vertex, every
-    pairwise-edge breakpoint, and a random rational sample must hit a piece.
-
-    Raises NoPieceMatches at the first uncovered belief found.
+    Raises NoPieceMatches at a point of the first uncovered cell.
     """
-    n = u.n_states
-    for l in range(n):
-        u(degenerate(n, l))
-    for l in range(n):
-        for k in range(l + 1, n):
-            edge_restriction(u, l, k)  # evaluates at every breakpoint/midpoint
-    rng = random.Random(seed)
-    for _ in range(samples):
-        u(_random_belief(n, rng))
+    _, uncovered = first_match_sweep(u.pieces)
+    if uncovered:
+        p = strictly_feasible_point(u.n_states, uncovered[0])
+        raise NoPieceMatches(f"no piece covers belief {p}")
 
 
 @dataclass(frozen=True)
@@ -294,88 +277,31 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
     return _merge_edge(breakpoints, forms, values)
 
 
-def combine_edge_functions(fns: Sequence[EdgeFunction]) -> EdgeFunction:
-    """Pointwise-exact sum via common refinement of breakpoints."""
-    if not fns:
-        raise ValueError("need at least one edge function")
-    cuts = sorted({t for f in fns for t in f.breakpoints})
-    forms = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        const = Fraction(0)
-        slope = Fraction(0)
-        for f in fns:
-            # locate the open interval of f containing (a, b)
-            for j, t in enumerate(f.breakpoints):
-                if mid < t:
-                    c, s = f.interval_forms[j - 1]
-                    const += c
-                    slope += s
-                    break
-        forms.append((const, slope))
-    values = [sum((f(t) for f in fns), Fraction(0)) for t in cuts]
-    return _merge_edge(cuts, forms, values)
-
-
-def edge_derivative_at_vertex(
-    u: PiecewiseAffineUtility, l: int, k: int, end: str
-) -> Fraction:
-    """One-sided derivative along the edge direction delta_l -> delta_k:
-    the right derivative at delta_l ("AtL") or left derivative at delta_k
-    ("AtK"), both measured in the edge parameter t."""
-    f = edge_restriction(u, l, k)
-    if end == "AtL":
-        return f.start_slope
-    if end == "AtK":
-        return f.end_slope
-    raise ValueError("end must be 'AtL' or 'AtK'")
-
-
 # ---------------------------------------------------------------------------
 # Zero-sum verification
 
 
 @dataclass(frozen=True)
 class ZeroSumResult:
-    """witness is None when the pooled sum was exactly zero on every pairwise
-    edge and at every sampled interior point."""
+    """witness is None when the pooled sum is exactly zero on the whole
+    simplex, and otherwise a belief where it is not."""
 
     witness: Optional[Belief]
-    samples: int
 
     @property
     def ok(self) -> bool:
         return self.witness is None
 
 
-def check_zero_sum(
-    g: GamePayoffs, samples: int = DEFAULT_ZERO_SUM_SAMPLES, seed: int = 0
-) -> ZeroSumResult:
-    """Verifies sum_i u_i == 0: exactly on every pairwise edge (including the
-    degenerate single-state case), probabilistically at random rational
-    interior points."""
+def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
+    """Verifies sum_i u_i == 0 exactly: the summed form must vanish on every
+    cell of the overlay of the senders' first-match regions."""
     n = g.n_states
-    if n == 1:
-        b = degenerate(1, 0)
-        total = sum((u(b) for u in g.utilities), Fraction(0))
-        return ZeroSumResult(None if total == 0 else b, samples)
-    for l in range(n):
-        for k in range(l + 1, n):
-            total = combine_edge_functions(
-                [edge_restriction(u, l, k) for u in g.utilities]
-            )
-            t = total.nonzero_witness()
-            if t is not None:
-                probs = [Fraction(0)] * n
-                probs[l] = 1 - t
-                probs[k] = t
-                return ZeroSumResult(Belief(tuple(probs)), samples)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        b = _random_belief(n, rng)
-        if sum((u(b) for u in g.utilities), Fraction(0)) != 0:
-            return ZeroSumResult(b, samples)
-    return ZeroSumResult(None, samples)
+    for cell, form in overlay_regions(g.utilities):
+        p = nonzero_point(n, cell, form)
+        if p is not None:
+            return ZeroSumResult(Belief(p))
+    return ZeroSumResult(None)
 
 
 # ---------------------------------------------------------------------------
@@ -419,48 +345,15 @@ def conditional_payoff(
 # Maximum total surplus
 
 
-@dataclass(frozen=True)
-class SurplusBound:
-    """value is the exact supremum when exact is True; otherwise a certified
-    lower bound from edge suprema and interior sampling."""
+def max_total_surplus(g: GamePayoffs) -> Fraction:
+    """The exact sup over the simplex of the pooled sum of utilities.
 
-    value: Fraction
-    exact: bool
-
-
-def max_total_surplus(
-    g: GamePayoffs, samples: int = DEFAULT_ZERO_SUM_SAMPLES, seed: int = 0
-) -> SurplusBound:
-    """sup over the simplex of the pooled sum of utilities.
-
-    Exact for up to three states via the overlay of the senders' first-match
-    piece regions (the sup over each overlay cell of the summed affine form
-    is attained at a vertex of the cell's closure).  For more states,
-    returns the best of edge suprema and random interior samples, flagged
-    as inexact.
+    On each cell of the overlay of the senders' first-match regions the sum
+    is one affine form, whose sup over the cell is attained at a vertex of
+    the cell's closure.
     """
-    from .geometry import closure_vertices, overlay_regions
-
-    n = g.n_states
-    if n == 1:
-        b = degenerate(1, 0)
-        return SurplusBound(sum((u(b) for u in g.utilities), Fraction(0)), True)
-    best: Optional[Fraction] = None
-    for l in range(n):
-        for k in range(l + 1, n):
-            total = combine_edge_functions(
-                [edge_restriction(u, l, k) for u in g.utilities]
-            )
-            s = total.supremum()
-            best = s if best is None else max(best, s)
-    assert best is not None
-    if n <= 3:
-        for cell, form in overlay_regions(g.utilities):
-            for v in closure_vertices(n, cell):
-                best = max(best, form.at_point(v))
-        return SurplusBound(best, True)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        b = _random_belief(n, rng)
-        best = max(best, sum((u(b) for u in g.utilities), Fraction(0)))
-    return SurplusBound(best, False)
+    return max(
+        form.at_point(v)
+        for cell, form in overlay_regions(g.utilities)
+        for v in closure_vertices(g.n_states, cell)
+    )

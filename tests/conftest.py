@@ -79,7 +79,7 @@ def random_binary_game(
             + [Fraction(0)]
         )
         utilities.append(edge_piecewise_utility(values))
-    utilities.append(_negated_sum(utilities, 2))
+    utilities.append(_negated_sum(utilities))
     return normalize_payoffs(GamePayoffs(tuple(utilities)))
 
 

@@ -19,6 +19,12 @@ from zspersuasion.beliefs import Belief, belief, degenerate, uniform
 from zspersuasion.equilibrium import construct_fully_revealing
 from zspersuasion.exceptions import InvariantViolation
 from zspersuasion.experiments import StrategyProfile, uninformative
+from zspersuasion.geometry import (
+    overlay_regions,
+    piece_regions,
+    strictly_feasible_point,
+)
+from zspersuasion.oracle import grid_beliefs
 from zspersuasion.scenario import load_scenario
 from zspersuasion.utilities import check_zero_sum, normalize_payoffs
 
@@ -29,21 +35,30 @@ def matching_game() -> ActionGame:
     return load_scenario(str(FIXTURES / "matching_action_game.json")).action_game
 
 
-def random_action_game(rng: random.Random, n: int, a: int) -> ActionGame:
-    """Random generic zero-sum action game (resampled until generic)."""
+def random_action_game(
+    rng: random.Random, n: int, a: int, m: int = 2
+) -> ActionGame:
+    """Random generic zero-sum action game with m senders, the last one
+    paid minus the others (resampled until generic)."""
     while True:
         receiver = tuple(
             tuple(Fraction(rng.randint(-20, 20)) for _ in range(n))
             for _ in range(a)
         )
-        s0 = tuple(
-            tuple(Fraction(rng.randint(-20, 20)) for _ in range(n))
-            for _ in range(a)
+        tables = [
+            tuple(
+                tuple(Fraction(rng.randint(-20, 20)) for _ in range(n))
+                for _ in range(a)
+            )
+            for _ in range(m - 1)
+        ]
+        last = tuple(
+            tuple(-sum(t[b][l] for t in tables) for l in range(n))
+            for b in range(a)
         )
-        s1 = tuple(tuple(-v for v in row) for row in s0)
         try:
             return ActionGame(
-                tuple(f"a{j}" for j in range(a)), receiver, (s0, s1)
+                tuple(f"a{j}" for j in range(a)), receiver, (*tables, last)
             )
         except InvariantViolation:
             continue
@@ -130,6 +145,32 @@ class TestInducedGame:
             g = normalize_payoffs(induced_game(ag))
             report = classify_full_revelation(g)
             assert cls.full_revelation == report.full_revelation
+
+    def test_overlay_sums_forms_on_the_shared_partition(self):
+        rng = random.Random(47)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            ag = random_action_game(rng, n, rng.randint(2, 4), m=3)
+            raw = induced_game(ag)
+            for g in (raw, normalize_payoffs(raw)):
+                # two of the three senders, so the sum is not identically 0
+                utilities = g.utilities[:2]
+                cells = list(overlay_regions(utilities))
+                # one partition: the regions of a single utility
+                assert [c for c, _ in cells] == [
+                    c for c, _ in piece_regions(utilities[0].pieces)
+                ]
+                for cell, form in cells:
+                    p = Belief(strictly_feasible_point(n, cell))
+                    assert form(p) == sum(u(p) for u in utilities)
+                # the cells tile the simplex
+                for b in grid_beliefs(n, 6):
+                    hits = [
+                        form for cell, form in cells
+                        if all(c.holds(b) for c in cell)
+                    ]
+                    assert len(hits) == 1, b
+                    assert hits[0](b) == sum(u(b) for u in utilities)
 
     def test_matching_game_fully_revealing(self):
         cls = classify_action_game(matching_game())

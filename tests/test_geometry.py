@@ -9,7 +9,7 @@ from zspersuasion.geometry import (
     cell_is_nonempty,
     closure_vertices,
     complement_cells,
-    has_nondegenerate_point,
+    nondegenerate_point,
     piece_regions,
     polytope_vertices,
     strictly_feasible_point,
@@ -113,10 +113,21 @@ class TestSimplexAgainstVertices:
                     any(c.holds_at(v) for v in vertices) for c in cell if c.is_strict
                 )
                 assert cell_is_nonempty(n, cell) == expected, (n, cell)
+                point = strictly_feasible_point(n, cell)
+                assert (point is not None) == expected, (n, cell)
                 off_vertices = expected and (
                     len(vertices) > 1 or not Belief(vertices[0]).is_degenerate()
                 )
-                assert has_nondegenerate_point(n, cell) == off_vertices, (n, cell)
+                off_point = nondegenerate_point(n, cell)
+                assert (off_point is not None) == off_vertices, (n, cell)
+                # each point is a belief satisfying every constraint, the
+                # strict ones strictly; the second is not a simplex vertex
+                for p in (point, off_point):
+                    if p is not None:
+                        assert min(p) >= 0 and sum(p) == 1, (n, cell, p)
+                        assert all(c.holds_at(p) for c in cell), (n, cell, p)
+                if off_point is not None:
+                    assert not Belief(off_point).is_degenerate(), (n, cell)
                 outcomes.add((n, expected, off_vertices))
         assert len(outcomes) == 4 * 3  # every N sees all three verdicts
 

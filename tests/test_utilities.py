@@ -24,9 +24,7 @@ from zspersuasion.utilities import (
     check_zero_sum,
     conditional_payoff,
     constant_utility,
-    edge_derivative_at_vertex,
     edge_restriction,
-    eval_utility,
     expected_utility,
     max_total_surplus,
     normalize_payoffs,
@@ -53,7 +51,7 @@ class TestEvaluation:
         for k in range(21):
             t = Fraction(k, 20)
             expected = t if t < Fraction(3, 5) else 1 - t
-            assert eval_utility(u, edge_belief(t)) == expected
+            assert u(edge_belief(t)) == expected
 
     def test_first_match_order_decides_overlaps(self):
         low = Constraint(
@@ -76,6 +74,24 @@ class TestEvaluation:
         )
         with pytest.raises(NoPieceMatches):
             u(uniform(2))
+        with pytest.raises(NoPieceMatches):
+            check_coverage(u)
+
+    def test_coverage_gap_at_the_centroid_only(self):
+        def diff(l, k):
+            return AffineForm(0, tuple(int(m == l) - int(m == k) for m in range(3)))
+
+        guards = [
+            (Constraint(diff(0, 1), "<"),),
+            (Constraint(diff(0, 1), ">"),),
+            (Constraint(diff(0, 1), "=="), Constraint(diff(1, 2), "<")),
+            (Constraint(diff(0, 1), "=="), Constraint(diff(1, 2), ">")),
+        ]
+        u = PiecewiseAffineUtility(
+            tuple(Piece(guard, AffineForm.zero(3)) for guard in guards)
+        )
+        with pytest.raises(NoPieceMatches):
+            u(uniform(3))
         with pytest.raises(NoPieceMatches):
             check_coverage(u)
 
@@ -147,9 +163,6 @@ class TestEdgeRestriction:
         f = edge_restriction(figure_game.utilities[0], 0, 1)
         assert f.start_slope == 1
         assert f.end_slope == -1
-        u = figure_game.utilities[0]
-        assert edge_derivative_at_vertex(u, 0, 1, "AtL") == 1
-        assert edge_derivative_at_vertex(u, 0, 1, "AtK") == -1
 
     @given(seed=st.integers(min_value=0, max_value=99_999))
     @settings(max_examples=40, deadline=None)
@@ -221,16 +234,45 @@ class TestZeroSumAndSurplus:
         assert not result.ok
         assert sum(v(result.witness) for v in g.utilities) != 0
 
+    def test_check_zero_sum_catches_a_single_interior_point(self):
+        # the pooled sum is 1 at the centroid and 0 everywhere else
+        centroid = (
+            Constraint(AffineForm(0, (1, -1, 0)), "=="),
+            Constraint(AffineForm(0, (0, 1, -1)), "=="),
+        )
+        u = PiecewiseAffineUtility(
+            (
+                Piece(centroid, AffineForm(1, (0, 0, 0))),
+                Piece((), AffineForm.zero(3)),
+            )
+        )
+        result = check_zero_sum(GamePayoffs((u, constant_utility(3))))
+        assert not result.ok
+        assert result.witness == uniform(3)
+
+    def test_surplus_attained_at_a_single_interior_point(self):
+        # 1 where beta_l >= 1/4 for every l, which is the centroid alone
+        quarter = tuple(
+            Constraint(
+                AffineForm(Fraction(-1, 4), tuple(int(m == l) for m in range(4))),
+                ">=",
+            )
+            for l in range(4)
+        )
+        u = PiecewiseAffineUtility(
+            (
+                Piece(quarter, AffineForm(1, (0, 0, 0, 0))),
+                Piece((), AffineForm.zero(4)),
+            )
+        )
+        assert max_total_surplus(GamePayoffs((u, constant_utility(4)))) == 1
+
     def test_surplus_zero_for_zero_sum(self, figure_game):
-        bound = max_total_surplus(figure_game)
-        assert bound.value == 0
-        assert bound.exact
+        assert max_total_surplus(figure_game) == 0
 
     def test_surplus_of_jump_plus_silent_partner(self, figure_game):
         g = GamePayoffs((figure_game.utilities[0], constant_utility(2)))
-        bound = max_total_surplus(g)
-        assert bound.value == Fraction(3, 5)
-        assert bound.exact
+        assert max_total_surplus(g) == Fraction(3, 5)
 
     def test_ternary_exact_surplus(self):
         # tent on the (1,2) edge, zero elsewhere: sup is the peak value 1/2
@@ -270,6 +312,4 @@ class TestZeroSumAndSurplus:
             + (Piece((), AffineForm.zero(3)),)
         )
         g = GamePayoffs((lifted, constant_utility(3)))
-        bound = max_total_surplus(g)
-        assert bound.exact
-        assert bound.value == Fraction(1, 2)
+        assert max_total_surplus(g) == Fraction(1, 2)
