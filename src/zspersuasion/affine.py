@@ -30,14 +30,9 @@ class AffineForm:
     def n_states(self) -> int:
         return len(self.coeffs)
 
-    def __call__(self, b: Belief) -> Fraction:
+    def __call__(self, b: Belief | tuple[Fraction, ...]) -> Fraction:
         return self.const + sum(
-            (c * p for c, p in zip(self.coeffs, b.probs)), Fraction(0)
-        )
-
-    def at_point(self, point: tuple[Fraction, ...]) -> Fraction:
-        return self.const + sum(
-            (c * p for c, p in zip(self.coeffs, point)), Fraction(0)
+            (c * p for c, p in zip(self.coeffs, b)), Fraction(0)
         )
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
@@ -48,13 +43,6 @@ class AffineForm:
 
     def __neg__(self) -> "AffineForm":
         return AffineForm(-self.const, tuple(-c for c in self.coeffs))
-
-    def scale(self, factor: Fraction) -> "AffineForm":
-        factor = as_fraction(factor)
-        return AffineForm(self.const * factor, tuple(c * factor for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and all(c == 0 for c in self.coeffs)
 
     def on_edge(self, l: int, k: int) -> tuple[Fraction, Fraction]:
         """Restrict to beta(t) = (1-t) delta_l + t delta_k; returns
@@ -77,11 +65,8 @@ class Constraint:
         if self.op not in OPS:
             raise ValueError(f"unknown constraint op {self.op!r}")
 
-    def holds(self, b: Belief) -> bool:
+    def holds(self, b: Belief | tuple[Fraction, ...]) -> bool:
         return self.holds_value(self.expr(b))
-
-    def holds_at(self, point: tuple[Fraction, ...]) -> bool:
-        return self.holds_value(self.expr.at_point(point))
 
     def holds_value(self, v: Fraction) -> bool:
         if self.op == "<":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .beliefs import Belief, degenerate, state_set
-from .exceptions import NotNormalized
+from .exceptions import InvariantViolation, NotNormalized
 from .experiments import StrategyProfile, product
 from .geometry import (
     nondegenerate_point,
@@ -109,16 +109,17 @@ def classify_pooling(g: GamePayoffs, omega: Sequence[int]) -> PoolingVerdict:
     _require_normalized(g.utilities)
     omega = state_set(omega, g.n_states)
     for u in g.utilities:
-        check = is_zero_on_subsimplex(u, omega)
-        if check.zero:
+        b = is_zero_on_subsimplex(u, omega).witness
+        if b is None:
             continue
-        b = check.witness
-        assert b is not None
         # zero-sum: somebody is strictly positive wherever somebody is nonzero
         for i, ui in enumerate(g.utilities):
             if ui(b) > 0:
                 return PoolingVerdict(omega, True, i, b)
-        raise AssertionError("nonzero witness but no positive sender; not zero-sum?")
+        raise InvariantViolation(
+            f"a utility is nonzero on the face over {omega} but no sender is "
+            "positive at its witness: the game is not zero-sum"
+        )
     return PoolingVerdict(omega, False)
 
 

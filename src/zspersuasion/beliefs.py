@@ -1,5 +1,5 @@
-"""Exact simplex geometry: beliefs, state subsets, ratio representations,
-and Bayesian combination of conditionally independent interim beliefs.
+"""Exact simplex geometry: beliefs, state subsets, and Bayesian combination
+of conditionally independent interim beliefs.
 
 All arithmetic is over ``fractions.Fraction``; nothing in this module touches
 floating point.
@@ -9,30 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .exceptions import NotOnSubsimplex, UndefinedPosterior
-
-Rational = Fraction
-
-
-class _Infinity:
-    """Tag for an infinite ratio-representation entry (degenerate belief)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = _Infinity()
-
-RatioEntry = Union[Fraction, _Infinity]
+from .exceptions import UndefinedPosterior
 
 
 def as_fraction(value) -> Fraction:
@@ -108,25 +87,6 @@ def state_set(members: Iterable[int], n_states: int) -> tuple[int, ...]:
     return omega
 
 
-@dataclass(frozen=True)
-class RatioRep:
-    """Successive-ratio coordinates of a belief on the sub-simplex over an
-    ordered state subset of size K: K-1 entries, each a nonnegative rational
-    or INFINITY."""
-
-    ratios: tuple[RatioEntry, ...]
-    states: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ratios) != len(self.states) - 1:
-            raise ValueError("need exactly K-1 ratios for K states")
-        for r in self.ratios:
-            if r is INFINITY:
-                continue
-            if not isinstance(r, Fraction) or r < 0:
-                raise ValueError(f"ratio entries must be >= 0 or Infinity, got {r!r}")
-
-
 def combine(prior: Belief, interim: Sequence[Belief]) -> Belief:
     """Posterior from conditionally independent interim beliefs.
 
@@ -156,53 +116,3 @@ def combine(prior: Belief, interim: Sequence[Belief]) -> Belief:
     if total == 0:
         raise UndefinedPosterior("interim beliefs have disjoint supports")
     return Belief(tuple(w / total for w in weights))
-
-
-def ratio_rep(b: Belief, omega: tuple[int, ...]) -> RatioRep:
-    """Ratio representation of ``b`` relative to the ordered subset ``omega``.
-
-    Entry k is gamma_k / (mass on later states); 0 or INFINITY when the
-    denominator vanishes, depending on the numerator.
-    """
-    omega = state_set(omega, b.n_states)
-    if not b.support <= set(omega):
-        raise NotOnSubsimplex(f"support {sorted(b.support)} not within {omega}")
-    gammas = [b[l] for l in omega]
-    ratios: list[RatioEntry] = []
-    for k in range(len(omega) - 1):
-        tail = sum(gammas[k + 1:])
-        if tail > 0:
-            ratios.append(gammas[k] / tail)
-        elif gammas[k] > 0:
-            ratios.append(INFINITY)
-        else:
-            ratios.append(Fraction(0))
-    return RatioRep(tuple(ratios), omega)
-
-
-def belief_from_ratio_rep(r: RatioRep, n_states: int) -> Belief:
-    """The unique belief on the sub-simplex with the given ratio
-    representation (back-substitution)."""
-    omega = r.states
-    gammas = [Fraction(0)] * len(omega)
-    remaining = Fraction(1)
-    exhausted = False
-    for k, entry in enumerate(r.ratios):
-        if exhausted:
-            if entry != 0:
-                raise ValueError("nonzero ratio after an Infinity entry")
-            continue
-        if entry is INFINITY:
-            gammas[k] = remaining
-            remaining = Fraction(0)
-            exhausted = True
-        else:
-            # entry = gamma_k / (remaining - gamma_k)
-            gammas[k] = entry * remaining / (1 + entry)
-            remaining -= gammas[k]
-    if not exhausted:
-        gammas[-1] = remaining
-    probs = [Fraction(0)] * n_states
-    for l, g in zip(omega, gammas):
-        probs[l] = g
-    return Belief(tuple(probs))

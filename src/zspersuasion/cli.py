@@ -36,7 +36,6 @@ from .exceptions import (
     EnumerationTooLarge,
     NoPieceMatches,
     NotNormalized,
-    NotOnSubsimplex,
     NotPoolable,
     PreconditionFailed,
     ScenarioError,
@@ -61,8 +60,6 @@ from .scenario import (
     utility_to_json,
 )
 from .utilities import (
-    GamePayoffs,
-    check_coverage,
     check_zero_sum,
     edge_restriction,
     expected_utility,
@@ -77,7 +74,6 @@ _PRECONDITION_ERRORS = (
     PreconditionFailed,
     NotPoolable,
     NotNormalized,
-    NotOnSubsimplex,
     NoPieceMatches,
     UndefinedPosterior,
     ZeroProbabilityEvent,
@@ -116,10 +112,6 @@ def _resolve_profile(scenario: Scenario, name: str) -> StrategyProfile:
     return scenario.profile(name)  # raises with the available names
 
 
-def _normalized(scenario: Scenario) -> GamePayoffs:
-    return normalize_payoffs(scenario.payoffs)
-
-
 def _certificate_json(cert: ExploitCertificate) -> dict:
     return {
         "deviation": experiment_to_json(cert.deviation),
@@ -139,24 +131,19 @@ def _certificate_json(cert: ExploitCertificate) -> dict:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    g = scenario.payoffs
     try:
-        # coverage depends on the guards alone, which the utilities of an
-        # action game share
-        by_guards = {tuple(p.guard for p in u.pieces): u for u in g.utilities}
-        for u in by_guards.values():
-            check_coverage(u)
+        # the zero-sum overlay decomposes every utility, which checks coverage
+        zero_sum_ok = check_zero_sum(scenario.payoffs).ok
         coverage_ok = True
     except NoPieceMatches:
-        coverage_ok = False
-    zero_sum = check_zero_sum(g)
+        coverage_ok = zero_sum_ok = False
     plausible = {
         name: all(
             check_bayes_plausible(e).ok for e in profile.experiments
         )
         for name, profile in scenario.profiles.items()
     }
-    ok = coverage_ok and zero_sum.ok and all(plausible.values())
+    ok = coverage_ok and zero_sum_ok and all(plausible.values())
     _emit(
         {
             "coverage_ok": coverage_ok,
@@ -164,7 +151,7 @@ def _cmd_validate(args) -> int:
             "profiles_bayes_plausible": plausible,
             "senders": scenario.n_senders,
             "states": scenario.n_states,
-            "zero_sum_ok": zero_sum.ok,
+            "zero_sum_ok": zero_sum_ok,
             "zero_sum_sampled": False,
         }
     )
@@ -173,7 +160,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario)
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     zero_sum = check_zero_sum(g).ok
     cond1 = condition1_report(g)
     surplus = strict_surplus_sufficiency(g)
@@ -247,7 +234,7 @@ def _cmd_construct(args) -> int:
         kind = "fully_revealing"
     else:
         omega = _parse_state_set(args.pool)
-        g = _normalized(scenario)
+        g = normalize_payoffs(scenario.payoffs)
         profile = construct_pooling_equilibrium(g, scenario.prior, omega)
         kind = "pooling"
     out = profile_to_json(profile)
@@ -259,7 +246,7 @@ def _cmd_construct(args) -> int:
 def _cmd_exploit(args) -> int:
     scenario = load_scenario(args.scenario)
     profile = _resolve_profile(scenario, args.profile)
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     omega = _parse_state_set(args.set)
     cert = synthesize_exploit(g, profile, omega, budget=args.budget)
     _emit(_certificate_json(cert))
@@ -269,7 +256,7 @@ def _cmd_exploit(args) -> int:
 def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     profile = _resolve_profile(scenario, args.profile)
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     result = verify_profile(g, profile, deviation_grid=args.grid)
     out = {
         "verdict": "Accepted" if result.ok else "ProfitableDeviation",
@@ -290,7 +277,7 @@ def _cmd_induce(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.action_game is None:
         raise PreconditionFailed("scenario has no action_game to induce from")
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     n = scenario.n_states
     edges = {}
     for l in range(n):
@@ -322,7 +309,7 @@ def _cmd_induce(args) -> int:
 
 def _cmd_oracle_scan(args) -> int:
     scenario = load_scenario(args.scenario)
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     grid = GridSpec(
         args.belief_res, args.mass_res, args.max_support, args.cap
     )
@@ -354,7 +341,7 @@ def _cmd_oracle_scan(args) -> int:
 
 def _cmd_emit_plot(args) -> int:
     scenario = load_scenario(args.scenario)
-    g = _normalized(scenario)
+    g = normalize_payoffs(scenario.payoffs)
     l, k = (int(t) for t in args.edge.split(","))
     fns = [edge_restriction(u, l, k) for u in g.utilities]
     points = args.points

@@ -293,7 +293,6 @@ def _solve_x_from_posterior(
 def _finish_certificate(
     g: GamePayoffs,
     profile: StrategyProfile,
-    joint: Experiment,
     omega: tuple[int, ...],
     theta: tuple[int, ...],
     sender: int,
@@ -410,7 +409,7 @@ def _binary_exploit(
     if w <= 0:
         return None
     return _finish_certificate(
-        g, profile, joint, omega, theta, sender, x_bar, w
+        g, profile, omega, theta, sender, x_bar, w
     )
 
 
@@ -463,7 +462,7 @@ def _general_exploit(
         if w <= 0:
             return None
         return _finish_certificate(
-            g, profile, joint, omega, theta, sender, x_bar, w
+            g, profile, omega, theta, sender, x_bar, w
         )
 
     # direct hit: the target posterior itself is strictly advantaged

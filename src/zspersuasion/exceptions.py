@@ -1,16 +1,19 @@
 """Exception types shared across the package."""
 
+import json
+
 
 class UndefinedPosterior(ArithmeticError):
     """Bayesian update attempted on interim beliefs with disjoint supports."""
 
 
-class NotOnSubsimplex(ValueError):
-    """Belief has support outside the requested state subset."""
-
-
 class NoPieceMatches(ValueError):
     """A piecewise utility has a coverage gap at the evaluated belief."""
+
+    @classmethod
+    def at(cls, point) -> "NoPieceMatches":
+        """The gap at a belief, written as its ``"p/q"`` coordinates."""
+        return cls(f"no piece covers belief {json.dumps([str(p) for p in point])}")
 
 
 class NotNormalized(ValueError):

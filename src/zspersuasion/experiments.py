@@ -137,16 +137,6 @@ def uninformative(prior: Belief) -> Experiment:
     return Experiment(prior, ((prior, Fraction(1)),))
 
 
-def canonical_experiment(prior: Belief, kind: str) -> Experiment:
-    """Build one of the two benchmark experiments by name
-    ("FullyRevealing" or "Uninformative")."""
-    if kind == "FullyRevealing":
-        return fully_revealing(prior)
-    if kind == "Uninformative":
-        return uninformative(prior)
-    raise ValueError(f"unknown canonical experiment kind {kind!r}")
-
-
 def check_bayes_plausible(e: Experiment) -> PlausibilityCheck:
     """Exact mean test: the atom-weighted mean belief must equal the prior."""
     mean = e.mean()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import AffineForm, Constraint
-from .exceptions import InvariantViolation
+from .exceptions import InvariantViolation, NoPieceMatches
 
 Point = tuple[Fraction, ...]
 
@@ -135,7 +135,7 @@ def polytope_vertices(n: int, constraints: Sequence[Constraint]) -> list[Point]:
         point = solve_unique(eqs, n)
         if point is None:
             continue
-        if all(c.holds_at(point) for c in inequalities):
+        if all(c.holds(point) for c in inequalities):
             vertices.add(point)
     return sorted(vertices)
 
@@ -401,18 +401,15 @@ def subsimplex_constraints(n: int, omega: Sequence[int]) -> list[Constraint]:
     return out
 
 
-def first_match_sweep(
-    pieces,
-) -> tuple[
-    list[tuple[tuple[Constraint, ...], AffineForm]], list[tuple[Constraint, ...]]
-]:
-    """Disjoint decomposition of a first-match piecewise utility.
+def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+    """Disjoint decomposition of a first-match piecewise utility, which also
+    checks that the pieces cover the simplex.
 
-    Returns (regions, uncovered).  Each region (constraints, form) is
-    nonempty, the regions are pairwise disjoint, and on each the utility
-    equals the affine form; the uncovered cells are the nonempty parts of
-    the simplex that no piece matches.  Pieces are anything with .guard and
-    .form, processed in match order.
+    Returns the regions (constraints, form): nonempty, pairwise disjoint
+    cells, on each of which the utility equals the affine form.  Pieces are
+    anything with .guard and .form, processed in match order.  The sweep
+    carries the cells that no piece has matched yet; if one is left after
+    the last piece, raises NoPieceMatches at a point of the first.
     """
     n = pieces[0].form.n_states
     regions: list[tuple[tuple[Constraint, ...], AffineForm]] = []
@@ -428,13 +425,9 @@ def first_match_sweep(
                 if cell_is_nonempty(n, candidate):
                     next_remainder.append(candidate)
         remainder = next_remainder
-    return regions, remainder
-
-
-def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
-    """The regions of ``first_match_sweep``: nonempty, pairwise disjoint
-    cells, each with the affine form the utility equals there."""
-    return first_match_sweep(pieces)[0]
+    if remainder:
+        raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))
+    return regions
 
 
 def overlay_regions(utilities):
@@ -445,8 +438,10 @@ def overlay_regions(utilities):
     affine form.  Utilities with one guard sequence (the induced utilities
     of an action game, normalized or not) share one partition, so their
     forms are summed piece by piece and decomposed once; otherwise the cells
-    are the nonempty intersections of one region per utility.  No vertices
-    are computed: callers that need the closure's vertices ask
+    are the nonempty intersections of one region per utility.  Every
+    utility is decomposed before the first cell is yielded, so a coverage
+    gap in any of them raises NoPieceMatches first.  No vertices are
+    computed: callers that need the closure's vertices ask
     ``closure_vertices`` for them.
     """
     n = utilities[0].n_states

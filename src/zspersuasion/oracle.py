@@ -152,19 +152,17 @@ def _deviation_value(
     others: tuple[Experiment, ...],
     i: int,
     e: Experiment,
-    cache: Optional[dict] = None,
+    cache: dict,
 ) -> Fraction:
-    """Sender i's expected payoff after replacing her experiment with e."""
+    """Sender i's expected payoff after replacing her experiment with e; the
+    product of the others' experiments is kept in ``cache``."""
     u = g.utilities[i]
     if not others:
         return sum((m * u(b) for b, m in e.atoms), Fraction(0))
-    if cache is None:
+    joint = cache.get(others)
+    if joint is None:
         joint = product(others)
-    else:
-        joint = cache.get(others)
-        if joint is None:
-            joint = product(others)
-            cache[others] = joint
+        cache[others] = joint
     return sum(
         (m * conditional_payoff_against(u, joint, b) for b, m in e.atoms),
         Fraction(0),
@@ -176,13 +174,13 @@ def best_response_scan(
     profile: StrategyProfile,
     i: int,
     grid: GridSpec,
-    _cache: Optional[dict] = None,
 ) -> ScanResult:
     """Exhaustive grid deviation search for one sender."""
     base = expected_utility(g, profile, i)
     others = profile.without(i)
+    cache: dict = {}
     for e in enumerate_grid_strategies(profile.prior, grid):
-        value = _deviation_value(g, others, i, e, _cache)
+        value = _deviation_value(g, others, i, e, cache)
         if value > base:
             return ScanResult(True, e, value - base)
     return ScanResult(False)

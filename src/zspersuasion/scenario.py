@@ -17,7 +17,12 @@ from .actions import ActionGame
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction
 from .exceptions import ScenarioError
-from .experiments import Experiment, StrategyProfile, canonical_experiment
+from .experiments import (
+    Experiment,
+    StrategyProfile,
+    fully_revealing,
+    uninformative,
+)
 from .geometry import overlay_regions
 from .utilities import GamePayoffs, Piece, PiecewiseAffineUtility
 
@@ -65,16 +70,17 @@ def experiment_to_json(e: Experiment) -> dict:
     }
 
 
+_SHORTHAND_EXPERIMENTS = {
+    "fully_revealing": fully_revealing,
+    "uninformative": uninformative,
+}
+
+
 def experiment_from_json(data: Any, prior: Belief) -> Experiment:
     if isinstance(data, str):
-        kind = {
-            "fully_revealing": "FullyRevealing",
-            "uninformative": "Uninformative",
-        }.get(data, data)
-        try:
-            return canonical_experiment(prior, kind)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        if data not in _SHORTHAND_EXPERIMENTS:
+            raise ScenarioError(f"unknown experiment shorthand {data!r}")
+        return _SHORTHAND_EXPERIMENTS[data](prior)
     if not isinstance(data, dict) or "atoms" not in data:
         raise ScenarioError(f"experiment must have an 'atoms' array: {data!r}")
     atoms = []
@@ -183,17 +189,6 @@ def action_game_from_json(data: Any) -> ActionGame:
         return ActionGame(actions, receiver, senders)
     except ValueError as exc:
         raise ScenarioError(f"invalid action_game: {exc}") from exc
-
-
-def action_game_to_json(ag: ActionGame) -> dict:
-    return {
-        "actions": list(ag.actions),
-        "receiver": [[frac_to_str(v) for v in row] for row in ag.receiver],
-        "senders": [
-            [[frac_to_str(v) for v in row] for row in table]
-            for table in ag.senders
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

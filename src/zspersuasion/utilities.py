@@ -3,10 +3,11 @@
 Provides first-match piecewise evaluation, payoff normalization so that every
 utility vanishes at degenerate beliefs, exact expected and conditional
 payoffs against strategy profiles, and one-dimensional edge restrictions.
-The coverage check, the zero-sum check and the maximum total surplus of a
-game are exact: each is decided on the first-match cells of the utilities
-(``geometry.piece_regions`` and ``geometry.overlay_regions``), never by
-sampling beliefs.
+The zero-sum check and the maximum total surplus of a game are exact: each
+is decided on the first-match cells of the utilities
+(``geometry.overlay_regions``), never by sampling beliefs, and the
+decomposition into those cells rejects a utility whose pieces leave part of
+the simplex uncovered.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, combine, degenerate
 from .exceptions import NoPieceMatches
 from .experiments import Experiment, StrategyProfile, conditional_dist, product
-from .geometry import (
-    closure_vertices,
-    first_match_sweep,
-    nonzero_point,
-    overlay_regions,
-    strictly_feasible_point,
-)
+from .geometry import closure_vertices, nonzero_point, overlay_regions
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ class PiecewiseAffineUtility:
         for p in self.pieces:
             if p.matches(b):
                 return p.form(b)
-        raise NoPieceMatches(f"no piece covers belief {b.probs}")
+        raise NoPieceMatches.at(b)
 
     def shifted(self, delta: AffineForm) -> "PiecewiseAffineUtility":
         return PiecewiseAffineUtility(
@@ -82,24 +77,11 @@ def constant_utility(n_states: int, value=Fraction(0)) -> PiecewiseAffineUtility
     return PiecewiseAffineUtility((Piece((), form),))
 
 
-def check_coverage(u: PiecewiseAffineUtility) -> None:
-    """Checks the first-match coverage invariant exactly: the first-match
-    sweep over the pieces leaves no nonempty cell of the simplex uncovered.
-
-    Raises NoPieceMatches at a point of the first uncovered cell.
-    """
-    _, uncovered = first_match_sweep(u.pieces)
-    if uncovered:
-        p = strictly_feasible_point(u.n_states, uncovered[0])
-        raise NoPieceMatches(f"no piece covers belief {p}")
-
-
 @dataclass(frozen=True)
 class GamePayoffs:
     """One utility per sender over a common state space."""
 
     utilities: tuple[PiecewiseAffineUtility, ...]
-    normalized: bool = False
 
     def __post_init__(self):
         if not self.utilities:
@@ -134,7 +116,7 @@ def normalize_payoffs(g: GamePayoffs) -> GamePayoffs:
             continue
         alpha = AffineForm(Fraction(0), tuple(-v for v in vertex_values))
         out.append(u.shifted(alpha))
-    return GamePayoffs(tuple(out), normalized=True)
+    return GamePayoffs(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +161,6 @@ class EdgeFunction:
                 return c + s * t
         raise AssertionError("unreachable")
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.point_values) and all(
-            c == 0 and s == 0 for c, s in self.interval_forms
-        )
-
     @property
     def start_slope(self) -> Fraction:
         return self.interval_forms[0][1]
@@ -191,16 +168,6 @@ class EdgeFunction:
     @property
     def end_slope(self) -> Fraction:
         return self.interval_forms[-1][1]
-
-    def supremum(self) -> Fraction:
-        """sup over [0, 1]; the sup of each open interval is approached at its
-        ends, so it is the max of end limits and breakpoint values."""
-        best = max(self.point_values)
-        for (c, s), a, b in zip(
-            self.interval_forms, self.breakpoints, self.breakpoints[1:]
-        ):
-            best = max(best, c + s * a, c + s * b)
-        return best
 
     def nonzero_witness(self) -> Optional[Fraction]:
         """Some t with value != 0, or None if the function is identically 0."""
@@ -353,7 +320,7 @@ def max_total_surplus(g: GamePayoffs) -> Fraction:
     the cell's closure.
     """
     return max(
-        form.at_point(v)
+        form(v)
         for cell, form in overlay_regions(g.utilities)
         for v in closure_vertices(g.n_states, cell)
     )

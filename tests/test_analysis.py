@@ -18,7 +18,7 @@ from zspersuasion.analysis import (
     strict_surplus_sufficiency,
 )
 from zspersuasion.beliefs import Belief, belief, uniform
-from zspersuasion.exceptions import NotNormalized
+from zspersuasion.exceptions import InvariantViolation, NotNormalized
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -111,6 +111,14 @@ class TestPoolingAndRevelation:
     def test_poolable_when_all_flat(self):
         g = GamePayoffs((constant_utility(2), constant_utility(2)))
         assert not classify_pooling(g, (0, 1)).never_pooled
+
+    def test_nonzero_face_without_a_positive_sender(self):
+        # not zero-sum: the first sender is negative inside the edge, the
+        # second is zero, so the witness has no sender positive at it
+        dip = edge_piecewise_utility([Fraction(0), Fraction(-1), Fraction(0)])
+        g = GamePayoffs((dip, constant_utility(2)))
+        with pytest.raises(InvariantViolation, match="not zero-sum"):
+            classify_pooling(g, (0, 1))
 
     def test_full_revelation_report(self, figure_game):
         report = classify_full_revelation(figure_game)

@@ -1,23 +1,13 @@
-"""Simplex geometry: combination, ratio representations, round trips."""
+"""Simplex geometry: beliefs and Bayesian combination."""
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zspersuasion.beliefs import (
-    INFINITY,
-    Belief,
-    belief,
-    belief_from_ratio_rep,
-    combine,
-    degenerate,
-    ratio_rep,
-    uniform,
-)
-from zspersuasion.exceptions import NotOnSubsimplex, UndefinedPosterior
+from zspersuasion.beliefs import Belief, belief, combine
+from zspersuasion.exceptions import UndefinedPosterior
 
 
 def rational_beliefs(n: int):
@@ -93,48 +83,3 @@ class TestCombine:
         result = combine(prior, [x, y])
         assert result.support <= {1, 2}
 
-
-class TestRatioRep:
-    def test_degenerate_convention(self):
-        r = ratio_rep(degenerate(2, 0), (0, 1))
-        assert r.ratios == (INFINITY,)
-
-    def test_interior_edge_value(self):
-        r = ratio_rep(belief(["0", "3/8", "5/8"]), (0, 1, 2))
-        assert r.ratios == (Fraction(0), Fraction(3, 5))
-
-    def test_two_ones(self):
-        r = ratio_rep(belief(["1/2", "1/4", "1/4"]), (0, 1, 2))
-        assert r.ratios == (Fraction(1), Fraction(1))
-
-    def test_inverse_examples(self):
-        r = ratio_rep(belief(["1/2", "1/4", "1/4"]), (0, 1, 2))
-        assert belief_from_ratio_rep(r, 3) == belief(["1/2", "1/4", "1/4"])
-        r = ratio_rep(belief(["0", "3/8", "5/8"]), (0, 1, 2))
-        assert belief_from_ratio_rep(r, 3) == belief(["0", "3/8", "5/8"])
-
-    def test_off_face_rejected(self):
-        with pytest.raises(NotOnSubsimplex):
-            ratio_rep(uniform(3), (0, 1))
-
-    @given(b=rational_beliefs(4))
-    @settings(max_examples=120)
-    def test_round_trip_full_simplex(self, b):
-        r = ratio_rep(b, (0, 1, 2, 3))
-        assert belief_from_ratio_rep(r, 4) == b
-
-    def test_round_trip_on_random_faces(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(2, 5)
-            omega = tuple(
-                sorted(rng.sample(range(n), rng.randint(2, n)))
-            )
-            weights = [rng.randint(0, 9) for _ in omega]
-            if sum(weights) == 0:
-                weights[0] = 1
-            probs = [Fraction(0)] * n
-            for l, w in zip(omega, weights):
-                probs[l] = Fraction(w, sum(weights))
-            b = Belief(tuple(probs))
-            assert belief_from_ratio_rep(ratio_rep(b, omega), n) == b

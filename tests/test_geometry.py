@@ -55,7 +55,7 @@ class TestFeasibility:
         cell = (half(2, 1, "<"), half(2, 1, ">", Fraction(1, 4)))
         assert cell_is_nonempty(2, cell)
         p = strictly_feasible_point(2, cell)
-        assert all(c.holds_at(p) for c in cell)
+        assert all(c.holds(p) for c in cell)
 
     def test_degenerate_strict_cell_empty(self):
         cell = (half(2, 1, "<"), half(2, 1, ">"))
@@ -110,7 +110,7 @@ class TestSimplexAgainstVertices:
                 # reference: the closure has a vertex, and every strict
                 # constraint holds strictly at one of them
                 expected = bool(vertices) and all(
-                    any(c.holds_at(v) for v in vertices) for c in cell if c.is_strict
+                    any(c.holds(v) for v in vertices) for c in cell if c.is_strict
                 )
                 assert cell_is_nonempty(n, cell) == expected, (n, cell)
                 point = strictly_feasible_point(n, cell)
@@ -125,7 +125,7 @@ class TestSimplexAgainstVertices:
                 for p in (point, off_point):
                     if p is not None:
                         assert min(p) >= 0 and sum(p) == 1, (n, cell, p)
-                        assert all(c.holds_at(p) for c in cell), (n, cell, p)
+                        assert all(c.holds(p) for c in cell), (n, cell, p)
                 if off_point is not None:
                     assert not Belief(off_point).is_degenerate(), (n, cell)
                 outcomes.add((n, expected, off_vertices))
@@ -166,4 +166,4 @@ class TestDecompositions:
                 if all(c.holds(b) for c in cell)
             ]
             assert len(matches) == 1
-            assert matches[0].at_point(b.probs) == u(b)
+            assert matches[0](b) == u(b)

@@ -74,6 +74,15 @@ class TestSerialization:
         assert again == u
 
 
+    def test_experiment_shorthands(self):
+        prior = belief(["1/3", "2/3"])
+        assert experiment_from_json("uninformative", prior) == uninformative(prior)
+        assert experiment_from_json("fully_revealing", prior).is_fully_revealing()
+        for name in ("FullyRevealing", "Uninformative", "informative"):
+            with pytest.raises(ScenarioError):
+                experiment_from_json(name, prior)
+
+
 class TestScenarioLoading:
     def test_figure1(self):
         s = load_scenario(FIG1)
@@ -297,3 +306,83 @@ class TestCli:
         _, first, _ = self.run(capsys, "analyze", FIG1)
         _, second, _ = self.run(capsys, "analyze", FIG1)
         assert first == second
+
+
+def _diff(l: int, k: int) -> dict:
+    """beta_l - beta_k over three states, as a scenario constraint."""
+    return {"coeffs": [str(int(m == l) - int(m == k)) for m in range(3)],
+            "const": "0"}
+
+
+# first utility: pieces beta0 < beta1, beta0 > beta1, beta0 = beta1 < beta2
+# and beta0 = beta1 > beta2, so only the centroid is uncovered
+CENTROID_GAP = {
+    "pieces": [
+        {"guard": guard, "form": {"coeffs": ["0", "0", "0"], "const": "0"}}
+        for guard in (
+            [dict(_diff(0, 1), op="<")],
+            [dict(_diff(0, 1), op=">")],
+            [dict(_diff(0, 1), op="=="), dict(_diff(1, 2), op="<")],
+            [dict(_diff(0, 1), op="=="), dict(_diff(1, 2), op=">")],
+        )
+    ]
+}
+
+
+class TestCoverageGap:
+    """Every command that decomposes a utility into first-match cells
+    rejects a utility that leaves part of the simplex uncovered, even where
+    no belief it evaluates lies in the gap (the prior is off the centroid)."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({
+            "states": 3,
+            "prior": ["1/2", "1/4", "1/4"],
+            "senders": 2,
+            "payoffs": [CENTROID_GAP, {"pieces": [
+                {"guard": [], "form": {"coeffs": ["0", "0", "0"], "const": "0"}}
+            ]}],
+            "profiles": {"both_uninformative": ["uninformative", "uninformative"]},
+        }))
+        return str(path)
+
+    run = TestCli.run
+
+    def test_validate_reports_the_gap(self, capsys, scenario):
+        code, out, _ = self.run(capsys, "validate", scenario)
+        report = json.loads(out)
+        assert code == 2
+        assert report["coverage_ok"] is False
+        assert report["zero_sum_ok"] is False
+        assert report["ok"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze",),
+            ("construct", "--pool", "0,1,2"),
+            ("exploit", "--profile", "both_uninformative", "--set", "0,1,2"),
+        ],
+        ids=" ".join,
+    )
+    def test_commands_reject_the_gap(self, capsys, scenario, argv):
+        code, out, err = self.run(capsys, argv[0], scenario, *argv[1:])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "NoPieceMatches"
+        assert error["message"] == 'no piece covers belief ["1/3", "1/3", "1/3"]'
+
+    def test_structural_scenario_with_a_gap_fails_at_load(self, capsys, tmp_path):
+        path = tmp_path / "structural_gap.json"
+        path.write_text(json.dumps({
+            "states": 3,
+            "prior": ["1/3", "1/3", "1/3"],
+            "senders": 2,
+            "assert_zero_sum_structural": True,
+            "payoffs": [CENTROID_GAP],
+        }))
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NoPieceMatches"

@@ -16,11 +16,11 @@ from zspersuasion.experiments import (
     product,
     uninformative,
 )
+from zspersuasion.geometry import piece_regions
 from zspersuasion.utilities import (
     GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
-    check_coverage,
     check_zero_sum,
     conditional_payoff,
     constant_utility,
@@ -75,7 +75,7 @@ class TestEvaluation:
         with pytest.raises(NoPieceMatches):
             u(uniform(2))
         with pytest.raises(NoPieceMatches):
-            check_coverage(u)
+            piece_regions(u.pieces)
 
     def test_coverage_gap_at_the_centroid_only(self):
         def diff(l, k):
@@ -90,10 +90,11 @@ class TestEvaluation:
         u = PiecewiseAffineUtility(
             tuple(Piece(guard, AffineForm.zero(3)) for guard in guards)
         )
-        with pytest.raises(NoPieceMatches):
+        centroid = r'belief \["1/3", "1/3", "1/3"\]$'
+        with pytest.raises(NoPieceMatches, match=centroid):
             u(uniform(3))
-        with pytest.raises(NoPieceMatches):
-            check_coverage(u)
+        with pytest.raises(NoPieceMatches, match=centroid):
+            piece_regions(u.pieces)
 
 
 class TestNormalization:
@@ -154,10 +155,6 @@ class TestEdgeRestriction:
         assert f(Fraction(3, 5)) == Fraction(2, 5)
         assert f(Fraction(1, 2)) == Fraction(1, 2)
         assert f(Fraction(4, 5)) == Fraction(1, 5)
-
-    def test_supremum_not_attained(self, figure_game):
-        f = edge_restriction(figure_game.utilities[0], 0, 1)
-        assert f.supremum() == Fraction(3, 5)
 
     def test_slopes(self, figure_game):
         f = edge_restriction(figure_game.utilities[0], 0, 1)
