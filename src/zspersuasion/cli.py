@@ -261,8 +261,7 @@ def _cmd_verify(args) -> int:
     out = {
         "verdict": "Accepted" if result.ok else "ProfitableDeviation",
         "expected_utilities": [
-            frac_to_str(expected_utility(g, profile, i))
-            for i in range(g.n_senders)
+            frac_to_str(u) for u in result.expected_utilities
         ],
     }
     if not result.ok:

@@ -40,10 +40,9 @@ from .oracle import grid_beliefs
 from .utilities import (
     EdgeFunction,
     GamePayoffs,
-    conditional_payoff,
     conditional_payoff_against,
     edge_restriction,
-    expected_utility,
+    memoized,
 )
 
 DEFAULT_SEARCH_BUDGET = 64
@@ -545,9 +544,11 @@ class VerificationResult:
     """ok means no violation was found at the requested scrutiny: expected
     payoffs are exactly zero, conditional payoffs are nonpositive on the
     whole deviation grid, and every maximal pooled face survived exploit
-    synthesis."""
+    synthesis.  expected_utilities holds every sender's ex-ante payoff under
+    the profile."""
 
     ok: bool
+    expected_utilities: tuple[Fraction, ...]
     sender: Optional[int] = None
     deviation: Optional[Experiment] = None
     gain: Optional[Fraction] = None
@@ -564,30 +565,49 @@ def verify_profile(
     belief of every maximal pooled face.
 
     A passing profile "looks like" an equilibrium at this scrutiny; a
-    failing one comes back with a concrete profitable deviation.
+    failing one comes back with a concrete profitable deviation.  Each
+    sender's opponents' joint experiment is built once, and each sender's
+    utility is evaluated once per distinct posterior.
     """
     n = g.n_states
     prior = profile.prior
-    for i in range(g.n_senders):
-        ui = expected_utility(g, profile, i)
+    values = [memoized(u) for u in g.utilities]
+    joint = product(profile)
+    expected = tuple(
+        sum((m * v(b) for b, m in joint.atoms), Fraction(0)) for v in values
+    )
+    for i, ui in enumerate(expected):
         if ui < 0:
             # revealing everything gets this sender back to zero
-            return VerificationResult(False, i, fully_revealing(prior), -ui)
+            return VerificationResult(
+                False, expected, i, fully_revealing(prior), -ui
+            )
+    opponents = [
+        product(others) if others else None
+        for others in map(profile.without, range(g.n_senders))
+    ]
     for x in grid_beliefs(n, deviation_grid):
         if x.is_degenerate():
             continue
-        for i in range(g.n_senders):
-            w = conditional_payoff(g, profile, i, x)
+        for i, (v, others) in enumerate(zip(values, opponents)):
+            if others is None:
+                w = v(x)
+            else:
+                w = conditional_payoff_against(v, others, x)
             if w > 0:
                 eps = _epsilon_for(prior, x)
                 return VerificationResult(
-                    False, i, _deviation_experiment(prior, x, eps), eps * w
+                    False,
+                    expected,
+                    i,
+                    _deviation_experiment(prior, x, eps),
+                    eps * w,
                 )
     for pooled in detect_pooled_sets(profile).maximal:
         if _minimal_theta(g, pooled) is None:
             continue
         cert = synthesize_exploit(g, profile, pooled)
         return VerificationResult(
-            False, cert.sender, cert.deviation, cert.payoff
+            False, expected, cert.sender, cert.deviation, cert.payoff
         )
-    return VerificationResult(True)
+    return VerificationResult(True, expected)

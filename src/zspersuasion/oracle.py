@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .beliefs import Belief
 from .exceptions import EnumerationTooLarge, ZeroProbabilityEvent
@@ -25,6 +25,7 @@ from .utilities import (
     GamePayoffs,
     conditional_payoff_against,
     expected_utility,
+    memoized,
 )
 
 DEFAULT_ENUMERATION_CAP = 500_000
@@ -147,26 +148,32 @@ class ScanResult:
     gain: Optional[Fraction] = None
 
 
-def _deviation_value(
-    g: GamePayoffs,
-    others: tuple[Experiment, ...],
-    i: int,
-    e: Experiment,
-    cache: dict,
-) -> Fraction:
-    """Sender i's expected payoff after replacing her experiment with e; the
-    product of the others' experiments is kept in ``cache``."""
-    u = g.utilities[i]
-    if not others:
-        return sum((m * u(b) for b, m in e.atoms), Fraction(0))
-    joint = cache.get(others)
+def _joint(experiments: tuple[Experiment, ...], cache: dict) -> Experiment:
+    joint = cache.get(experiments)
     if joint is None:
-        joint = product(others)
-        cache[others] = joint
-    return sum(
-        (m * conditional_payoff_against(u, joint, b) for b, m in e.atoms),
-        Fraction(0),
-    )
+        joint = cache[experiments] = product(experiments)
+    return joint
+
+
+def _deviation_value(
+    u: Callable[[Belief], Fraction],
+    others: Optional[Experiment],
+    e: Experiment,
+    payoffs: dict[Belief, Fraction],
+) -> Fraction:
+    """A sender's expected payoff after replacing her experiment with e,
+    against the opponents' joint experiment ``others`` (None when she plays
+    alone); ``payoffs`` keeps her conditional payoff at each interim belief
+    against these opponents."""
+    if others is None:
+        return sum((m * u(b) for b, m in e.atoms), Fraction(0))
+    total = Fraction(0)
+    for b, m in e.atoms:
+        w = payoffs.get(b)
+        if w is None:
+            w = payoffs[b] = conditional_payoff_against(u, others, b)
+        total += m * w
+    return total
 
 
 def best_response_scan(
@@ -178,9 +185,11 @@ def best_response_scan(
     """Exhaustive grid deviation search for one sender."""
     base = expected_utility(g, profile, i)
     others = profile.without(i)
-    cache: dict = {}
+    joint = product(others) if others else None
+    u = memoized(g.utilities[i])
+    payoffs: dict[Belief, Fraction] = {}
     for e in enumerate_grid_strategies(profile.prior, grid):
-        value = _deviation_value(g, others, i, e, cache)
+        value = _deviation_value(u, joint, e, payoffs)
         if value > base:
             return ScanResult(True, e, value - base)
     return ScanResult(False)
@@ -209,27 +218,26 @@ def full_revelation_scan(
         raise EnumerationTooLarge(
             f"{len(strategies)}^{m} profiles exceed cap {grid.cap}"
         )
+    # one memo per sender for the whole scan; cache holds joint experiments
+    # by their experiments, and conditional payoffs by (sender, opponents)
+    values = [memoized(u) for u in g.utilities]
     cache: dict = {}
     for combo in itertools.product(strategies, repeat=m):
-        profile = StrategyProfile(combo)
-        joint = cache.get(combo)
-        if joint is None:
-            joint = product(combo)
-            cache[combo] = joint
+        joint = _joint(combo, cache)
         if joint.is_fully_revealing():
             continue
         equilibrium = True
-        for i in range(m):
-            base = sum(
-                (m_ * g.utilities[i](b) for b, m_ in joint.atoms), Fraction(0)
-            )
-            others = profile.without(i)
-            for e in strategies:
-                if _deviation_value(g, others, i, e, cache) > base:
-                    equilibrium = False
-                    break
-            if not equilibrium:
+        for i, u in enumerate(values):
+            base = sum((m_ * u(b) for b, m_ in joint.atoms), Fraction(0))
+            others = combo[:i] + combo[i + 1:]
+            against = _joint(others, cache) if others else None
+            payoffs = cache.setdefault((i, others), {})
+            if any(
+                _deviation_value(u, against, e, payoffs) > base
+                for e in strategies
+            ):
+                equilibrium = False
                 break
         if equilibrium:
-            return RevelationScanResult(False, profile)
+            return RevelationScanResult(False, StrategyProfile(combo))
     return RevelationScanResult(True)

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .affine import AffineForm, Constraint
-from .beliefs import Belief, as_fraction, combine, degenerate
+from .beliefs import Belief, as_fraction, degenerate
 from .exceptions import NoPieceMatches
-from .experiments import Experiment, StrategyProfile, conditional_dist, product
+from .experiments import Experiment, StrategyProfile, product
 from .geometry import closure_vertices, nonzero_point, overlay_regions
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -283,15 +285,47 @@ def expected_utility(g: GamePayoffs, profile: StrategyProfile, i: int) -> Fracti
     return sum((m * u(b) for b, m in joint.atoms), Fraction(0))
 
 
+def memoized(u: PiecewiseAffineUtility) -> Callable[[Belief], Fraction]:
+    """u as a function that evaluates each distinct belief once.  The values
+    live as long as the returned function: callers make one per command, so
+    nothing is kept between commands."""
+    values: dict[Belief, Fraction] = {}
+
+    def value(b: Belief) -> Fraction:
+        v = values.get(b)
+        if v is None:
+            v = values[b] = u(b)
+        return v
+
+    return value
+
+
 def conditional_payoff_against(
-    u: PiecewiseAffineUtility, others: Experiment, x: Belief
+    u: Callable[[Belief], Fraction], others: Experiment, x: Belief
 ) -> Fraction:
     """Expected utility conditional on independently generating interim
-    belief x while opponents jointly generate ``others``."""
+    belief x while opponents jointly generate ``others``.
+
+    One pass per opponents' atom (y, m): with w_l = x_l y_l / prior_l, the
+    atom's conditional probability is m * sum_l w_l and the posterior is
+    w / sum_l w_l, which is ``combine(prior, (x, y))`` weighted as in
+    ``conditional_dist``.  Atoms with zero probability are skipped.  ``u``
+    is a utility or a :func:`memoized` one.
+    """
     prior = others.prior
-    total = Fraction(0)
-    for y, p in conditional_dist(others, x):
-        total += p * u(combine(prior, (x, y)))
+    n = prior.n_states
+    ratios = [(l, x_l / prior[l]) for l, x_l in enumerate(x.probs) if x_l]
+    total = _ZERO
+    for y, m in others.atoms:
+        w = [_ZERO] * n
+        p = _ZERO
+        for l, r in ratios:
+            y_l = y.probs[l]
+            if y_l:
+                w[l] = w_l = r * y_l
+                p += w_l
+        if p:
+            total += m * p * u(Belief(tuple(w_l / p for w_l in w)))
     return total
 
 

@@ -28,7 +28,6 @@ from zspersuasion.equilibrium import (
 from zspersuasion.exceptions import NotPoolable, PreconditionFailed
 from zspersuasion.experiments import (
     StrategyProfile,
-    fully_revealing,
     product,
     to_signal_structure,
     uninformative,
@@ -52,7 +51,6 @@ from zspersuasion.utilities import (
 from conftest import (
     FIXTURES,
     edge_piecewise_utility,
-    jump_game,
     negate_utility,
     random_binary_game,
     random_experiment,

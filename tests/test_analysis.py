@@ -1,7 +1,6 @@
 """Classifiers: face-zero tests, pooling, revelation, slope and surplus
 sufficient conditions."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from zspersuasion.analysis import (
     minimal_subsets,
     strict_surplus_sufficiency,
 )
-from zspersuasion.beliefs import Belief, belief, uniform
+from zspersuasion.beliefs import belief
 from zspersuasion.exceptions import InvariantViolation, NotNormalized
 from zspersuasion.experiments import (
     Experiment,
@@ -34,7 +33,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import FIXTURES, edge_piecewise_utility, jump_game, negate_utility
+from conftest import FIXTURES, edge_piecewise_utility, negate_utility
 
 
 def b51_game() -> GamePayoffs:

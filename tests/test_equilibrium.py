@@ -1,12 +1,11 @@
 """Equilibrium construction, exploit synthesis, and profile verification."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.beliefs import Belief, belief, uniform
+from zspersuasion.beliefs import belief, uniform
 from zspersuasion.equilibrium import (
     construct_fully_revealing,
     construct_pooling_equilibrium,
@@ -31,7 +30,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import FIXTURES, jump_game, negate_utility
+from conftest import FIXTURES, negate_utility
 
 
 HALF = belief(["1/2", "1/2"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zspersuasion.beliefs import belief, combine, degenerate
+from zspersuasion.beliefs import belief, combine
 from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
     Experiment,

@@ -23,7 +23,7 @@ from zspersuasion.oracle import (
     raw_posterior,
 )
 
-from conftest import jump_game, random_experiment, random_prior
+from conftest import random_experiment, random_prior
 
 
 HALF = belief(["1/2", "1/2"])

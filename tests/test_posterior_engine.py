@@ -1,0 +1,173 @@
+"""The posterior engine of `verify` and `oracle scan`: the one-pass
+conditional payoff against the conditional_dist + combine reference, and the
+work `verify_profile` does per command."""
+
+import random
+import sys
+from fractions import Fraction
+
+from zspersuasion import experiments
+from zspersuasion.actions import induced_game
+from zspersuasion.affine import AffineForm, Constraint
+from zspersuasion.beliefs import Belief, combine
+from zspersuasion.equilibrium import construct_fully_revealing, verify_profile
+from zspersuasion.experiments import Experiment, conditional_dist, product
+from zspersuasion.utilities import (
+    Piece,
+    PiecewiseAffineUtility,
+    conditional_payoff_against,
+    memoized,
+    normalize_payoffs,
+)
+
+from conftest import random_prior
+from test_actions import random_action_game
+
+
+def reference_payoff(u, others: Experiment, x: Belief) -> Fraction:
+    prior = others.prior
+    return sum(
+        (p * u(combine(prior, (x, y))) for y, p in conditional_dist(others, x)),
+        Fraction(0),
+    )
+
+
+def random_utility(rng: random.Random, n: int) -> PiecewiseAffineUtility:
+    """A few guarded pieces with small integer forms, then a catch-all."""
+
+    def form():
+        return AffineForm(
+            Fraction(rng.randint(-3, 3)),
+            tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)),
+        )
+
+    pieces = [
+        Piece(
+            (Constraint(form(), rng.choice(["<", "<=", "==", ">=", ">"])),),
+            form(),
+        )
+        for _ in range(rng.randint(0, 3))
+    ]
+    pieces.append(Piece((), form()))
+    return PiecewiseAffineUtility(tuple(pieces))
+
+
+def random_face_experiment(
+    prior: Belief, rng: random.Random, splits: int
+) -> Experiment:
+    """Pools a random partition of the states (one atom per block: degenerate
+    for a singleton, on a face for a proper block, interior for the whole
+    set), then splits random atoms into two mean-preserving halves on their
+    own face."""
+    n = prior.n_states
+    blocks: dict[int, list[int]] = {}
+    for l in range(n):
+        blocks.setdefault(rng.randrange(n), []).append(l)
+    atoms = []
+    for block in blocks.values():
+        mass = sum(prior[l] for l in block)
+        atoms.append(
+            (tuple(prior[l] / mass if l in block else Fraction(0)
+                   for l in range(n)), mass)
+        )
+    for _ in range(splits):
+        base, mass = atoms.pop(rng.randrange(len(atoms)))
+        support = [l for l in range(n) if base[l] > 0]
+        d = [Fraction(0)] * n
+        for l in support:
+            d[l] = Fraction(rng.randint(-2, 2), 7)
+        shift = sum(d) / len(support)
+        for l in support:
+            d[l] -= shift
+        if all(v == 0 for v in d):
+            atoms.append((base, mass))
+            continue
+        scale = min(
+            min(base[l], 1 - base[l]) / abs(d[l]) for l in support if d[l]
+        ) / 2
+        for sign in (1, -1):
+            atoms.append(
+                (tuple(base[l] + sign * scale * d[l] for l in range(n)),
+                 mass / 2)
+            )
+    merged: dict[tuple, Fraction] = {}
+    for b, m in atoms:
+        merged[b] = merged.get(b, Fraction(0)) + m
+    return Experiment(prior, tuple((Belief(b), m) for b, m in merged.items()))
+
+
+def random_interim(rng: random.Random, n: int) -> Belief:
+    """On a random face (a proper one, degenerate included, half the time),
+    else interior."""
+    if rng.random() < 0.5:
+        support = rng.sample(range(n), rng.randint(1, n - 1))
+    else:
+        support = list(range(n))
+    weights = [rng.randint(1, 5) if l in support else 0 for l in range(n)]
+    total = sum(weights)
+    return Belief(tuple(Fraction(w, total) for w in weights))
+
+
+class TestAgainstReference:
+    def test_equals_conditional_dist_and_combine(self):
+        rng = random.Random(20260)
+        seen = {"degenerate": 0, "face": 0, "interior": 0,
+                "x_face": 0, "x_interior": 0}
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            m = rng.randint(2, 3)
+            prior = random_prior(n, rng)
+            u = random_utility(rng, n)
+            others = product(tuple(
+                random_face_experiment(prior, rng, rng.randint(0, 2))
+                for _ in range(m - 1)
+            ))
+            x = random_interim(rng, n)
+            for y, _ in others.atoms:
+                k = len(y.support)
+                seen["degenerate" if k == 1 else
+                     "face" if k < n else "interior"] += 1
+            seen["x_interior" if x.has_full_support() else "x_face"] += 1
+            expected = reference_payoff(u, others, x)
+            assert conditional_payoff_against(u, others, x) == expected
+            assert conditional_payoff_against(memoized(u), others, x) == expected
+        assert min(seen.values()) >= 100, seen
+
+
+class TestVerifyWork:
+    """verify_profile builds each opponents' joint once and evaluates each
+    sender's utility once per distinct posterior."""
+
+    def test_products_and_utility_calls(self, monkeypatch):
+        rng = random.Random(4)
+        ag = random_action_game(rng, 4, 3)
+        g = normalize_payoffs(induced_game(ag))
+        prior = random_prior(4, rng)
+        profile = construct_fully_revealing(prior, 2)
+
+        original = experiments.product
+        products = []
+
+        def counted_product(*args, **kwargs):
+            products.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("zspersuasion"):
+                if getattr(module, "product", None) is original:
+                    monkeypatch.setattr(module, "product", counted_product)
+
+        evaluate = PiecewiseAffineUtility.__call__
+        evaluated = []
+
+        def counted_call(u, b):
+            evaluated.append((id(u), b))
+            return evaluate(u, b)
+
+        monkeypatch.setattr(PiecewiseAffineUtility, "__call__", counted_call)
+
+        result = verify_profile(g, profile, deviation_grid=6)
+        assert len(products) <= profile.n_senders + 2
+        assert len(evaluated) <= len(set(evaluated))
+        assert result.ok
+        assert result.expected_utilities == (0, 0)

@@ -374,6 +374,19 @@ class TestCoverageGap:
         assert error["error"] == "NoPieceMatches"
         assert error["message"] == 'no piece covers belief ["1/3", "1/3", "1/3"]'
 
+    def test_verify_meets_the_gap_at_the_centroid(self, capsys, scenario):
+        # the per-sender utility memo must not hide the gap: the grid-3
+        # belief (1/3, 1/3, 1/3) is the posterior against uninformative
+        # opponents, and its evaluation raises
+        code, out, err = self.run(
+            capsys, "verify", scenario, "--profile", "both_uninformative",
+            "--grid", "3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "NoPieceMatches"
+        assert error["message"] == 'no piece covers belief ["1/3", "1/3", "1/3"]'
+
     def test_structural_scenario_with_a_gap_fails_at_load(self, capsys, tmp_path):
         path = tmp_path / "structural_gap.json"
         path.write_text(json.dumps({

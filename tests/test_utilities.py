@@ -13,7 +13,6 @@ from zspersuasion.exceptions import NoPieceMatches
 from zspersuasion.experiments import (
     StrategyProfile,
     fully_revealing,
-    product,
     uninformative,
 )
 from zspersuasion.geometry import piece_regions
