@@ -19,12 +19,11 @@ from typing import Optional, Sequence
 
 from .beliefs import Belief, degenerate, state_set
 from .exceptions import InvariantViolation, NotNormalized
-from .experiments import StrategyProfile, product
+from .experiments import Experiment
 from .geometry import (
     nondegenerate_point,
     nonzero_point,
     overlay_regions,
-    piece_regions,
     subsimplex_constraints,
 )
 from .affine import Constraint
@@ -71,9 +70,15 @@ def is_zero_on_subsimplex(
     decomposition (zero on a cell iff neither form < 0 nor form > 0 has a
     point in the cell on the face).
     """
-    n = u.n_states
-    omega = state_set(omega, n)
+    omega = state_set(omega, u.n_states)
     _require_normalized([u])
+    return _zero_on_face(u, omega)
+
+
+def _zero_on_face(u: PiecewiseAffineUtility, omega: tuple[int, ...]) -> ZeroCheck:
+    """``is_zero_on_subsimplex`` on a state set, without the normalization
+    check: callers check once before their loop over faces."""
+    n = u.n_states
     if len(omega) == 1:
         return ZeroCheck(True, None)
     if len(omega) == 2:
@@ -84,7 +89,7 @@ def is_zero_on_subsimplex(
             return ZeroCheck(True, None)
         return ZeroCheck(False, _edge_belief(n, l, k, t))
     face = tuple(subsimplex_constraints(n, omega))
-    for cell, form in piece_regions(u.pieces):
+    for cell, form in u.regions():
         p = nonzero_point(n, cell + face, form)
         if p is not None:
             return ZeroCheck(False, Belief(p))
@@ -107,9 +112,13 @@ def classify_pooling(g: GamePayoffs, omega: Sequence[int]) -> PoolingVerdict:
     """No equilibrium pools omega iff some sender's normalized utility is
     nonzero on the face over omega; otherwise pooling equilibria exist."""
     _require_normalized(g.utilities)
-    omega = state_set(omega, g.n_states)
+    return _pooling_verdict(g, state_set(omega, g.n_states))
+
+
+def _pooling_verdict(g: GamePayoffs, omega: tuple[int, ...]) -> PoolingVerdict:
+    """``classify_pooling`` on a state set of a normalized game."""
     for u in g.utilities:
-        b = is_zero_on_subsimplex(u, omega).witness
+        b = _zero_on_face(u, omega).witness
         if b is None:
             continue
         # zero-sum: somebody is strictly positive wherever somebody is nonzero
@@ -133,12 +142,13 @@ class RevelationReport:
 def classify_full_revelation(g: GamePayoffs) -> RevelationReport:
     """Every equilibrium fully reveals the state iff every two-state face has
     a sender with nonzero utility on it."""
+    _require_normalized(g.utilities)
     n = g.n_states
     verdicts = []
     counterexample = None
     for l in range(n):
         for k in range(l + 1, n):
-            v = classify_pooling(g, (l, k))
+            v = _pooling_verdict(g, (l, k))
             verdicts.append(v)
             if counterexample is None and not v.never_pooled:
                 counterexample = (l, k)
@@ -159,9 +169,7 @@ def minimal_subsets(g: GamePayoffs) -> list[tuple[int, ...]]:
         for omega in itertools.combinations(range(n), size):
             if any(set(m) < set(omega) for m in found):
                 continue
-            if any(
-                not is_zero_on_subsimplex(u, omega).zero for u in g.utilities
-            ):
+            if any(not _zero_on_face(u, omega).zero for u in g.utilities):
                 found.append(omega)
     return found
 
@@ -175,10 +183,10 @@ class PooledSets:
     maximal: tuple[tuple[int, ...], ...]
 
 
-def detect_pooled_sets(profile: StrategyProfile) -> PooledSets:
-    """A subset is pooled when some posterior atom of the joint experiment
-    puts positive probability on all its states at once."""
-    joint = product(profile)
+def detect_pooled_sets(joint: Experiment) -> PooledSets:
+    """A subset is pooled when some posterior atom of a profile's joint
+    experiment (``experiments.product``) puts positive probability on all
+    its states at once."""
     supports = {frozenset(b.support) for b, _ in joint.atoms}
     maximal = [
         s for s in supports

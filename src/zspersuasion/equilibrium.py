@@ -31,11 +31,15 @@ from .experiments import (
 from .geometry import (
     cell_is_nonempty,
     closure_vertices,
-    piece_regions,
     strictly_feasible_point,
     subsimplex_constraints,
 )
-from .analysis import detect_pooled_sets, is_zero_on_subsimplex
+from .analysis import (
+    _require_normalized,
+    _zero_on_face,
+    detect_pooled_sets,
+    is_zero_on_subsimplex,
+)
 from .oracle import grid_beliefs
 from .utilities import (
     EdgeFunction,
@@ -155,10 +159,11 @@ def _deviation_experiment(prior: Belief, x_bar: Belief, eps: Fraction) -> Experi
 
 def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Smallest (then lexicographically first) subset of omega on whose face
-    some sender's utility is nonzero."""
+    some sender's normalized utility is nonzero."""
+    _require_normalized(g.utilities)
     for size in range(2, len(omega) + 1):
         for theta in itertools.combinations(omega, size):
-            if any(not is_zero_on_subsimplex(u, theta).zero for u in g.utilities):
+            if any(not _zero_on_face(u, theta).zero for u in g.utilities):
                 return theta
     return None
 
@@ -171,7 +176,7 @@ def _positive_cells(g: GamePayoffs, theta: tuple[int, ...]):
     face = tuple(subsimplex_constraints(n, theta))
     out = []
     for i, u in enumerate(g.utilities):
-        for cell, form in piece_regions(u.pieces):
+        for cell, form in u.regions():
             strict = cell + (Constraint(-form, "<"),) + face  # form > 0
             point = strictly_feasible_point(n, strict)
             if point is not None:
@@ -603,7 +608,7 @@ def verify_profile(
                     _deviation_experiment(prior, x, eps),
                     eps * w,
                 )
-    for pooled in detect_pooled_sets(profile).maximal:
+    for pooled in detect_pooled_sets(joint).maximal:
         if _minimal_theta(g, pooled) is None:
             continue
         cert = synthesize_exploit(g, profile, pooled)

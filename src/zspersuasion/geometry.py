@@ -11,15 +11,20 @@ and the witness when a form does not vanish on a cell or a cell holds a
 belief other than the simplex vertices.  Vertices, enumerated by Gaussian
 elimination over active sets, are computed only where vertices themselves
 are needed: the maximum of an affine form over a cell's closure, and the
-exploit's lexicographic ratio target, read off closure vertices.  The
-disjoint first-match decompositions of piecewise utilities, and their
-overlays, need only the emptiness test.
+exploit's lexicographic ratio target, read off closure vertices.
+
+The disjoint first-match decompositions of piecewise utilities, and their
+overlays, need only the emptiness test.  The sweep (``first_match_cells``)
+keeps a cell whole when a guard misses it, and complements only the guard
+constraints that the cell does not already imply (LP redundancy removal),
+so the convex region of each piece is cut into as few cells as its
+predecessors require.  The cells depend on the guards alone: a utility
+keeps its decomposition, and utilities with one guard sequence share it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -401,33 +406,80 @@ def subsimplex_constraints(n: int, omega: Sequence[int]) -> list[Constraint]:
     return out
 
 
+def _kept_guard(
+    n: int, cell: tuple[Constraint, ...], guard: Sequence[Constraint]
+) -> tuple[Constraint, ...]:
+    """The guard without the constraints that the cell and the rest of the
+    kept guard imply: c is dropped when cell and the others and not-c have
+    no point (for an equality, neither strict side has one).  Dropping an
+    implied constraint leaves the set cut from the cell unchanged, so
+    ``cell + kept`` is ``cell + guard`` and ``complement_cells(kept)``
+    covers the rest of the cell exactly."""
+    kept = list(guard)
+    j = 0
+    while j < len(kept):
+        others = cell + tuple(kept[:j] + kept[j + 1:])
+        sides = negate_constraint(kept[j])
+        if any(cell_is_nonempty(n, others + (side,)) for side in sides):
+            j += 1
+        else:
+            del kept[j]
+    return tuple(kept)
+
+
+def first_match_cells(
+    n: int, guards: Sequence[Sequence[Constraint]]
+) -> list[tuple[int, tuple[Constraint, ...]]]:
+    """Disjoint decomposition of the simplex by first-match guards, which
+    also checks that the guards cover it.
+
+    Returns (piece index, cell) pairs: nonempty, pairwise disjoint cells,
+    each the part of the simplex where that piece's guard is the first to
+    hold.  The sweep carries the cells that no guard has matched yet.  A
+    cell that misses a guard passes to the next one unchanged.  Otherwise
+    the guard is cut to the constraints the cell does not imply
+    (``_kept_guard``), the cell plus the kept guard is the piece's cell, and
+    the complement cells of the kept guard carry on.  The complement cell
+    of a kept inequality contains the nonempty set that kept it, so only
+    the two sides of a kept equality are tested.  If a cell is left after
+    the last guard, raises NoPieceMatches at a point of the first.
+    """
+    cells: list[tuple[int, tuple[Constraint, ...]]] = []
+    remainder: list[tuple[Constraint, ...]] = [()]
+    for k, guard in enumerate(guards):
+        next_remainder: list[tuple[Constraint, ...]] = []
+        for cell in remainder:
+            if guard and not cell_is_nonempty(n, cell + tuple(guard)):
+                next_remainder.append(cell)
+                continue
+            kept = _kept_guard(n, cell, guard)
+            cells.append((k, cell + kept))
+            for tail in complement_cells(kept):
+                # tail ends in the negation of kept[len(tail) - 1]
+                if kept[len(tail) - 1].op != "==" or cell_is_nonempty(n, cell + tail):
+                    next_remainder.append(cell + tail)
+        remainder = next_remainder
+    if remainder:
+        raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))
+    return cells
+
+
 def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
     """Disjoint decomposition of a first-match piecewise utility, which also
     checks that the pieces cover the simplex.
 
-    Returns the regions (constraints, form): nonempty, pairwise disjoint
-    cells, on each of which the utility equals the affine form.  Pieces are
-    anything with .guard and .form, processed in match order.  The sweep
-    carries the cells that no piece has matched yet; if one is left after
-    the last piece, raises NoPieceMatches at a point of the first.
+    Returns the regions (constraints, form): the cells of
+    ``first_match_cells`` over the pieces' guards, each with the form of
+    its piece, on which the utility equals that form.  Pieces are anything
+    with .guard and .form, processed in match order.  Utilities keep their
+    decomposition (``PiecewiseAffineUtility.regions``); this one sweeps
+    every time it is called.
     """
     n = pieces[0].form.n_states
-    regions: list[tuple[tuple[Constraint, ...], AffineForm]] = []
-    remainder: list[tuple[Constraint, ...]] = [()]
-    for piece in pieces:
-        next_remainder: list[tuple[Constraint, ...]] = []
-        for cell in remainder:
-            covered = cell + tuple(piece.guard)
-            if cell_is_nonempty(n, covered):
-                regions.append((covered, piece.form))
-            for tail in complement_cells(piece.guard):
-                candidate = cell + tail
-                if cell_is_nonempty(n, candidate):
-                    next_remainder.append(candidate)
-        remainder = next_remainder
-    if remainder:
-        raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))
-    return regions
+    return [
+        (cell, pieces[k].form)
+        for k, cell in first_match_cells(n, [p.guard for p in pieces])
+    ]
 
 
 def overlay_regions(utilities):
@@ -437,23 +489,26 @@ def overlay_regions(utilities):
     refinement; on that cell the sum of the utilities equals the summed
     affine form.  Utilities with one guard sequence (the induced utilities
     of an action game, normalized or not) share one partition, so their
-    forms are summed piece by piece and decomposed once; otherwise the cells
-    are the nonempty intersections of one region per utility.  Every
-    utility is decomposed before the first cell is yielded, so a coverage
-    gap in any of them raises NoPieceMatches first.  No vertices are
-    computed: callers that need the closure's vertices ask
+    forms are summed piece by piece onto its cells; otherwise the cells
+    are the nonempty intersections of one region per utility.  The cells
+    are the utilities' own decompositions (``first_match_cells`` and
+    ``regions``, kept by each utility), so overlaying again sweeps nothing.
+    Every utility is decomposed before the first cell is yielded, so a
+    coverage gap in any of them raises NoPieceMatches first.  No vertices
+    are computed: callers that need the closure's vertices ask
     ``closure_vertices`` for them.
     """
     n = utilities[0].n_states
     guards = [tuple(p.guard for p in u.pieces) for u in utilities]
     if all(g == guards[0] for g in guards):
-        pieces = tuple(
-            replace(column[0], form=sum((p.form for p in column), AffineForm.zero(n)))
+        forms = [
+            sum((p.form for p in column), AffineForm.zero(n))
             for column in zip(*(u.pieces for u in utilities))
-        )
-        yield from piece_regions(pieces)
+        ]
+        for k, cell in utilities[0].first_match_cells():
+            yield cell, forms[k]
         return
-    decomposed = [piece_regions(u.pieces) for u in utilities]
+    decomposed = [u.regions() for u in utilities]
     for combo in itertools.product(*decomposed):
         constraints = tuple(c for cell, _ in combo for c in cell)
         if cell_is_nonempty(n, constraints):

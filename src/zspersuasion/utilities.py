@@ -12,7 +12,7 @@ the simplex uncovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -20,7 +20,12 @@ from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate
 from .exceptions import NoPieceMatches
 from .experiments import Experiment, StrategyProfile, product
-from .geometry import closure_vertices, nonzero_point, overlay_regions
+from .geometry import (
+    closure_vertices,
+    first_match_cells,
+    nonzero_point,
+    overlay_regions,
+)
 
 _ZERO = Fraction(0)
 
@@ -37,15 +42,39 @@ class Piece:
         return all(c.holds(b) for c in self.guard)
 
 
+class _Decomposition:
+    """The first-match cells of one guard sequence, swept on first use.  A
+    sweep that raises NoPieceMatches keeps nothing."""
+
+    def __init__(self, n: int, guards: tuple[tuple[Constraint, ...], ...]):
+        self.n = n
+        self.guards = guards
+        self.cells: Optional[list[tuple[int, tuple[Constraint, ...]]]] = None
+
+    def get(self) -> list[tuple[int, tuple[Constraint, ...]]]:
+        if self.cells is None:
+            self.cells = first_match_cells(self.n, self.guards)
+        return self.cells
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineUtility:
     """Ordered pieces with first-match semantics.
 
     Piece order is meaningful: the first piece whose guard holds at a belief
     determines the value there, which pins down boundary values exactly.
+
+    The first-match cells depend on the guards alone, so a utility keeps
+    them once decomposed and shares them with every utility made from it by
+    ``shifted`` and with every utility of a ``GamePayoffs`` that has the
+    same guard sequence.  They live as long as those utilities do, which
+    is one command, since every command loads its scenario afresh.
     """
 
     pieces: tuple[Piece, ...]
+    _decomposition: _Decomposition = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.pieces:
@@ -57,6 +86,8 @@ class PiecewiseAffineUtility:
             for c in p.guard:
                 if c.expr.n_states != n:
                     raise ValueError("guard dimension mismatch")
+        guards = tuple(p.guard for p in self.pieces)
+        object.__setattr__(self, "_decomposition", _Decomposition(n, guards))
 
     @property
     def n_states(self) -> int:
@@ -68,10 +99,20 @@ class PiecewiseAffineUtility:
                 return p.form(b)
         raise NoPieceMatches.at(b)
 
+    def first_match_cells(self) -> list[tuple[int, tuple[Constraint, ...]]]:
+        """``geometry.first_match_cells`` of the guards, swept once."""
+        return self._decomposition.get()
+
+    def regions(self) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+        """``geometry.piece_regions`` of the pieces, on the kept cells."""
+        return [(cell, self.pieces[k].form) for k, cell in self.first_match_cells()]
+
     def shifted(self, delta: AffineForm) -> "PiecewiseAffineUtility":
-        return PiecewiseAffineUtility(
+        out = PiecewiseAffineUtility(
             tuple(replace(p, form=p.form + delta) for p in self.pieces)
         )
+        object.__setattr__(out, "_decomposition", self._decomposition)
+        return out
 
 
 def constant_utility(n_states: int, value=Fraction(0)) -> PiecewiseAffineUtility:
@@ -91,6 +132,11 @@ class GamePayoffs:
         n = self.utilities[0].n_states
         if any(u.n_states != n for u in self.utilities):
             raise ValueError("utilities disagree on the number of states")
+        # utilities with one guard sequence share one decomposition
+        shared: dict = {}
+        for u in self.utilities:
+            d = shared.setdefault(u._decomposition.guards, u._decomposition)
+            object.__setattr__(u, "_decomposition", d)
 
     @property
     def n_states(self) -> int:

@@ -22,6 +22,7 @@ from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
     fully_revealing,
+    product,
     uninformative,
 )
 from zspersuasion.scenario import load_scenario
@@ -192,7 +193,7 @@ class TestDetectPooledSets:
     def test_uninformative_pools_everything(self):
         prior = belief(["1/6", "1/3", "1/2"])
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
-        pooled = detect_pooled_sets(profile)
+        pooled = detect_pooled_sets(product(profile))
         assert pooled.maximal == ((0, 1, 2),)
         assert (0, 1) in pooled.sets
 
@@ -201,7 +202,7 @@ class TestDetectPooledSets:
         profile = StrategyProfile(
             (fully_revealing(prior), uninformative(prior))
         )
-        pooled = detect_pooled_sets(profile)
+        pooled = detect_pooled_sets(product(profile))
         assert pooled.sets == ()
         assert pooled.maximal == ()
 
@@ -215,7 +216,7 @@ class TestDetectPooledSets:
             ),
         )
         profile = StrategyProfile((e, uninformative(prior)))
-        pooled = detect_pooled_sets(profile)
+        pooled = detect_pooled_sets(product(profile))
         assert pooled.maximal == ((1, 2),)
 
 

@@ -1,0 +1,303 @@
+"""The first-match sweep: the redundancy-pruned cells against the
+fragmenting sweep they replace, and how often one command sweeps."""
+
+import contextlib
+import io
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from zspersuasion import geometry, utilities
+from zspersuasion.actions import induced_game
+from zspersuasion.affine import OPS, AffineForm, Constraint
+from zspersuasion.analysis import is_zero_on_subsimplex
+from zspersuasion.beliefs import Belief
+from zspersuasion.cli import main
+from zspersuasion.exceptions import NoPieceMatches
+from zspersuasion.geometry import (
+    cell_is_nonempty,
+    complement_cells,
+    piece_regions,
+    strictly_feasible_point,
+)
+from zspersuasion.oracle import grid_beliefs
+from zspersuasion.utilities import (
+    Piece,
+    PiecewiseAffineUtility,
+    check_zero_sum,
+    normalize_payoffs,
+)
+
+from test_actions import random_action_game
+
+
+def reference_piece_regions(pieces):
+    """The sweep before redundancy removal: every cell is split by the
+    complement cells of every constraint of every guard it meets, each
+    tested for emptiness."""
+    n = pieces[0].form.n_states
+    regions = []
+    remainder = [()]
+    for piece in pieces:
+        next_remainder = []
+        for cell in remainder:
+            covered = cell + tuple(piece.guard)
+            if cell_is_nonempty(n, covered):
+                regions.append((covered, piece.form))
+            for tail in complement_cells(piece.guard):
+                candidate = cell + tail
+                if cell_is_nonempty(n, candidate):
+                    next_remainder.append(candidate)
+        remainder = next_remainder
+    if remainder:
+        raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))
+    return regions
+
+
+def random_form(rng, n):
+    return AffineForm(
+        Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+        tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)),
+    )
+
+
+def random_guard(rng, n, earlier):
+    """One to three constraints of any op; sometimes a repeat or a looser
+    copy of a constraint (redundant), its negation (contradictory), or a
+    constraint of an earlier guard."""
+    guard = [Constraint(random_form(rng, n), rng.choice(OPS))]
+    for _ in range(rng.randint(0, 2)):
+        c = rng.choice(guard)
+        roll = rng.random()
+        if roll < 0.2:
+            guard.append(c)
+        elif roll < 0.4 and c.op in ("<", "<="):
+            looser = AffineForm(c.expr.const - 1, c.expr.coeffs)
+            guard.append(Constraint(looser, c.op))
+        elif roll < 0.5 and c.op != "==":
+            guard.append(c.negated())
+        elif roll < 0.7 and earlier:
+            guard.append(rng.choice(earlier))
+        else:
+            guard.append(Constraint(random_form(rng, n), rng.choice(OPS)))
+    rng.shuffle(guard)
+    return tuple(guard)
+
+
+def random_utility(rng, n):
+    """Two to four guarded pieces; a catch-all last piece unless the draw
+    leaves room for a coverage gap."""
+    pieces, earlier = [], []
+    for _ in range(rng.randint(2, 4)):
+        guard = random_guard(rng, n, earlier)
+        earlier += guard
+        pieces.append(Piece(guard, random_form(rng, n)))
+    if rng.random() < 0.7:
+        pieces.append(Piece((), random_form(rng, n)))
+    return PiecewiseAffineUtility(tuple(pieces))
+
+
+def first_piece(u, b):
+    return next((p for p in u.pieces if p.matches(b)), None)
+
+
+class GridMasks:
+    """Which grid beliefs satisfy a conjunction, as a bit mask over the
+    grid, evaluating each distinct constraint once.  A constraint is
+    evaluated at the grid's integer points k = resolution * beta with its
+    form scaled to integers, which keeps every sign exact."""
+
+    def __init__(self, n, resolution):
+        self.resolution = resolution
+        self.beliefs = list(grid_beliefs(n, resolution))
+        self.points = [
+            tuple(int(p * resolution) for p in b.probs) for b in self.beliefs
+        ]
+        self.everything = (1 << len(self.beliefs)) - 1
+        self.masks = {}
+
+    def _mask(self, c):
+        form = c.expr
+        scale = math.lcm(*(v.denominator for v in (form.const, *form.coeffs)))
+        const = int(form.const * scale * self.resolution)
+        coeffs = [int(v * scale) for v in form.coeffs]
+        return sum(
+            1 << i
+            for i, k in enumerate(self.points)
+            if c.holds_value(const + sum(a * b for a, b in zip(coeffs, k)))
+        )
+
+    def __call__(self, constraints):
+        out = self.everything
+        for c in constraints:
+            if c not in self.masks:
+                self.masks[c] = self._mask(c)
+            out &= self.masks[c]
+        return out
+
+
+def forms_by_belief(masks, regions):
+    """For each grid belief, the forms of the regions that contain it."""
+    cells = [(masks(cell), form) for cell, form in regions]
+    return [
+        [form for mask, form in cells if mask >> i & 1]
+        for i in range(len(masks.beliefs))
+    ]
+
+
+class TestAgainstFragmentingSweep:
+    def test_agrees_on_500_utilities(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            u = random_utility(rng, n)
+            try:
+                expected = reference_piece_regions(u.pieces)
+            except NoPieceMatches:
+                with pytest.raises(NoPieceMatches):
+                    piece_regions(u.pieces)
+                seen.add((n, "gap"))
+                continue
+            regions = piece_regions(u.pieces)
+            assert u.regions() == regions
+            seen.add((n, "covered"))
+            seen.update(c.op for p in u.pieces for c in p.guard)
+            # nonempty, pairwise disjoint, and the first-match form at a
+            # point of each
+            for j, (cell, form) in enumerate(regions):
+                point = strictly_feasible_point(n, cell)
+                assert point is not None, (u, cell)
+                assert first_piece(u, Belief(point)).form == form, (u, cell)
+                for other, _ in regions[j + 1:]:
+                    assert not cell_is_nonempty(n, cell + other), (u, cell, other)
+            # every grid belief lies in exactly one cell of each sweep, and
+            # both give it the form of the first piece that matches there
+            masks = GridMasks(n, 6)
+            guards = [(masks(p.guard), p.form) for p in u.pieces]
+            first = [
+                next(form for mask, form in guards if mask >> i & 1)
+                for i in range(len(masks.beliefs))
+            ]
+            by_belief = forms_by_belief(masks, regions)
+            assert by_belief == forms_by_belief(masks, expected), u
+            assert by_belief == [[form] for form in first], u
+            assert len(regions) <= len(expected)
+        assert {(n, kind) for n in range(2, 6) for kind in ("gap", "covered")} <= seen
+        assert set(OPS) <= seen
+
+
+def count_sweeps(monkeypatch):
+    """Counts calls of the sweep, wherever the program calls it from."""
+    calls = []
+    sweep = geometry.first_match_cells
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(geometry, "first_match_cells", counted)
+    monkeypatch.setattr(utilities, "first_match_cells", counted)
+    return calls
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def action_scenario(tmp_path, rng, n, a, m):
+    ag = random_action_game(rng, n, a, m)
+    path = tmp_path / f"N{n}A{a}M{m}.json"
+    path.write_text(json.dumps({
+        "states": n,
+        "prior": [str(Fraction(1, n))] * n,
+        "senders": m,
+        "action_game": {
+            "actions": list(ag.actions),
+            "receiver": [[str(v) for v in row] for row in ag.receiver],
+            "senders": [[[str(v) for v in row] for row in t] for t in ag.senders],
+        },
+    }))
+    return path
+
+
+def interior_bump_scenario(tmp_path, n):
+    """Sender 0 is 1/8 + beta_0 - beta_1 where every state has positive
+    probability and 0 elsewhere; sender 1 is the negation.  Both senders
+    are uninformative in the profile ``pool``."""
+    inside = [
+        {"coeffs": ["-1" if j == l else "0" for j in range(n)], "const": "0", "op": "<"}
+        for l in range(n)
+    ]
+    bump = ["1", "-1"] + ["0"] * (n - 2)
+
+    def pieces(sign):
+        return [
+            {"guard": inside, "form": {
+                "coeffs": [str(sign * Fraction(c)) for c in bump],
+                "const": str(sign * Fraction(1, 8))}},
+            {"guard": [], "form": {"coeffs": ["0"] * n, "const": "0"}},
+        ]
+
+    path = tmp_path / f"bump-N{n}.json"
+    path.write_text(json.dumps({
+        "states": n,
+        "prior": [str(Fraction(1, n))] * n,
+        "senders": 2,
+        "payoffs": [{"pieces": pieces(1)}, {"pieces": pieces(-1)}],
+        "profiles": {"pool": ["uninformative", "uninformative"]},
+    }))
+    return path
+
+
+class TestSweepsPerCommand:
+    def test_analyze_sweeps_once_per_guard_sequence(self, tmp_path, monkeypatch):
+        path = action_scenario(tmp_path, random.Random(3), 3, 4, 3)
+        calls = count_sweeps(monkeypatch)
+        out = run("analyze", str(path))
+        assert out["zero_sum"] is True
+        # every induced utility of an action game has the same guards
+        assert len(calls) == 1
+
+    def test_utilities_with_one_guard_sequence_share_the_sweep(self, monkeypatch):
+        ag = random_action_game(random.Random(3), 3, 4, 3)
+        g = normalize_payoffs(induced_game(ag))
+        calls = count_sweeps(monkeypatch)
+        for u in reversed(g.utilities):
+            is_zero_on_subsimplex(u, (0, 1, 2))
+        check_zero_sum(g)
+        assert len(calls) == 1
+
+    def test_exploit_sweeps_each_guard_sequence_once(self, tmp_path, monkeypatch):
+        path = interior_bump_scenario(tmp_path, 4)
+        calls = count_sweeps(monkeypatch)
+        out = run("exploit", str(path), "--profile", "pool", "--set", "0,1,2,3")
+        assert out["verdict"] == "ProfitableDeviation"
+        assert len(calls) <= 2
+
+    def test_a_sweep_that_finds_a_gap_keeps_nothing(self, monkeypatch):
+        diff = AffineForm(Fraction(0), (Fraction(1), Fraction(-1)))
+        zero = AffineForm.zero(2)
+        # beta_0 < beta_1, then beta_0 > beta_1: (1/2, 1/2) is uncovered
+        u = PiecewiseAffineUtility(tuple(
+            Piece((Constraint(diff, op),), zero) for op in ("<", ">")
+        ))
+        calls = count_sweeps(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NoPieceMatches):
+                u.regions()
+        assert len(calls) == 2
+
+    def test_memo_dies_with_its_command(self, tmp_path, monkeypatch):
+        path = action_scenario(tmp_path, random.Random(3), 3, 4, 3)
+        calls = count_sweeps(monkeypatch)
+        first = run("analyze", str(path))
+        assert run("analyze", str(path)) == first
+        assert len(calls) == 2
