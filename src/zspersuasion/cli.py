@@ -62,7 +62,6 @@ from .scenario import (
 from .utilities import (
     check_zero_sum,
     edge_restriction,
-    expected_utility,
     normalize_payoffs,
 )
 
@@ -330,10 +329,9 @@ def _cmd_oracle_scan(args) -> int:
                 writer.writerow(
                     ["sender", "expected_utility"]
                 )
-                for i in range(g.n_senders):
-                    writer.writerow(
-                        [i, frac_to_str(expected_utility(g, result.profile, i))]
-                    )
+                for i, u in enumerate(g.utilities):
+                    value = sum((m * u(b) for b, m in joint.atoms), Fraction(0))
+                    writer.writerow([i, frac_to_str(value)])
     _emit(out)
     return 0
 

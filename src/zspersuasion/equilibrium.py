@@ -337,10 +337,18 @@ def synthesize_exploit(
     the perturbation budget runs out, raises SearchBudgetExceeded instead
     of returning an unverified result.
     """
-    n = g.n_states
-    omega = state_set(omega, n)
-    prior = profile.prior
-    joint = product(profile.experiments)
+    return _exploit(g, profile, product(profile.experiments), omega, budget)
+
+
+def _exploit(
+    g: GamePayoffs,
+    profile: StrategyProfile,
+    joint: Experiment,
+    omega: Sequence[int],
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> ExploitCertificate:
+    """synthesize_exploit against the profile's joint experiment ``joint``."""
+    omega = state_set(omega, g.n_states)
     if not any(set(omega) <= b.support for b, _ in joint.atoms):
         raise PreconditionFailed(f"profile does not pool {omega}")
     theta = _minimal_theta(g, omega)
@@ -611,7 +619,7 @@ def verify_profile(
     for pooled in detect_pooled_sets(joint).maximal:
         if _minimal_theta(g, pooled) is None:
             continue
-        cert = synthesize_exploit(g, profile, pooled)
+        cert = _exploit(g, profile, joint, pooled)
         return VerificationResult(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .beliefs import Belief, as_fraction, combine, degenerate
+from .beliefs import Belief, as_fraction, degenerate
 from .exceptions import EnumerationTooLarge
 
 DEFAULT_PRODUCT_CAP = 10**6
@@ -160,8 +160,12 @@ def product(
 ) -> Experiment:
     """The experiment induced by observing all senders' realizations.
 
-    Enumerates all support tuples, drops zero-probability ones, combines the
-    interim beliefs multiplicatively, and merges atoms with equal posteriors.
+    A single experiment is its own product and comes back as it is.
+    Otherwise enumerates all support tuples: a tuple of interim beliefs
+    x^1..x^M has weights w_l = prod_i x^i_l / prior_l^(M-1), joint
+    probability (prod of masses) * sum_l w_l, and posterior w / sum_l w_l
+    (the posterior of ``beliefs.combine``).  Zero-probability tuples are
+    dropped and atoms with equal posteriors merged.
     """
     if isinstance(profile, StrategyProfile):
         experiments = profile.experiments
@@ -170,31 +174,31 @@ def product(
         if len({e.prior for e in experiments}) != 1:
             raise ValueError("experiments in a product must share one prior")
     prior = experiments[0].prior
-    n = prior.n_states
     count = 1
     for e in experiments:
         count *= len(e.atoms)
     if count > cap:
         raise EnumerationTooLarge(f"{count} support tuples exceed cap {cap}")
-    merged: dict[tuple[Fraction, ...], Fraction] = {}
+    if len(experiments) == 1:
+        return experiments[0]
+    scale = [p ** (len(experiments) - 1) for p in prior.probs]
+    merged: dict[Belief, Fraction] = {}
     for combo in itertools.product(*(e.atoms for e in experiments)):
+        weights = []
+        for l, s in enumerate(scale):
+            w = Fraction(1)
+            for b, _ in combo:
+                w *= b.probs[l]
+            weights.append(w / s)
+        total = sum(weights)
+        if not total:
+            continue
         mass = Fraction(1)
         for _, m in combo:
             mass *= m
-        # joint probability of the tuple: mass * sum_l prod_i x^i_l / pi_l^(M-1)
-        weight = Fraction(0)
-        for l in range(n):
-            w = Fraction(1)
-            for b, _ in combo:
-                w *= b[l]
-            weight += w / prior[l] ** (len(combo) - 1)
-        joint = mass * weight
-        if joint == 0:
-            continue
-        post = combine(prior, [b for b, _ in combo])
-        merged[post.probs] = merged.get(post.probs, Fraction(0)) + joint
-    atoms = tuple((Belief(p), m) for p, m in merged.items())
-    return Experiment(prior, atoms)
+        post = Belief(tuple(w / total for w in weights))
+        merged[post] = merged.get(post, Fraction(0)) + mass * total
+    return Experiment(prior, tuple(merged.items()))
 
 
 def conditional_dist(

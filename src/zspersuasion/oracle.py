@@ -2,13 +2,21 @@
 
 Computes posteriors straight from per-state signal tables, enumerates every
 Bayes-plausible grid experiment, and exhaustively scans grid strategy
-profiles for profitable deviations and non-revealing equilibria.  Slow by
-design; used to validate the closed-form machinery on small instances.
+profiles for profitable deviations and non-revealing equilibria.  Used to
+validate the closed-form machinery on small instances.
+
+The scans visit every profile and every deviation, but build no joint
+experiment per profile: whether a profile reveals the state is read from
+its atoms' supports, and a sender's payoff under her own experiment or a
+deviation is summed from her conditional payoffs at its atoms against the
+opponents' joint, which is built once per set of opponents.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -24,7 +32,6 @@ from .experiments import (
 from .utilities import (
     GamePayoffs,
     conditional_payoff_against,
-    expected_utility,
     memoized,
 )
 
@@ -110,31 +117,41 @@ def enumerate_grid_strategies(
     prior: Belief, grid: GridSpec
 ) -> list[Experiment]:
     """Every Bayes-plausible experiment with grid-belief support and
-    grid-resolution masses, in deterministic lexicographic order."""
+    grid-resolution masses, in deterministic lexicographic order.
+
+    Plausibility is tested in integers: with coordinates k/R and masses c/r,
+    the mean equals the prior iff sum c*k = prior_l*r*R in every state l, so
+    a prior off that grid has no plausible grid experiment at all.
+    """
     if enumeration_bound(prior.n_states, grid) > grid.cap:
         raise EnumerationTooLarge(
             f"grid enumeration bound exceeds cap {grid.cap}"
         )
-    beliefs = grid_beliefs(prior.n_states, grid.belief_resolution)
+    big_r = grid.belief_resolution
     r = grid.mass_resolution
+    scaled = [p * r * big_r for p in prior.probs]
+    if any(t.denominator != 1 for t in scaled):
+        return []
+    targets = [t.numerator for t in scaled]
+    beliefs = [
+        (b, tuple(int(p * big_r) for p in b.probs))
+        for b in grid_beliefs(prior.n_states, big_r)
+    ]
     out = []
     for size in range(1, grid.max_support + 1):
         for support in itertools.combinations(beliefs, size):
             for split in _mass_splits(r, size):
-                mean = tuple(
-                    sum(
-                        (Fraction(c, r) * b[l] for c, b in zip(split, support)),
-                        Fraction(0),
-                    )
-                    for l in range(prior.n_states)
-                )
-                if mean != prior.probs:
+                if any(
+                    sum(c * k[l] for c, (_, k) in zip(split, support)) != t
+                    for l, t in enumerate(targets)
+                ):
                     continue
                 out.append(
                     Experiment(
                         prior,
                         tuple(
-                            (b, Fraction(c, r)) for b, c in zip(support, split)
+                            (b, Fraction(c, r))
+                            for c, (b, _) in zip(split, support)
                         ),
                     )
                 )
@@ -148,23 +165,16 @@ class ScanResult:
     gain: Optional[Fraction] = None
 
 
-def _joint(experiments: tuple[Experiment, ...], cache: dict) -> Experiment:
-    joint = cache.get(experiments)
-    if joint is None:
-        joint = cache[experiments] = product(experiments)
-    return joint
-
-
 def _deviation_value(
     u: Callable[[Belief], Fraction],
     others: Optional[Experiment],
     e: Experiment,
     payoffs: dict[Belief, Fraction],
 ) -> Fraction:
-    """A sender's expected payoff after replacing her experiment with e,
-    against the opponents' joint experiment ``others`` (None when she plays
-    alone); ``payoffs`` keeps her conditional payoff at each interim belief
-    against these opponents."""
+    """A sender's expected payoff when she plays e, her own experiment or a
+    deviation, against the opponents' joint experiment ``others`` (None
+    when she plays alone); ``payoffs`` keeps her conditional payoff at each
+    interim belief against these opponents."""
     if others is None:
         return sum((m * u(b) for b, m in e.atoms), Fraction(0))
     total = Fraction(0)
@@ -182,12 +192,13 @@ def best_response_scan(
     i: int,
     grid: GridSpec,
 ) -> ScanResult:
-    """Exhaustive grid deviation search for one sender."""
-    base = expected_utility(g, profile, i)
+    """Exhaustive grid deviation search for one sender.  Her own experiment
+    is scored like a deviation, from the same conditional payoffs."""
     others = profile.without(i)
     joint = product(others) if others else None
     u = memoized(g.utilities[i])
     payoffs: dict[Belief, Fraction] = {}
+    base = _deviation_value(u, joint, profile.experiments[i], payoffs)
     for e in enumerate_grid_strategies(profile.prior, grid):
         value = _deviation_value(u, joint, e, payoffs)
         if value > base:
@@ -201,11 +212,35 @@ class RevelationScanResult:
     profile: Optional[StrategyProfile] = None
 
 
+def _support_masks(e: Experiment) -> tuple[int, ...]:
+    """Each atom's support as a bitmask over the states."""
+    return tuple(
+        sum(1 << l for l, p in enumerate(b.probs) if p) for b, _ in e.atoms
+    )
+
+
+def _reveals_fully(masks: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the product of experiments with these atom supports is fully
+    revealing, without building it: a tuple of atoms has positive
+    probability iff their supports meet, and its posterior's support is
+    where they meet, so every tuple must meet in at most one state."""
+    for supports in itertools.product(*masks):
+        meet = functools.reduce(operator.and_, supports)
+        if meet & (meet - 1):
+            return False
+    return True
+
+
 def full_revelation_scan(
     g: GamePayoffs, prior: Belief, grid: GridSpec
 ) -> RevelationScanResult:
     """Scans every grid strategy profile; reports the first grid equilibrium
     whose joint posterior distribution is not fully revealing.
+
+    No profile's joint is built: full revelation is read from the atom
+    supports, and each sender's payoff, her own experiment's and every
+    deviation's alike, is summed from her conditional payoffs against the
+    opponents' joint, kept per (sender, opponents) for the whole scan.
 
     Grid equilibrium is a necessary condition for true equilibrium, so
     "only fully revealing found" at grid scale is evidence, not proof, in
@@ -218,26 +253,35 @@ def full_revelation_scan(
         raise EnumerationTooLarge(
             f"{len(strategies)}^{m} profiles exceed cap {grid.cap}"
         )
-    # one memo per sender for the whole scan; cache holds joint experiments
-    # by their experiments, and conditional payoffs by (sender, opponents)
+    masks = [_support_masks(e) for e in strategies]
+    # one memo per sender for the whole scan; profiles and opponents are
+    # tuples of indices into strategies
     values = [memoized(u) for u in g.utilities]
-    cache: dict = {}
-    for combo in itertools.product(strategies, repeat=m):
-        joint = _joint(combo, cache)
-        if joint.is_fully_revealing():
+    joints: dict[tuple[int, ...], Experiment] = {}
+    payoffs: dict[tuple[int, tuple[int, ...]], dict[Belief, Fraction]] = {}
+    for combo in itertools.product(range(len(strategies)), repeat=m):
+        if _reveals_fully([masks[j] for j in combo]):
             continue
         equilibrium = True
         for i, u in enumerate(values):
-            base = sum((m_ * u(b) for b, m_ in joint.atoms), Fraction(0))
             others = combo[:i] + combo[i + 1:]
-            against = _joint(others, cache) if others else None
-            payoffs = cache.setdefault((i, others), {})
+            against = None
+            if others:
+                against = joints.get(others)
+                if against is None:
+                    against = joints[others] = product(
+                        [strategies[j] for j in others]
+                    )
+            known = payoffs.setdefault((i, others), {})
+            base = _deviation_value(u, against, strategies[combo[i]], known)
             if any(
-                _deviation_value(u, against, e, payoffs) > base
+                _deviation_value(u, against, e, known) > base
                 for e in strategies
             ):
                 equilibrium = False
                 break
         if equilibrium:
-            return RevelationScanResult(False, StrategyProfile(combo))
+            return RevelationScanResult(
+                False, StrategyProfile(tuple(strategies[j] for j in combo))
+            )
     return RevelationScanResult(True)

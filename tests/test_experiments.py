@@ -1,5 +1,6 @@
 """Experiments: plausibility, signal tables, products, conditioning."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from zspersuasion.experiments import (
 )
 
 from conftest import random_experiment, random_prior
+from test_posterior_engine import random_face_experiment
 
 
 HALF = belief(["1/2", "1/2"])
@@ -126,6 +128,64 @@ class TestProduct:
                 )
                 expected[beta.probs] = expected.get(beta.probs, Fraction(0)) + mass
         assert {b.probs: m for b, m in joint.atoms} == expected
+
+
+def reference_product(experiments) -> Experiment:
+    """Merges ``combine`` over the positive-probability support tuples, each
+    weighted by its probability from the signal likelihoods
+    Pr(x | l) = mass(x) * x_l / prior_l."""
+    prior = experiments[0].prior
+    merged: dict = {}
+    for combo in itertools.product(*(e.atoms for e in experiments)):
+        probability = Fraction(0)
+        for l in range(prior.n_states):
+            likelihood = prior[l]
+            for b, m in combo:
+                likelihood *= m * b[l] / prior[l]
+            probability += likelihood
+        if probability == 0:
+            continue
+        posterior = combine(prior, [b for b, _ in combo])
+        merged[posterior] = merged.get(posterior, Fraction(0)) + probability
+    return Experiment(prior, tuple(merged.items()))
+
+
+class TestProductAgainstCombine:
+    def test_equals_the_combine_reference(self):
+        rng = random.Random(5150)
+        seen = {"senders": set(), "states": set(), "face_atoms": 0,
+                "dropped_tuples": 0}
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            prior = random_prior(n, rng)
+            exps = tuple(
+                random_face_experiment(prior, rng, rng.randint(0, 2))
+                if rng.random() < 0.7
+                else random_experiment(prior, rng, splits=rng.randint(0, 2))
+                for _ in range(rng.randint(1, 3))
+            )
+            assert product(exps) == reference_product(exps)
+            seen["senders"].add(len(exps))
+            seen["states"].add(n)
+            seen["face_atoms"] += sum(
+                not b.has_full_support() for e in exps for b, _ in e.atoms
+            )
+            seen["dropped_tuples"] += sum(
+                not frozenset.intersection(*(b.support for b, _ in combo))
+                for combo in itertools.product(*(e.atoms for e in exps))
+            )
+        assert seen["senders"] == {1, 2, 3}
+        assert seen["states"] == {2, 3, 4, 5}
+        assert seen["face_atoms"] >= 500
+        assert seen["dropped_tuples"] >= 100
+
+    def test_one_experiment_is_its_own_product(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            prior = random_prior(rng.randint(2, 5), rng)
+            e = random_face_experiment(prior, rng, rng.randint(0, 2))
+            assert product((e,)) is e
+            assert product(StrategyProfile((e,))) is e
 
 
 class TestConditionalDist:

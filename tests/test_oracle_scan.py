@@ -1,0 +1,239 @@
+"""The oracle's scans without a joint product per profile: full revelation
+read from atom supports, payoffs summed from conditional payoffs, and the
+grid enumeration's integer plausibility test, each against the slower
+computation it replaces."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from zspersuasion.actions import induced_game
+from zspersuasion.beliefs import Belief
+from zspersuasion.experiments import (
+    Experiment,
+    StrategyProfile,
+    fully_revealing,
+    product,
+)
+from zspersuasion.oracle import (
+    GridSpec,
+    RevelationScanResult,
+    ScanResult,
+    _deviation_value,
+    _reveals_fully,
+    _support_masks,
+    best_response_scan,
+    enumerate_grid_strategies,
+    full_revelation_scan,
+    grid_beliefs,
+)
+from zspersuasion.utilities import (
+    GamePayoffs,
+    expected_utility,
+    memoized,
+    normalize_payoffs,
+)
+
+from conftest import random_binary_game, random_prior
+from test_actions import random_action_game
+from test_posterior_engine import random_face_experiment, random_utility
+
+
+def reference_full_revelation_scan(
+    g: GamePayoffs, prior: Belief, grid: GridSpec
+) -> RevelationScanResult:
+    """The scan that builds every profile's joint experiment and takes each
+    sender's base payoff from it."""
+    strategies = enumerate_grid_strategies(prior, grid)
+    values = [memoized(u) for u in g.utilities]
+    cache: dict = {}
+
+    def joint_of(experiments):
+        joint = cache.get(experiments)
+        if joint is None:
+            joint = cache[experiments] = product(experiments)
+        return joint
+
+    for combo in itertools.product(strategies, repeat=g.n_senders):
+        joint = joint_of(combo)
+        if joint.is_fully_revealing():
+            continue
+        equilibrium = True
+        for i, u in enumerate(values):
+            base = sum((m * u(b) for b, m in joint.atoms), Fraction(0))
+            others = combo[:i] + combo[i + 1:]
+            against = joint_of(others) if others else None
+            payoffs = cache.setdefault((i, others), {})
+            if any(
+                _deviation_value(u, against, e, payoffs) > base
+                for e in strategies
+            ):
+                equilibrium = False
+                break
+        if equilibrium:
+            return RevelationScanResult(False, StrategyProfile(combo))
+    return RevelationScanResult(True)
+
+
+def reference_best_response_scan(g, profile, i, grid) -> ScanResult:
+    """best_response_scan with the base payoff from the full joint."""
+    base = expected_utility(g, profile, i)
+    for e in enumerate_grid_strategies(profile.prior, grid):
+        deviated = StrategyProfile(
+            profile.experiments[:i] + (e,) + profile.experiments[i + 1:]
+        )
+        value = expected_utility(g, deviated, i)
+        if value > base:
+            return ScanResult(True, e, value - base)
+    return ScanResult(False)
+
+
+def random_scan_game(rng: random.Random, n: int, m: int) -> GamePayoffs:
+    """Random guarded utilities, a zero-sum binary game, or the induced game
+    of a random zero-sum action game."""
+    pick = rng.random()
+    if m == 1 or pick < 0.3:
+        return GamePayoffs(tuple(random_utility(rng, n) for _ in range(m)))
+    if n == 2 and pick < 0.6:
+        return random_binary_game(rng, 3, m)
+    return normalize_payoffs(
+        induced_game(random_action_game(rng, n, rng.randint(2, 4), m))
+    )
+
+
+def random_scan_grid(rng: random.Random, n: int, m: int) -> GridSpec:
+    if n == 2:
+        return GridSpec(
+            rng.randint(2, 4), 2 if m == 3 else rng.randint(2, 3),
+            2 if m == 3 else rng.randint(2, 3),
+        )
+    return GridSpec(2, 2, 2 if m == 3 else rng.randint(2, 3))
+
+
+def grid_prior(rng: random.Random, n: int, grid: GridSpec) -> Belief:
+    """An interior prior on the grid of the experiments' means."""
+    return interior_grid_belief(
+        rng, n, grid.belief_resolution * grid.mass_resolution
+    )
+
+
+def interior_grid_belief(
+    rng: random.Random, n: int, resolution: int
+) -> Belief:
+    return rng.choice(
+        [b for b in grid_beliefs(n, resolution) if b.has_full_support()]
+    )
+
+
+class TestFullRevelationScan:
+    def test_same_result_as_the_per_profile_joint_scan(self):
+        rng = random.Random(8080)
+        verdicts = {True: 0, False: 0}
+        shapes = set()
+        for _ in range(150):
+            n = rng.randint(2, 3)
+            m = rng.randint(1, 3)
+            g = random_scan_game(rng, n, m)
+            grid = random_scan_grid(rng, n, m)
+            prior = grid_prior(rng, n, grid)
+            expected = reference_full_revelation_scan(g, prior, grid)
+            assert full_revelation_scan(g, prior, grid) == expected
+            verdicts[expected.only_fully_revealing] += 1
+            shapes.add((n, m))
+        assert min(verdicts.values()) >= 20, verdicts
+        assert len(shapes) == 6, shapes
+
+    def test_support_test_agrees_with_the_product(self):
+        rng = random.Random(77)
+        outcomes = {True: 0, False: 0}
+        face_atoms = 0
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            prior = random_prior(n, rng)
+            combo = tuple(
+                fully_revealing(prior) if rng.random() < 0.25
+                else random_face_experiment(prior, rng, rng.randint(0, 2))
+                for _ in range(rng.randint(1, 3))
+            )
+            face_atoms += sum(
+                not b.has_full_support() for e in combo for b, _ in e.atoms
+            )
+            expected = product(combo).is_fully_revealing()
+            assert _reveals_fully([_support_masks(e) for e in combo]) == expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+        assert face_atoms >= 500
+
+
+class TestBestResponseScan:
+    def test_same_result_as_the_full_joint_base(self):
+        rng = random.Random(515)
+        improved = {True: 0, False: 0}
+        for _ in range(100):
+            n = rng.randint(2, 3)
+            m = rng.randint(1, 3)
+            g = random_scan_game(rng, n, m)
+            grid = random_scan_grid(rng, n, m)
+            prior = grid_prior(rng, n, grid)
+            strategies = enumerate_grid_strategies(prior, grid)
+            profile = StrategyProfile(
+                tuple(rng.choice(strategies) for _ in range(m))
+            )
+            i = rng.randrange(m)
+            expected = reference_best_response_scan(g, profile, i, grid)
+            assert best_response_scan(g, profile, i, grid) == expected
+            improved[expected.improved] += 1
+        assert min(improved.values()) >= 10, improved
+
+
+def reference_grid_strategies(
+    prior: Belief, grid: GridSpec
+) -> list[Experiment]:
+    """Every grid experiment whose Fraction mean equals the prior."""
+    beliefs = grid_beliefs(prior.n_states, grid.belief_resolution)
+    r = grid.mass_resolution
+    out = []
+    for size in range(1, grid.max_support + 1):
+        for support in itertools.combinations(beliefs, size):
+            for cuts in itertools.combinations(range(1, r), size - 1):
+                bounds = (0,) + cuts + (r,)
+                masses = [Fraction(b - a, r) for a, b in zip(bounds, bounds[1:])]
+                mean = tuple(
+                    sum((c * b[l] for c, b in zip(masses, support)), Fraction(0))
+                    for l in range(prior.n_states)
+                )
+                if mean == prior.probs:
+                    out.append(Experiment(prior, tuple(zip(support, masses))))
+    return out
+
+
+class TestGridEnumeration:
+    def test_same_list_as_fraction_means(self):
+        rng = random.Random(2468)
+        sizes = {"empty_off_grid": 0, "nonempty": 0}
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            grid = GridSpec(
+                rng.randint(1, 5 - n + 1), rng.randint(1, 4), rng.randint(1, 3)
+            )
+            resolution = grid.belief_resolution * grid.mass_resolution
+            pick = rng.random()
+            if pick < 0.2:
+                prior = random_prior(n, rng)
+            elif pick < 0.5 or resolution < n:
+                # off the grid by a small denominator
+                prior = interior_grid_belief(
+                    rng, n, max(n, resolution + rng.randint(1, 3))
+                )
+            else:
+                prior = grid_prior(rng, n, grid)
+            expected = reference_grid_strategies(prior, grid)
+            assert enumerate_grid_strategies(prior, grid) == expected
+            scaled = [p * grid.belief_resolution * grid.mass_resolution
+                      for p in prior.probs]
+            if any(t.denominator != 1 for t in scaled):
+                assert expected == []
+                sizes["empty_off_grid"] += 1
+            elif expected:
+                sizes["nonempty"] += 1
+        assert min(sizes.values()) >= 20, sizes

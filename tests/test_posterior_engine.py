@@ -10,8 +10,14 @@ from zspersuasion import experiments
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, combine
+from zspersuasion.cli import main
 from zspersuasion.equilibrium import construct_fully_revealing, verify_profile
-from zspersuasion.experiments import Experiment, conditional_dist, product
+from zspersuasion.experiments import (
+    Experiment,
+    StrategyProfile,
+    conditional_dist,
+    product,
+)
 from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
@@ -20,7 +26,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import random_prior
+from conftest import FIXTURES, random_prior
 from test_actions import random_action_game
 
 
@@ -134,6 +140,22 @@ class TestAgainstReference:
         assert min(seen.values()) >= 100, seen
 
 
+def count_products(monkeypatch) -> list:
+    """Records the argument of every ``product`` call the package makes."""
+    original = experiments.product
+    products = []
+
+    def counted_product(*args, **kwargs):
+        products.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("zspersuasion"):
+            if getattr(module, "product", None) is original:
+                monkeypatch.setattr(module, "product", counted_product)
+    return products
+
+
 class TestVerifyWork:
     """verify_profile builds each opponents' joint once and evaluates each
     sender's utility once per distinct posterior."""
@@ -144,18 +166,7 @@ class TestVerifyWork:
         g = normalize_payoffs(induced_game(ag))
         prior = random_prior(4, rng)
         profile = construct_fully_revealing(prior, 2)
-
-        original = experiments.product
-        products = []
-
-        def counted_product(*args, **kwargs):
-            products.append(args[0])
-            return original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith("zspersuasion"):
-                if getattr(module, "product", None) is original:
-                    monkeypatch.setattr(module, "product", counted_product)
+        products = count_products(monkeypatch)
 
         evaluate = PiecewiseAffineUtility.__call__
         evaluated = []
@@ -171,3 +182,20 @@ class TestVerifyWork:
         assert len(evaluated) <= len(set(evaluated))
         assert result.ok
         assert result.expected_utilities == (0, 0)
+
+    def test_full_joint_built_once_when_exploiting(self, monkeypatch, capsys):
+        """The exploit of a pooled set reuses the joint verify printed its
+        expected utilities from: one full joint, one joint per opponent and
+        one extended joint for the certificate's recomputation."""
+        products = count_products(monkeypatch)
+        code = main([
+            "verify", str(FIXTURES / "example_b51.json"),
+            "--profile", "both_uninformative", "--grid", "5",
+        ])
+        assert code == 0
+        assert '"deviation"' in capsys.readouterr().out
+        sizes = [
+            len(p.experiments if isinstance(p, StrategyProfile) else tuple(p))
+            for p in products
+        ]
+        assert sorted(sizes) == [1, 1, 2, 3]
