@@ -4,7 +4,10 @@ Subcommands load a scenario file, run one analysis or construction, and
 print deterministic JSON (sorted keys, canonical "p/q" rationals) on
 standard output.  Failures print machine-readable error JSON on standard
 error: exit 1 for malformed input, 2 for precondition failures, 3 for
-exceeded search/enumeration budgets.
+exceeded search/enumeration budgets, 4 for internal invariant failures (an
+exploit certificate that fails its exact recomputation, an unbounded linear
+program, a lexicographic target that is not unique): a fault in the
+program, not in the input.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .equilibrium import (
 )
 from .exceptions import (
     EnumerationTooLarge,
+    InvariantViolation,
     NoPieceMatches,
     NotNormalized,
     NotPoolable,
@@ -68,6 +72,7 @@ from .utilities import (
 EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _PRECONDITION_ERRORS = (
     PreconditionFailed,
@@ -451,6 +456,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(exc, EXIT_BUDGET)
     except _PRECONDITION_ERRORS as exc:
         return _fail(exc, EXIT_PRECONDITION)
+    except InvariantViolation as exc:
+        return _fail(exc, EXIT_INTERNAL)
     except (ScenarioError, ValueError, TypeError, KeyError) as exc:
         return _fail(exc, EXIT_MALFORMED)
 

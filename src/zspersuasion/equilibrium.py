@@ -5,6 +5,13 @@ that exists when every sender's utility vanishes on a face; synthesizes
 exactly verified profitable deviations against profiles that pool a face
 where someone has an advantage; and screens candidate profiles for the
 equilibrium conditions.
+
+An exploit picks a target posterior on the pooled face (the end of a
+positive run on an edge, a vertex, or a lexicographic ratio maximum) and
+one aim (``_aim``) solves for the interim belief that puts the lowest
+pooled atom's posterior there.  Each candidate, the aimed one and any
+budgeted perturbation of it, passes one certify step (``_certify``) that
+recomputes its payoff exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, degenerate, state_set
@@ -35,6 +42,7 @@ from .geometry import (
     subsimplex_constraints,
 )
 from .analysis import (
+    _edge_belief,
     _require_normalized,
     _zero_on_face,
     detect_pooled_sets,
@@ -186,8 +194,8 @@ def _positive_cells(g: GamePayoffs, theta: tuple[int, ...]):
 
 def _lexicographic_target(
     n: int, cells: list[tuple[Constraint, ...]], states: tuple[int, ...]
-) -> tuple[list[Fraction], Belief]:
-    """Lexicographic successive-ratio maxima over a union of closed cells
+) -> Belief:
+    """Lexicographic successive-ratio maximum over a union of closed cells
     whose points all have full support on ``states``.
 
     Maximizes the ratio of mass on states[k] to mass on later states, level
@@ -195,8 +203,7 @@ def _lexicographic_target(
     out by one more linear equality, and the final set is a single belief.
     """
     kk = len(states)
-    current = [c for c in cells]
-    targets: list[Optional[Fraction]] = [None] * (kk - 1)
+    current = list(cells)
     for k in range(kk - 2, -1, -1):
         best: Optional[Fraction] = None
         for cell in current:
@@ -211,7 +218,6 @@ def _lexicographic_target(
                 r = num / den
                 best = r if best is None or r > best else best
         assert best is not None
-        targets[k] = best
         # cut down to the argmax set: mass_k - best * tail_mass == 0
         coeffs = [Fraction(0)] * n
         coeffs[states[k]] = Fraction(1)
@@ -230,52 +236,36 @@ def _lexicographic_target(
         raise InvariantViolation(
             f"lexicographic ratio maximizer is not unique: {sorted(points)}"
         )
-    return [t for t in targets], Belief(next(iter(points)))  # type: ignore[misc]
+    return Belief(next(iter(points)))
 
 
-def _solve_x_star(
+def _aim(
     prior: Belief,
     z_atoms: list[Belief],
     states: tuple[int, ...],
-    targets: list[Fraction],
+    target: Belief,
 ) -> tuple[Belief, list[Belief]]:
-    """The interim belief on the ``states`` face whose induced posteriors
-    hit the lexicographic ratio targets, built level by level.
+    """The interim belief whose posterior against the lowest atoms is
+    ``target``, and those atoms in ``z_atoms`` order.
 
-    Mixing in mass on an earlier state leaves all later-level posterior
-    ratios unchanged, so each level is a one-parameter exact solve against
-    the surviving minimizer atoms.  Returns (x*, final minimizer atoms).
+    An atom is lower when its likelihood ratios (y_l/π_l)/(y_last/π_last)
+    over ``states`` are lexicographically smaller, compared from the bottom
+    pair upward: against it, an interim belief on the ``states`` face moves
+    the posterior least toward the earlier states.  The lowest atoms agree
+    on every ratio, so x puts each of their posteriors at ``target``, which
+    must be supported on ``states``.  This is the one solve for the edge
+    target, a vertex and the lexicographic ratio maximum alike.
     """
-    n = prior.n_states
-    kk = len(states)
+    last = states[-1]
 
-    def d(y: Belief, k: int) -> Fraction:
-        return y[states[k]] / prior[states[k]]
+    def ratios(y: Belief) -> tuple[Fraction, ...]:
+        tail = y[last] / prior[last]
+        return tuple(y[l] / prior[l] / tail for l in reversed(states[:-1]))
 
-    # base: the edge over the last two states
-    base = [d(y, kk - 2) / d(y, kk - 1) for y in z_atoms]
-    c_min = min(base)
-    minimizers = [y for y, c in zip(z_atoms, base) if c == c_min]
-    rho = targets[kk - 2] / c_min  # x ratio on (states[-2], states[-1])
-    x = [Fraction(0)] * n
-    x[states[kk - 1]] = 1 / (1 + rho)
-    x[states[kk - 2]] = rho / (1 + rho)
-    for k in range(kk - 3, -1, -1):
-        # posterior tail mass rate for each surviving minimizer
-        rates = []
-        for y in minimizers:
-            tail = sum(
-                (x[states[m]] * d(y, m) for m in range(k + 1, kk)), Fraction(0)
-            )
-            rates.append(d(y, k) / tail)
-        r_min = min(rates)
-        minimizers = [y for y, r in zip(minimizers, rates) if r == r_min]
-        mu = targets[k] / r_min  # = lam / (1 - lam)
-        lam = mu / (1 + mu)
-        for m in range(n):
-            x[m] *= 1 - lam
-        x[states[k]] = lam
-    return Belief(tuple(x)), minimizers
+    keys = [ratios(y) for y in z_atoms]
+    low = min(keys)
+    lowest = [y for y, key in zip(z_atoms, keys) if key == low]
+    return _solve_x_from_posterior(prior, target, lowest[0]), lowest
 
 
 def _solve_x_from_posterior(
@@ -294,25 +284,32 @@ def _solve_x_from_posterior(
     return Belief(tuple(w / total for w in weights))
 
 
-def _finish_certificate(
+def _certify(
     g: GamePayoffs,
     profile: StrategyProfile,
+    joint: Experiment,
     omega: tuple[int, ...],
     theta: tuple[int, ...],
     sender: int,
     x_bar: Belief,
-    payoff_w: Fraction,
-) -> ExploitCertificate:
+) -> Optional[ExploitCertificate]:
+    """The certificate for ``sender`` adding mass at ``x_bar``, or None when
+    that earns nothing against ``joint``, the profile's joint experiment.
+
+    The payoff is recomputed from scratch with the deviation played on top
+    of the full original profile; a mismatch is an InvariantViolation.
+    """
+    u = g.utilities[sender]
+    w = conditional_payoff_against(u, joint, x_bar)
+    if w <= 0:
+        return None
     prior = profile.prior
     eps = _epsilon_for(prior, x_bar)
     deviation = _deviation_experiment(prior, x_bar, eps)
-    payoff = eps * payoff_w
-    # soundness: recompute from scratch with the deviation played on top of
-    # the full original profile
+    payoff = eps * w
     extended = product(profile.experiments + (deviation,))
-    u = g.utilities[sender]
     recomputed = sum((m * u(b) for b, m in extended.atoms), Fraction(0))
-    if recomputed != payoff or payoff <= 0:
+    if recomputed != payoff:
         raise InvariantViolation(
             f"certificate payoff {payoff} failed recomputation ({recomputed})"
         )
@@ -329,25 +326,17 @@ def synthesize_exploit(
 ) -> ExploitCertificate:
     """A verified profitable deviation against a profile that pools omega.
 
-    Reduces omega to a minimal advantaged subset, targets the exploitable
-    posterior exactly (the edge construction when the subset is a pair, the
-    lexicographic ratio construction above that), and falls back to a
-    geometrically shrinking perturbation search when the target sits on the
-    advantage set's boundary.  Every certificate is exactly verified; if
-    the perturbation budget runs out, raises SearchBudgetExceeded instead
-    of returning an unverified result.
+    Reduces omega to a minimal advantaged subset theta and aims one
+    interim belief so that the lowest pooled atom's posterior lands on a
+    target: the end of the longest positive run on the edge when theta is
+    a pair, else the lexicographic ratio maximum over the closure of the
+    advantage set on the smallest face it touches.  When that target sits
+    on the advantage set's boundary, up to ``budget`` candidates slide
+    toward strictly advantaged points with geometrically shrinking steps.
+    Every certificate is exactly verified; if no candidate earns a profit,
+    raises SearchBudgetExceeded instead of returning an unverified result.
     """
-    return _exploit(g, profile, product(profile.experiments), omega, budget)
-
-
-def _exploit(
-    g: GamePayoffs,
-    profile: StrategyProfile,
-    joint: Experiment,
-    omega: Sequence[int],
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> ExploitCertificate:
-    """synthesize_exploit against the profile's joint experiment ``joint``."""
+    joint = product(profile.experiments)
     omega = state_set(omega, g.n_states)
     if not any(set(omega) <= b.support for b, _ in joint.atoms):
         raise PreconditionFailed(f"profile does not pool {omega}")
@@ -356,30 +345,45 @@ def _exploit(
         raise PreconditionFailed(
             f"every sender's utility vanishes on the face over {omega}"
         )
-    z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
-
-    if len(theta) == 2:
-        cert = _binary_exploit(g, profile, joint, omega, theta, z_atoms)
-        if cert is not None:
-            return cert
-        raise SearchBudgetExceeded(
-            f"edge exploit on {theta} failed exact verification"
-        )
-    return _general_exploit(
-        g, profile, joint, omega, theta, z_atoms, budget
-    )
+    return _exploit(g, profile, joint, omega, theta, budget)
 
 
-def _binary_exploit(
+def _exploit(
     g: GamePayoffs,
     profile: StrategyProfile,
     joint: Experiment,
     omega: tuple[int, ...],
     theta: tuple[int, ...],
+    budget: int,
+) -> ExploitCertificate:
+    """The first certified candidate against the profile's joint experiment
+    ``joint``, which pools omega; theta is omega's minimal advantaged
+    subset."""
+    z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
+    if len(theta) == 2:
+        candidates = _edge_candidates(g, profile.prior, theta, z_atoms)
+        failure = f"edge exploit on {theta} failed exact verification"
+    else:
+        candidates = _general_candidates(
+            g, profile.prior, theta, z_atoms, budget
+        )
+        failure = f"no verified exploit within {budget} candidates for {theta}"
+    for sender, x_bar in candidates:
+        cert = _certify(g, profile, joint, omega, theta, sender, x_bar)
+        if cert is not None:
+            return cert
+    raise SearchBudgetExceeded(failure)
+
+
+def _edge_candidates(
+    g: GamePayoffs,
+    prior: Belief,
+    theta: tuple[int, ...],
     z_atoms: list[Belief],
-) -> Optional[ExploitCertificate]:
-    n = g.n_states
-    prior = profile.prior
+) -> list[tuple[int, Belief]]:
+    """The one edge candidate: the sender positive furthest toward theta[1]
+    on the edge, and the interim belief aiming the lowest posterior at the
+    end of her positive run."""
     l, k = theta
     fns = [edge_restriction(u, l, k) for u in g.utilities]
     sups = [_positive_sup(f) for f in fns]
@@ -409,34 +413,22 @@ def _binary_exploit(
                         )
                         break
     if sender is None:
-        return None
-    # aim the lowest induced posterior on the edge exactly at r
-    c_min = min(y[k] * prior[l] / (y[l] * prior[k]) for y in z_atoms)
-    odds = (r / (1 - r)) / c_min
-    s = odds / (1 + odds)
-    probs = [Fraction(0)] * n
-    probs[l], probs[k] = 1 - s, s
-    x_bar = Belief(tuple(probs))
-    w = conditional_payoff_against(g.utilities[sender], joint, x_bar)
-    if w <= 0:
-        return None
-    return _finish_certificate(
-        g, profile, omega, theta, sender, x_bar, w
-    )
+        return []
+    target = _edge_belief(prior.n_states, l, k, r)
+    x_bar, _ = _aim(prior, z_atoms, (k, l), target)
+    return [(sender, x_bar)]
 
 
-def _general_exploit(
+def _general_candidates(
     g: GamePayoffs,
-    profile: StrategyProfile,
-    joint: Experiment,
-    omega: tuple[int, ...],
+    prior: Belief,
     theta: tuple[int, ...],
     z_atoms: list[Belief],
     budget: int,
-) -> ExploitCertificate:
+) -> Iterator[tuple[int, Belief]]:
+    """Candidates on a face of three or more states: the direct hit, then
+    at most ``budget`` perturbations of it."""
     n = g.n_states
-    prior = profile.prior
-    face = tuple(subsimplex_constraints(n, theta))
     pos_cells = _positive_cells(g, theta)
     closed_cells = [tuple(c.weakened() for c in cell) for _, cell, _ in pos_cells]
 
@@ -457,8 +449,6 @@ def _general_exploit(
 
     if len(carrier) == 1:
         beta_bar = degenerate(n, carrier[0])
-        x_star = beta_bar
-        minimizers = list(z_atoms)
     else:
         carrier_face = tuple(subsimplex_constraints(n, carrier))
         cells = [
@@ -466,68 +456,53 @@ def _general_exploit(
             for cell in closed_cells
             if cell_is_nonempty(n, cell + carrier_face)
         ]
-        targets, beta_bar = _lexicographic_target(n, cells, carrier)
-        x_star, minimizers = _solve_x_star(prior, z_atoms, carrier, targets)
-
-    def attempt(sender: int, x_bar: Belief) -> Optional[ExploitCertificate]:
-        w = conditional_payoff_against(g.utilities[sender], joint, x_bar)
-        if w <= 0:
-            return None
-        return _finish_certificate(
-            g, profile, omega, theta, sender, x_bar, w
-        )
+        beta_bar = _lexicographic_target(n, cells, carrier)
+    x_star, lowest = _aim(prior, z_atoms, carrier, beta_bar)
 
     # direct hit: the target posterior itself is strictly advantaged
     if carrier == theta:
-        for i, u in enumerate(g.utilities):
-            if u(beta_bar) > 0:
-                cert = attempt(i, x_star)
-                if cert is not None:
-                    return cert
-                break
+        sender = next(
+            (i for i, u in enumerate(g.utilities) if u(beta_bar) > 0), None
+        )
+        if sender is not None:
+            yield sender, x_star
 
     # boundary target: slide toward a strictly advantaged interior point
-    # with geometrically shrinking steps, verifying each candidate exactly.
-    # cells whose closure contains the target give candidates that stay
-    # strictly advantaged for every step size.
+    # with geometrically shrinking steps.  cells whose closure contains the
+    # target give candidates that stay strictly advantaged for every step
+    # size.
     preferred = [
         pc
         for pc, closed in zip(pos_cells, closed_cells)
         if all(c.holds(beta_bar) for c in closed)
     ]
     ordered = preferred + [pc for pc in pos_cells if pc not in preferred]
-    y_ref = minimizers[0]
-    spent = 0
     interior = Belief(
         tuple(
             Fraction(1, len(theta)) if m in theta else Fraction(0)
             for m in range(n)
         )
     )
-    for t in range(1, budget + 1):
-        step = Fraction(1, 2**t)
-        for _, _, w_pt in ordered:
-            if spent >= budget:
-                break
-            beta_prime = Belief(
-                tuple(
-                    (1 - step) * a + step * b
-                    for a, b in zip(beta_bar.probs, w_pt)
+
+    def perturbations() -> Iterator[tuple[int, Belief]]:
+        for t in itertools.count(1):
+            step = Fraction(1, 2**t)
+            for _, _, w_pt in ordered:
+                beta_prime = Belief(
+                    tuple(
+                        (1 - step) * a + step * b
+                        for a, b in zip(beta_bar.probs, w_pt)
+                    )
                 )
-            )
-            sender = next(
-                (j for j, u in enumerate(g.utilities) if u(beta_prime) > 0),
-                None,
-            )
-            if sender is None:
-                continue
-            x_bar = _solve_x_from_posterior(prior, beta_prime, y_ref)
-            spent += 1
-            cert = attempt(sender, x_bar)
-            if cert is not None:
-                return cert
-        # alternate family: pull the interim belief itself off the face
-        if spent < budget:
+                sender = next(
+                    (j for j, u in enumerate(g.utilities) if u(beta_prime) > 0),
+                    None,
+                )
+                if sender is not None:
+                    yield sender, _solve_x_from_posterior(
+                        prior, beta_prime, lowest[0]
+                    )
+            # alternate family: pull the interim belief itself off the face
             x_mix = Belief(
                 tuple(
                     (1 - step) * a + step * b
@@ -535,17 +510,9 @@ def _general_exploit(
                 )
             )
             for sender in range(g.n_senders):
-                if spent >= budget:
-                    break
-                spent += 1
-                cert = attempt(sender, x_mix)
-                if cert is not None:
-                    return cert
-        if spent >= budget:
-            break
-    raise SearchBudgetExceeded(
-        f"no verified exploit within {budget} candidates for {theta}"
-    )
+                yield sender, x_mix
+
+    yield from itertools.islice(perturbations(), max(budget, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +584,12 @@ def verify_profile(
                     eps * w,
                 )
     for pooled in detect_pooled_sets(joint).maximal:
-        if _minimal_theta(g, pooled) is None:
+        theta = _minimal_theta(g, pooled)
+        if theta is None:
             continue
-        cert = _exploit(g, profile, joint, pooled)
+        cert = _exploit(
+            g, profile, joint, pooled, theta, DEFAULT_SEARCH_BUDGET
+        )
         return VerificationResult(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )

@@ -1,11 +1,15 @@
 """Equilibrium construction, exploit synthesis, and profile verification."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from zspersuasion import equilibrium
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import belief, uniform
+from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
     construct_fully_revealing,
     construct_pooling_equilibrium,
@@ -31,6 +35,7 @@ from zspersuasion.utilities import (
 )
 
 from conftest import FIXTURES, negate_utility
+from test_lexicographic_exploit import record_lexicographic_targets
 
 
 HALF = belief(["1/2", "1/2"])
@@ -151,11 +156,16 @@ class TestGeneralExploit:
         assert len(cert.theta) == 2
         assert cert.payoff > 0
 
-    def test_interior_carrier(self):
+    def test_vertex_carrier(self, monkeypatch):
+        """Sender 0 is positive on the whole interior, so the closure of her
+        advantaged set touches vertex 0: the exploit aims at that vertex and
+        slides into the interior without a lexicographic target."""
+        targets = record_lexicographic_targets(monkeypatch)
         g = interior_bump_game()
         prior = belief(["1/6", "1/3", "1/2"])
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
         cert = synthesize_exploit(g, profile, (0, 1, 2))
+        assert targets == []
         assert cert.theta == (0, 1, 2)
         assert cert.sender == 0
         assert cert.payoff > 0
@@ -180,7 +190,7 @@ class TestVerifyProfile:
         value = sum(
             m * figure_game.utilities[i](b) for b, m in joint.atoms
         )
-        assert value - base >= result.gain or result.gain > 0
+        assert value - base == result.gain == Fraction(1, 2)
 
     def test_rejects_one_sided_revelation(self, figure_game):
         # the joint is fully revealing, but sender 0 would rather deviate
@@ -190,6 +200,21 @@ class TestVerifyProfile:
         assert not result.ok
         assert result.sender == 0
         assert result.gain > 0
+
+    def test_minimal_theta_once_per_pooled_set(self, monkeypatch):
+        calls = []
+        minimal_theta = equilibrium._minimal_theta
+
+        def counted(g, omega):
+            calls.append(omega)
+            return minimal_theta(g, omega)
+
+        monkeypatch.setattr(equilibrium, "_minimal_theta", counted)
+        argv = ["verify", str(FIXTURES / "example_b51.json"),
+                "--profile", "both_uninformative", "--grid", "5"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert calls == [(0, 1, 2)]
 
     def test_catches_negative_payoff_profile(self):
         g = interior_bump_game()

@@ -5,9 +5,11 @@ import gc
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from zspersuasion import equilibrium
 from zspersuasion.beliefs import belief
 from zspersuasion.cli import main
 from zspersuasion.exceptions import ScenarioError
@@ -26,14 +28,31 @@ from zspersuasion.scenario import (
     utility_from_json,
     utility_to_json,
 )
-from zspersuasion.utilities import check_zero_sum
+from zspersuasion.utilities import check_zero_sum, normalize_payoffs
 
 from conftest import FIXTURES, random_experiment, random_prior
+from test_lexicographic_exploit import family_scenario
 
 import random
 
 
 FIG1 = str(FIXTURES / "figure1.json")
+
+
+def tent(scale: str) -> dict:
+    """scale * min(beta0, beta1) on two states: concave, so no information
+    helps either sender."""
+    return {"pieces": [
+        {"guard": [{"coeffs": ["-1", "1"], "const": "0", "op": "<="}],
+         "form": {"coeffs": ["0", scale], "const": "0"}},
+        {"guard": [], "form": {"coeffs": [scale, "0"], "const": "0"}},
+    ]}
+
+
+# a non-zero-sum game in which both senders keeping quiet is an equilibrium
+# that pays them 1/2 and 1
+TENTS = {"states": 2, "prior": ["1/2", "1/2"], "senders": 2,
+         "payoffs": [tent("1"), tent("2")]}
 
 
 class TestSerialization:
@@ -243,6 +262,88 @@ class TestCli:
         )
         assert code == 3
         assert json.loads(err)["error"] == "EnumerationTooLarge"
+
+    def test_internal_failure_exit_code(self, capsys, monkeypatch):
+        """A certificate that fails its exact recomputation is a fault of
+        the program, not of the input: exit 4."""
+        payoff = equilibrium.conditional_payoff_against
+        monkeypatch.setattr(
+            equilibrium,
+            "conditional_payoff_against",
+            lambda *args: 2 * payoff(*args),
+        )
+        code, out, err = self.run(
+            capsys, "exploit", FIG1, "--profile", "both_uninformative",
+            "--set", "0,1",
+        )
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvariantViolation"
+        assert "failed recomputation" in error["message"]
+
+    def test_action_table_errors_stay_malformed_input(self, capsys, tmp_path):
+        data = json.loads((FIXTURES / "matching_action_game.json").read_text())
+        data["action_game"]["senders"][1][0][0] = "0"  # no longer zero-sum
+        path = tmp_path / "not_zero_sum.json"
+        path.write_text(json.dumps(data))
+        code, _, err = self.run(capsys, "analyze", str(path))
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ScenarioError"
+        assert "sum to 1 at action 0, state 0" in error["message"]
+
+    @pytest.mark.parametrize("fixture", ["example_b51", "min_bump"])
+    def test_analyze_csv_rows_are_the_printed_edges(
+        self, capsys, tmp_path, fixture
+    ):
+        """b51 never pools an edge, each with a witness sender; the min bump
+        vanishes on every edge, so each is poolable without a witness."""
+        if fixture == "example_b51":
+            path = str(FIXTURES / "example_b51.json")
+            verdicts = {"NeverPooled"}
+        else:
+            path = str(tmp_path / "min_bump.json")
+            Path(path).write_text(json.dumps(family_scenario(3, "1/4")))
+            verdicts = {"Poolable"}
+        out_csv = tmp_path / "edges.csv"
+        code, out, _ = self.run(capsys, "analyze", path, "--csv", str(out_csv))
+        assert code == 0
+        edges = json.loads(out)["edges"]
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["state_l", "state_k", "verdict", "witness_sender"]
+        assert rows[1:] == [
+            [str(e["edge"][0]), str(e["edge"][1]), e["verdict"],
+             "" if e["witness_sender"] is None else str(e["witness_sender"])]
+            for e in edges
+        ]
+        assert len(rows) == 4
+        assert {row[2] for row in rows[1:]} == verdicts
+
+    def test_oracle_scan_csv_rows_are_payoffs_over_the_printed_joint(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "tents.json"
+        path.write_text(json.dumps(TENTS))
+        out_csv = tmp_path / "payoffs.csv"
+        code, out, _ = self.run(
+            capsys, "oracle", "scan", str(path), "--belief-res", "4",
+            "--mass-res", "4", "--max-support", "2", "--csv", str(out_csv),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "NonRevealingEquilibriumFound"
+        scenario = load_scenario(str(path))
+        joint = experiment_from_json(report["joint"], scenario.prior)
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sender", "expected_utility"]
+        assert rows[1:] == [
+            [str(i), frac_to_str(sum((m * u(b) for b, m in joint.atoms), Fraction(0)))]
+            for i, u in enumerate(normalize_payoffs(scenario.payoffs).utilities)
+        ]
+        assert rows[1:] == [["0", "1/2"], ["1", "1"]]
 
     def test_oracle_scan(self, capsys):
         code, out, _ = self.run(
