@@ -95,6 +95,8 @@ def combine(prior: Belief, interim: Sequence[Belief]) -> Belief:
 
     Raises UndefinedPosterior when that intersection is empty (the interim
     beliefs contradict each other; probability-zero on valid profiles).
+    Nothing in the package calls it: the tests check the Bayes step of
+    ``experiments.conditional_posteriors`` and ``product`` against it.
     """
     if not prior.has_full_support():
         raise ValueError("prior must have full support")

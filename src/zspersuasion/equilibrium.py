@@ -44,7 +44,6 @@ from .geometry import (
 from .analysis import (
     _edge_belief,
     _require_normalized,
-    _zero_on_face,
     detect_pooled_sets,
     is_zero_on_subsimplex,
 )
@@ -52,6 +51,7 @@ from .oracle import grid_beliefs
 from .utilities import (
     EdgeFunction,
     GamePayoffs,
+    PiecewiseAffineUtility,
     conditional_payoff_against,
     edge_restriction,
     memoized,
@@ -136,17 +136,14 @@ def _positive_sup(f: EdgeFunction) -> Optional[Fraction]:
     return max(candidates) if candidates else None
 
 
-def _positive_run_before(f: EdgeFunction, s: Fraction) -> Optional[Fraction]:
-    """Some a < s with f > 0 on the whole open interval (a, s), or None."""
+def _positive_run_before(f: EdgeFunction, s: Fraction) -> Fraction:
+    """Some a < s with f > 0 on the whole open interval (a, s), where f is
+    positive just left of s: the breakpoint before s when the form of the
+    interval ending at s is positive there, else that form's root."""
     j = max(i for i, t in enumerate(f.breakpoints) if t < s)
-    a, b = f.breakpoints[j], f.breakpoints[j + 1]
+    a = f.breakpoints[j]
     c, sl = f.interval_forms[j]
-    left, at_s = c + sl * a, c + sl * s
-    if at_s > 0:
-        return a if left > 0 else -c / sl
-    if at_s == 0 and sl < 0:
-        return a  # strictly positive just left of s
-    return None
+    return a if c + sl * a > 0 else -c / sl
 
 
 def _epsilon_for(prior: Belief, x_bar: Belief) -> Fraction:
@@ -167,29 +164,37 @@ def _deviation_experiment(prior: Belief, x_bar: Belief, eps: Fraction) -> Experi
 
 def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Smallest (then lexicographically first) subset of omega on whose face
-    some sender's normalized utility is nonzero."""
+    some sender's normalized utility is positive, or None.  In a zero-sum
+    game somebody is positive wherever somebody is nonzero."""
     _require_normalized(g.utilities)
     for size in range(2, len(omega) + 1):
         for theta in itertools.combinations(omega, size):
-            if any(not _zero_on_face(u, theta).zero for u in g.utilities):
+            if any(_positive_on_face(u, theta) for u in g.utilities):
                 return theta
     return None
 
 
-def _positive_cells(g: GamePayoffs, theta: tuple[int, ...]):
-    """Cells of {some u_i > 0} restricted to the theta face, with the
-    advantaged sender and a point of the cell; strict cells, each
-    nonempty."""
-    n = g.n_states
+def _positive_on_face(u: PiecewiseAffineUtility, theta: tuple[int, ...]) -> bool:
+    """Whether u is positive somewhere on the face over theta: on an edge
+    by its exact restriction, else on one of its ``_advantaged`` cells."""
+    if len(theta) == 2:
+        return _positive_sup(edge_restriction(u, *theta)) is not None
+    return any(_advantaged(u, theta))
+
+
+def _advantaged(u: PiecewiseAffineUtility, theta: tuple[int, ...]):
+    """u's first-match cells cut to u > 0 and to the theta face, each with a
+    point; strict cells, each nonempty.  A form positive at no vertex of the
+    face is positive nowhere on it and costs no LP."""
+    n = u.n_states
     face = tuple(subsimplex_constraints(n, theta))
-    out = []
-    for i, u in enumerate(g.utilities):
-        for cell, form in u.regions():
-            strict = cell + (Constraint(-form, "<"),) + face  # form > 0
-            point = strictly_feasible_point(n, strict)
-            if point is not None:
-                out.append((i, strict, point))
-    return out
+    for cell, form in u.regions():
+        if all(form.const + form.coeffs[l] <= 0 for l in theta):
+            continue
+        strict = cell + (Constraint(-form, "<"),) + face
+        point = strictly_feasible_point(n, strict)
+        if point is not None:
+            yield strict, point
 
 
 def _lexicographic_target(
@@ -343,7 +348,7 @@ def synthesize_exploit(
     theta = _minimal_theta(g, omega)
     if theta is None:
         raise PreconditionFailed(
-            f"every sender's utility vanishes on the face over {omega}"
+            f"no sender's utility is positive on the face over {omega}"
         )
     return _exploit(g, profile, joint, omega, theta, budget)
 
@@ -388,32 +393,15 @@ def _edge_candidates(
     fns = [edge_restriction(u, l, k) for u in g.utilities]
     sups = [_positive_sup(f) for f in fns]
     r_prime = max(s for s in sups if s is not None)
-    sender = None
-    r = None
-    if r_prime == 1:
-        for i, (f, s) in enumerate(zip(fns, sups)):
-            if s == 1:
-                a = _positive_run_before(f, Fraction(1))
-                if a is not None:
-                    # positive on (a, 1); include a itself when possible
-                    sender, r = i, (a if f(a) > 0 else (a + 1) / 2)
-                    break
-    else:
-        for i, f in enumerate(fns):
-            if f(r_prime) > 0:
-                sender, r = i, r_prime
-                break
-        if sender is None:
-            for i, (f, s) in enumerate(zip(fns, sups)):
-                if s == r_prime:
-                    a = _positive_run_before(f, r_prime)
-                    if a is not None:
-                        sender, r = i, (
-                            a if f(a) > 0 else (a + r_prime) / 2
-                        )
-                        break
+    sender = next((i for i, f in enumerate(fns) if f(r_prime) > 0), None)
+    r = r_prime
     if sender is None:
-        return []
+        # the sup is not attained, so it ends a positive run of the first
+        # sender whose sup it is; include the run's start when possible
+        sender = sups.index(r_prime)
+        f = fns[sender]
+        a = _positive_run_before(f, r_prime)
+        r = a if f(a) > 0 else (a + r_prime) / 2
     target = _edge_belief(prior.n_states, l, k, r)
     x_bar, _ = _aim(prior, z_atoms, (k, l), target)
     return [(sender, x_bar)]
@@ -429,7 +417,11 @@ def _general_candidates(
     """Candidates on a face of three or more states: the direct hit, then
     at most ``budget`` perturbations of it."""
     n = g.n_states
-    pos_cells = _positive_cells(g, theta)
+    pos_cells = [
+        (i, strict, point)
+        for i, u in enumerate(g.utilities)
+        for strict, point in _advantaged(u, theta)
+    ]
     closed_cells = [tuple(c.weakened() for c in cell) for _, cell, _ in pos_cells]
 
     # smallest sub-face of theta whose face the advantage closure touches
@@ -562,18 +554,12 @@ def verify_profile(
             return VerificationResult(
                 False, expected, i, fully_revealing(prior), -ui
             )
-    opponents = [
-        product(others) if others else None
-        for others in map(profile.without, range(g.n_senders))
-    ]
+    opponents = [profile.opponents(i) for i in range(g.n_senders)]
     for x in grid_beliefs(n, deviation_grid):
         if x.is_degenerate():
             continue
         for i, (v, others) in enumerate(zip(values, opponents)):
-            if others is None:
-                w = v(x)
-            else:
-                w = conditional_payoff_against(v, others, x)
+            w = conditional_payoff_against(v, others, x)
             if w > 0:
                 eps = _epsilon_for(prior, x)
                 return VerificationResult(

@@ -3,20 +3,24 @@
 An experiment is stored in the belief-distribution form: a finite list of
 (posterior belief, mass) atoms relative to a full-support prior.  Conversions
 to raw per-state signal tables, products of conditionally independent
-experiments, and conditional atom distributions live here.
+experiments, and conditional atom distributions live here.  The Bayes step
+is one function, ``conditional_posteriors``: ``product`` folds experiments
+through it, and ``utilities.conditional_payoff_against`` sums over it.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .beliefs import Belief, as_fraction, degenerate
 from .exceptions import EnumerationTooLarge
 
 DEFAULT_PRODUCT_CAP = 10**6
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,11 @@ class StrategyProfile:
     def n_senders(self) -> int:
         return len(self.experiments)
 
-    def without(self, i: int) -> tuple[Experiment, ...]:
-        return self.experiments[:i] + self.experiments[i + 1:]
+    def opponents(self, i: int) -> Experiment:
+        """The joint experiment of every sender but i; a lone sender's
+        opponents reveal nothing, so theirs is ``uninformative``."""
+        others = self.experiments[:i] + self.experiments[i + 1:]
+        return product(others) if others else uninformative(self.prior)
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,28 @@ def to_signal_structure(e: Experiment) -> SignalStructure:
     return SignalStructure(signals, table)
 
 
+def conditional_posteriors(
+    x: Belief, other: Experiment
+) -> Iterator[tuple[Belief, Fraction]]:
+    """The Bayes step: for each atom (y, m) of the independent experiment
+    ``other``, the posterior w / sum_l w_l of seeing x and y and the
+    probability m * sum_l w_l of y given x, where w_l = x_l y_l / prior_l.
+    Atoms of zero probability are skipped."""
+    prior = other.prior
+    n = prior.n_states
+    ratios = [(l, x_l / prior[l]) for l, x_l in enumerate(x.probs) if x_l]
+    for y, m in other.atoms:
+        w = [_ZERO] * n
+        total = _ZERO
+        for l, r in ratios:
+            y_l = y.probs[l]
+            if y_l:
+                w[l] = w_l = r * y_l
+                total += w_l
+        if total:
+            yield Belief(tuple(w_l / total for w_l in w)), m * total
+
+
 def product(
     profile: StrategyProfile | Sequence[Experiment],
     cap: int = DEFAULT_PRODUCT_CAP,
@@ -161,11 +190,12 @@ def product(
     """The experiment induced by observing all senders' realizations.
 
     A single experiment is its own product and comes back as it is.
-    Otherwise enumerates all support tuples: a tuple of interim beliefs
-    x^1..x^M has weights w_l = prod_i x^i_l / prior_l^(M-1), joint
-    probability (prod of masses) * sum_l w_l, and posterior w / sum_l w_l
-    (the posterior of ``beliefs.combine``).  Zero-probability tuples are
-    dropped and atoms with equal posteriors merged.
+    Otherwise the experiments are folded in one at a time: each atom (x, m)
+    of the product so far meets the next experiment through
+    ``conditional_posteriors``, an atom of posterior b gains m * p(b | x),
+    and atoms with equal posteriors merge before the next fold.  The cap
+    bounds the number of support tuples, prod_i |atoms_i|, and is checked
+    first.
     """
     if isinstance(profile, StrategyProfile):
         experiments = profile.experiments
@@ -173,32 +203,19 @@ def product(
         experiments = tuple(profile)
         if len({e.prior for e in experiments}) != 1:
             raise ValueError("experiments in a product must share one prior")
-    prior = experiments[0].prior
-    count = 1
-    for e in experiments:
-        count *= len(e.atoms)
+    count = math.prod(len(e.atoms) for e in experiments)
     if count > cap:
         raise EnumerationTooLarge(f"{count} support tuples exceed cap {cap}")
     if len(experiments) == 1:
         return experiments[0]
-    scale = [p ** (len(experiments) - 1) for p in prior.probs]
-    merged: dict[Belief, Fraction] = {}
-    for combo in itertools.product(*(e.atoms for e in experiments)):
-        weights = []
-        for l, s in enumerate(scale):
-            w = Fraction(1)
-            for b, _ in combo:
-                w *= b.probs[l]
-            weights.append(w / s)
-        total = sum(weights)
-        if not total:
-            continue
-        mass = Fraction(1)
-        for _, m in combo:
-            mass *= m
-        post = Belief(tuple(w / total for w in weights))
-        merged[post] = merged.get(post, Fraction(0)) + mass * total
-    return Experiment(prior, tuple(merged.items()))
+    atoms = experiments[0].atoms
+    for e in experiments[1:]:
+        merged: dict[Belief, Fraction] = {}
+        for x, m in atoms:
+            for b, p in conditional_posteriors(x, e):
+                merged[b] = merged.get(b, _ZERO) + m * p
+        atoms = merged.items()
+    return Experiment(experiments[0].prior, tuple(atoms))
 
 
 def conditional_dist(
@@ -209,6 +226,8 @@ def conditional_dist(
 
     Only atoms with positive conditional probability are returned; the
     probabilities sum to one exactly whenever ``other`` is Bayes-plausible.
+    Nothing in the package calls it: the tests check
+    ``conditional_posteriors`` against it.
     """
     prior = other.prior
     n = prior.n_states

@@ -25,13 +25,17 @@ keeps its decomposition, and utilities with one guard sequence share it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import AffineForm, Constraint
-from .exceptions import InvariantViolation, NoPieceMatches
+from .exceptions import EnumerationTooLarge, InvariantViolation, NoPieceMatches
 
 Point = tuple[Fraction, ...]
+
+# most region tuples ``overlay_regions`` intersects, one LP each
+OVERLAY_CAP = 10_000
 
 # A linear equation coeffs . beta + const = 0
 _Equation = tuple[tuple[Fraction, ...], Fraction]
@@ -490,7 +494,8 @@ def overlay_regions(utilities):
     affine form.  Utilities with one guard sequence (the induced utilities
     of an action game, normalized or not) share one partition, so their
     forms are summed piece by piece onto its cells; otherwise the cells
-    are the nonempty intersections of one region per utility.  The cells
+    are the nonempty intersections of one region per utility, and more
+    than ``OVERLAY_CAP`` region tuples raise EnumerationTooLarge.  The cells
     are the utilities' own decompositions (``first_match_cells`` and
     ``regions``, kept by each utility), so overlaying again sweeps nothing.
     Every utility is decomposed before the first cell is yielded, so a
@@ -509,6 +514,11 @@ def overlay_regions(utilities):
             yield cell, forms[k]
         return
     decomposed = [u.regions() for u in utilities]
+    count = math.prod(map(len, decomposed))
+    if count > OVERLAY_CAP:
+        raise EnumerationTooLarge(
+            f"{count} region tuples exceed overlay cap {OVERLAY_CAP}"
+        )
     for combo in itertools.product(*decomposed):
         constraints = tuple(c for cell, _ in combo for c in cell)
         if cell_is_nonempty(n, constraints):

@@ -28,6 +28,7 @@ from .experiments import (
     SignalStructure,
     StrategyProfile,
     product,
+    uninformative,
 )
 from .utilities import (
     GamePayoffs,
@@ -167,16 +168,14 @@ class ScanResult:
 
 def _deviation_value(
     u: Callable[[Belief], Fraction],
-    others: Optional[Experiment],
+    others: Experiment,
     e: Experiment,
     payoffs: dict[Belief, Fraction],
 ) -> Fraction:
     """A sender's expected payoff when she plays e, her own experiment or a
-    deviation, against the opponents' joint experiment ``others`` (None
-    when she plays alone); ``payoffs`` keeps her conditional payoff at each
-    interim belief against these opponents."""
-    if others is None:
-        return sum((m * u(b) for b, m in e.atoms), Fraction(0))
+    deviation, against the opponents' joint experiment ``others``;
+    ``payoffs`` keeps her conditional payoff at each interim belief against
+    these opponents."""
     total = Fraction(0)
     for b, m in e.atoms:
         w = payoffs.get(b)
@@ -194,8 +193,7 @@ def best_response_scan(
 ) -> ScanResult:
     """Exhaustive grid deviation search for one sender.  Her own experiment
     is scored like a deviation, from the same conditional payoffs."""
-    others = profile.without(i)
-    joint = product(others) if others else None
+    joint = profile.opponents(i)
     u = memoized(g.utilities[i])
     payoffs: dict[Belief, Fraction] = {}
     base = _deviation_value(u, joint, profile.experiments[i], payoffs)
@@ -257,7 +255,8 @@ def full_revelation_scan(
     # one memo per sender for the whole scan; profiles and opponents are
     # tuples of indices into strategies
     values = [memoized(u) for u in g.utilities]
-    joints: dict[tuple[int, ...], Experiment] = {}
+    # a lone sender's opponents, (), reveal nothing
+    joints: dict[tuple[int, ...], Experiment] = {(): uninformative(prior)}
     payoffs: dict[tuple[int, tuple[int, ...]], dict[Belief, Fraction]] = {}
     for combo in itertools.product(range(len(strategies)), repeat=m):
         if _reveals_fully([masks[j] for j in combo]):
@@ -265,13 +264,11 @@ def full_revelation_scan(
         equilibrium = True
         for i, u in enumerate(values):
             others = combo[:i] + combo[i + 1:]
-            against = None
-            if others:
-                against = joints.get(others)
-                if against is None:
-                    against = joints[others] = product(
-                        [strategies[j] for j in others]
-                    )
+            against = joints.get(others)
+            if against is None:
+                against = joints[others] = product(
+                    [strategies[j] for j in others]
+                )
             known = payoffs.setdefault((i, others), {})
             base = _deviation_value(u, against, strategies[combo[i]], known)
             if any(

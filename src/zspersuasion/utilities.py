@@ -3,6 +3,8 @@
 Provides first-match piecewise evaluation, payoff normalization so that every
 utility vanishes at degenerate beliefs, exact expected and conditional
 payoffs against strategy profiles, and one-dimensional edge restrictions.
+A conditional payoff sums the utility over the Bayes step of
+``experiments.conditional_posteriors``.
 The zero-sum check and the maximum total surplus of a game are exact: each
 is decided on the first-match cells of the utilities
 (``geometry.overlay_regions``), never by sampling beliefs, and the
@@ -19,7 +21,12 @@ from typing import Callable, Optional
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate
 from .exceptions import NoPieceMatches
-from .experiments import Experiment, StrategyProfile, product
+from .experiments import (
+    Experiment,
+    StrategyProfile,
+    conditional_posteriors,
+    product,
+)
 from .geometry import (
     closure_vertices,
     first_match_cells,
@@ -350,42 +357,19 @@ def conditional_payoff_against(
     u: Callable[[Belief], Fraction], others: Experiment, x: Belief
 ) -> Fraction:
     """Expected utility conditional on independently generating interim
-    belief x while opponents jointly generate ``others``.
-
-    One pass per opponents' atom (y, m): with w_l = x_l y_l / prior_l, the
-    atom's conditional probability is m * sum_l w_l and the posterior is
-    w / sum_l w_l, which is ``combine(prior, (x, y))`` weighted as in
-    ``conditional_dist``.  Atoms with zero probability are skipped.  ``u``
-    is a utility or a :func:`memoized` one.
+    belief x while opponents jointly generate ``others``: sum_b p(b | x) u(b)
+    over ``conditional_posteriors(x, others)``.  Against the uninformative
+    experiment this is u(x).  ``u`` is a utility or a :func:`memoized` one.
     """
-    prior = others.prior
-    n = prior.n_states
-    ratios = [(l, x_l / prior[l]) for l, x_l in enumerate(x.probs) if x_l]
-    total = _ZERO
-    for y, m in others.atoms:
-        w = [_ZERO] * n
-        p = _ZERO
-        for l, r in ratios:
-            y_l = y.probs[l]
-            if y_l:
-                w[l] = w_l = r * y_l
-                p += w_l
-        if p:
-            total += m * p * u(Belief(tuple(w_l / p for w_l in w)))
-    return total
+    return sum((p * u(b) for b, p in conditional_posteriors(x, others)), _ZERO)
 
 
 def conditional_payoff(
     g: GamePayoffs, profile: StrategyProfile, i: int, x: Belief
 ) -> Fraction:
     """Sender i's expected payoff conditional on generating interim belief x
-    against the product of the other senders' experiments.  With a single
-    sender this is just u_i(x)."""
-    u = g.utilities[i]
-    others = profile.without(i)
-    if not others:
-        return u(x)
-    return conditional_payoff_against(u, product(others), x)
+    against the joint of the other senders' experiments."""
+    return conditional_payoff_against(g.utilities[i], profile.opponents(i), x)
 
 
 # ---------------------------------------------------------------------------

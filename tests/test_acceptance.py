@@ -1,5 +1,6 @@
 """End-to-end acceptance checks, one test class per criterion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -241,6 +242,34 @@ class TestCriterion5PoolingDuality:
                     assert verify_profile(g, eq).ok
                     with pytest.raises(PreconditionFailed):
                         synthesize_exploit(g, quiet, omega)
+
+
+class TestCriterion5PoolingDualityActionGames:
+    """The same duality on random zero-sum action games of 4 and 5 states,
+    over every state subset of size 2 or more."""
+
+    def test_exactly_one_construction_succeeds_per_subset(self):
+        rng = random.Random(5)
+        pooled = exploited = 0
+        for _ in range(8):
+            n, a = rng.randint(4, 5), rng.randint(2, 4)
+            g = normalize_payoffs(induced_game(random_action_game(rng, n, a)))
+            prior = random_prior(n, rng)
+            quiet = StrategyProfile((uninformative(prior), uninformative(prior)))
+            for size in range(2, n + 1):
+                for omega in itertools.combinations(range(n), size):
+                    if classify_pooling(g, omega).never_pooled:
+                        with pytest.raises(NotPoolable):
+                            construct_pooling_equilibrium(g, prior, omega)
+                        assert synthesize_exploit(g, quiet, omega).payoff > 0
+                        exploited += 1
+                    else:
+                        eq = construct_pooling_equilibrium(g, prior, omega)
+                        assert verify_profile(g, eq, 4).ok
+                        with pytest.raises(PreconditionFailed):
+                            synthesize_exploit(g, quiet, omega)
+                        pooled += 1
+        assert pooled > 0 and exploited > 0
 
 
 class TestCriterion6FiniteActionSuite:

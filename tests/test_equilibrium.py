@@ -184,7 +184,7 @@ class TestVerifyProfile:
         assert result.gain > 0
         # replaying the returned deviation for the flagged sender gains
         i = result.sender
-        others = profile.without(i)
+        others = profile.experiments[:i] + profile.experiments[i + 1:]
         joint = product(others + (result.deviation,))
         base = expected_utility(figure_game, profile, i)
         value = sum(

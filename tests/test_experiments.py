@@ -15,6 +15,7 @@ from zspersuasion.experiments import (
     StrategyProfile,
     check_bayes_plausible,
     conditional_dist,
+    conditional_posteriors,
     fully_revealing,
     product,
     to_signal_structure,
@@ -179,6 +180,16 @@ class TestProductAgainstCombine:
         assert seen["face_atoms"] >= 500
         assert seen["dropped_tuples"] >= 100
 
+    def test_four_senders(self):
+        rng = random.Random(808)
+        for _ in range(40):
+            prior = random_prior(rng.randint(2, 4), rng)
+            exps = tuple(
+                random_face_experiment(prior, rng, rng.randint(0, 1))
+                for _ in range(4)
+            )
+            assert product(exps) == reference_product(exps)
+
     def test_one_experiment_is_its_own_product(self):
         rng = random.Random(21)
         for _ in range(20):
@@ -207,6 +218,35 @@ class TestConditionalDist:
         assert sum(p for _, p in pairs) == 1
 
 
+class TestConditionalPosteriors:
+    """The Bayes step against its references: the atom probabilities of
+    ``conditional_dist`` and the posteriors of ``combine``."""
+
+    def test_equals_conditional_dist_and_combine(self):
+        rng = random.Random(77)
+        skipped = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            prior = random_prior(n, rng)
+            other = random_face_experiment(prior, rng, rng.randint(0, 2))
+            x = random_face_experiment(prior, rng, 1).atoms[0][0]
+            expected = [
+                (combine(prior, (x, y)), p) for y, p in conditional_dist(other, x)
+            ]
+            assert list(conditional_posteriors(x, other)) == expected
+            skipped += len(other.atoms) - len(expected)
+        assert skipped >= 50
+
+    def test_against_nothing_the_posterior_is_x(self):
+        rng = random.Random(78)
+        for _ in range(20):
+            prior = random_prior(rng.randint(2, 5), rng)
+            x = random_experiment(prior, rng, splits=2).atoms[0][0]
+            assert list(conditional_posteriors(x, uninformative(prior))) == [
+                (x, Fraction(1))
+            ]
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_product_mean_is_prior(seed):
@@ -225,4 +265,7 @@ def test_profile_accessors():
     profile = StrategyProfile((e, uninformative(HALF)))
     assert profile.prior == HALF
     assert profile.n_senders == 2
-    assert profile.without(0) == (uninformative(HALF),)
+    assert profile.opponents(0) == uninformative(HALF)
+    assert profile.opponents(1) == e
+    alone = StrategyProfile((e,))
+    assert alone.opponents(0) == uninformative(HALF)

@@ -11,19 +11,21 @@ from fractions import Fraction
 import pytest
 
 from zspersuasion import geometry, utilities
-from zspersuasion.actions import induced_game
+from zspersuasion.actions import induced_game, induced_utility
 from zspersuasion.affine import OPS, AffineForm, Constraint
 from zspersuasion.analysis import is_zero_on_subsimplex
 from zspersuasion.beliefs import Belief
 from zspersuasion.cli import main
-from zspersuasion.exceptions import NoPieceMatches
+from zspersuasion.exceptions import EnumerationTooLarge, NoPieceMatches
 from zspersuasion.geometry import (
     cell_is_nonempty,
     complement_cells,
+    overlay_regions,
     piece_regions,
     strictly_feasible_point,
 )
 from zspersuasion.oracle import grid_beliefs
+from zspersuasion.scenario import utility_to_json
 from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
@@ -301,3 +303,45 @@ class TestSweepsPerCommand:
         first = run("analyze", str(path))
         assert run("analyze", str(path)) == first
         assert len(calls) == 2
+
+
+def mixed_guard_scenario(tmp_path, n):
+    """Sender i is sender 0's induced utility of its own random action game,
+    so the two utilities have different guard sequences and their overlay
+    is the product of their regions."""
+    rng = random.Random(11)
+    utilities = [induced_utility(random_action_game(rng, n, 3), 0) for _ in range(2)]
+    assert utilities[0].pieces[0].guard != utilities[1].pieces[0].guard
+    path = tmp_path / f"mixed-N{n}.json"
+    path.write_text(json.dumps({
+        "states": n,
+        "prior": [str(Fraction(1, n))] * n,
+        "senders": 2,
+        "payoffs": [utility_to_json(u) for u in utilities],
+    }))
+    return path, utilities
+
+
+class TestOverlayCap:
+    """The product of regions in ``overlay_regions`` stops at its cap with
+    EnumerationTooLarge, which the CLI reports with exit 3."""
+
+    def test_cap_bounds_the_region_tuples(self, tmp_path, monkeypatch):
+        _, us = mixed_guard_scenario(tmp_path, 3)
+        tuples = math.prod(len(u.regions()) for u in us)
+        assert tuples > 1
+        cells = list(overlay_regions(us))
+        monkeypatch.setattr(geometry, "OVERLAY_CAP", tuples)
+        assert list(overlay_regions(us)) == cells
+        monkeypatch.setattr(geometry, "OVERLAY_CAP", tuples - 1)
+        with pytest.raises(EnumerationTooLarge, match=f"{tuples} region tuples"):
+            next(overlay_regions(us))
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_cli_exits_3_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
+        path, _ = mixed_guard_scenario(tmp_path, 3)
+        monkeypatch.setattr(geometry, "OVERLAY_CAP", 1)
+        assert main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "EnumerationTooLarge"

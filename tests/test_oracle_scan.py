@@ -14,6 +14,7 @@ from zspersuasion.experiments import (
     StrategyProfile,
     fully_revealing,
     product,
+    uninformative,
 )
 from zspersuasion.oracle import (
     GridSpec,
@@ -62,7 +63,7 @@ def reference_full_revelation_scan(
         for i, u in enumerate(values):
             base = sum((m * u(b) for b, m in joint.atoms), Fraction(0))
             others = combo[:i] + combo[i + 1:]
-            against = joint_of(others) if others else None
+            against = joint_of(others) if others else uninformative(prior)
             payoffs = cache.setdefault((i, others), {})
             if any(
                 _deviation_value(u, against, e, payoffs) > base

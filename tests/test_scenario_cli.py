@@ -31,7 +31,7 @@ from zspersuasion.scenario import (
 from zspersuasion.utilities import check_zero_sum, normalize_payoffs
 
 from conftest import FIXTURES, random_experiment, random_prior
-from test_lexicographic_exploit import family_scenario
+from test_lexicographic_exploit import family_scenario, min_bump
 
 import random
 
@@ -500,3 +500,77 @@ class TestCoverageGap:
         code, out, err = self.run(capsys, "validate", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "NoPieceMatches"
+
+
+def _negated(utility: dict) -> dict:
+    return {"pieces": [
+        {"guard": p["guard"], "form": {
+            "coeffs": [str(-Fraction(c)) for c in p["form"]["coeffs"]],
+            "const": str(-Fraction(p["form"]["const"]))}}
+        for p in utility["pieces"]
+    ]}
+
+
+def _min_of_states(n: int) -> dict:
+    """min_l beta_l: the first state that is no larger than every later one."""
+    pieces = []
+    for l in range(n):
+        guard = [
+            {"coeffs": [str(int(m == l) - int(m == k)) for m in range(n)],
+             "const": "0", "op": "<="}
+            for k in range(l + 1, n)
+        ]
+        form = {"coeffs": [str(int(m == l)) for m in range(n)], "const": "0"}
+        pieces.append({"guard": guard, "form": form})
+    return {"pieces": pieces}
+
+
+class TestNoPositiveSender:
+    """Games that are not zero-sum, where sender 0 is nonzero on the pooled
+    face but nobody is positive there and sender 1 is 0: no sender can
+    exploit the pooled set, so ``exploit`` fails its precondition and
+    ``verify`` lets the set stand."""
+
+    @staticmethod
+    def scenario(tmp_path, n, prior, sender_0) -> str:
+        path = tmp_path / "no_positive.json"
+        zero = {"pieces": [{"guard": [], "form": {"coeffs": ["0"] * n, "const": "0"}}]}
+        path.write_text(json.dumps({
+            "states": n,
+            "prior": prior,
+            "senders": 2,
+            "payoffs": [sender_0, zero],
+            "profiles": {"both_uninformative": ["uninformative", "uninformative"]},
+        }))
+        return str(path)
+
+    run = TestCli.run
+
+    @pytest.mark.parametrize("n, prior", [
+        (2, ["1/2", "1/2"]),
+        (3, ["1/3", "1/3", "1/3"]),
+    ])
+    def test_exploit_fails_its_precondition(self, capsys, tmp_path, n, prior):
+        path = self.scenario(tmp_path, n, prior, _negated(_min_of_states(n)))
+        states = ",".join(map(str, range(n)))
+        code, out, err = self.run(
+            capsys, "exploit", path, "--profile", "both_uninformative",
+            "--set", states,
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "PreconditionFailed"
+        assert "positive" in error["message"]
+
+    def test_verify_accepts_the_pooled_set(self, capsys, tmp_path):
+        path = self.scenario(
+            tmp_path, 3, ["1/8", "1/2", "3/8"], _negated(min_bump(3, "1/4"))
+        )
+        code, out, _ = self.run(
+            capsys, "verify", path, "--profile", "both_uninformative",
+            "--grid", "2",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "expected_utilities": ["0", "0"], "verdict": "Accepted"
+        }
