@@ -1,12 +1,14 @@
 """Exact simplex geometry: beliefs, state subsets, and Bayesian combination
 of conditionally independent interim beliefs.
 
-All arithmetic is over ``fractions.Fraction``; nothing in this module touches
-floating point.
+All arithmetic is over ``fractions.Fraction`` or integers; nothing in this
+module touches floating point.  A belief is also its primitive integer
+ray: the vector k of coprime nonnegative integers with belief k / sum(k).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,6 +68,20 @@ class Belief:
 def belief(values: Iterable) -> Belief:
     """Build a Belief from any iterable of rational-like values."""
     return Belief(tuple(as_fraction(v) for v in values))
+
+
+def ray(b: Belief) -> tuple[int, ...]:
+    """The primitive integer ray of b: coprime k with b = k / sum(k), where
+    sum(k) is the least common denominator of b's coordinates."""
+    scale = math.lcm(*(p.denominator for p in b.probs))
+    return tuple(p.numerator * (scale // p.denominator) for p in b.probs)
+
+
+def ray_belief(k: Sequence[int]) -> Belief:
+    """The belief k / sum(k) of a nonnegative integer vector with a positive
+    entry."""
+    total = sum(k)
+    return Belief(tuple(Fraction(v, total) for v in k))
 
 
 def degenerate(n_states: int, l: int) -> Belief:

@@ -342,6 +342,8 @@ def _cmd_oracle_scan(args) -> int:
 
 
 def _cmd_emit_plot(args) -> int:
+    if args.points < 1:
+        raise ValueError("plot points must be >= 1")
     scenario = load_scenario(args.scenario)
     g = normalize_payoffs(scenario.payoffs)
     l, k = (int(t) for t in args.edge.split(","))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .affine import AffineForm, Constraint
-from .beliefs import Belief, degenerate, state_set
+from .beliefs import Belief, degenerate, ray_belief, state_set
 from .exceptions import (
     InvariantViolation,
     NotPoolable,
@@ -47,7 +47,7 @@ from .analysis import (
     detect_pooled_sets,
     is_zero_on_subsimplex,
 )
-from .oracle import grid_beliefs
+from .oracle import grid_counts
 from .utilities import (
     EdgeFunction,
     GamePayoffs,
@@ -538,10 +538,12 @@ def verify_profile(
 
     A passing profile "looks like" an equilibrium at this scrutiny; a
     failing one comes back with a concrete profitable deviation.  Each
-    sender's opponents' joint experiment is built once, and each sender's
-    utility is evaluated once per distinct posterior.
+    sender's opponents' joint experiment is built once, each sender's
+    utility is evaluated once per distinct posterior, and the grid beliefs
+    go to the Bayes step as their integer counts.  The grid is checked
+    (resolution >= 1, size under the enumeration cap) before anything else.
     """
-    n = g.n_states
+    grid = grid_counts(g.n_states, deviation_grid)
     prior = profile.prior
     values = [memoized(u) for u in g.utilities]
     joint = product(profile)
@@ -555,12 +557,13 @@ def verify_profile(
                 False, expected, i, fully_revealing(prior), -ui
             )
     opponents = [profile.opponents(i) for i in range(g.n_senders)]
-    for x in grid_beliefs(n, deviation_grid):
-        if x.is_degenerate():
+    for k in grid:
+        if deviation_grid in k:  # degenerate
             continue
         for i, (v, others) in enumerate(zip(values, opponents)):
-            w = conditional_payoff_against(v, others, x)
+            w = conditional_payoff_against(v, others, k)
             if w > 0:
+                x = ray_belief(k)
                 eps = _epsilon_for(prior, x)
                 return VerificationResult(
                     False,

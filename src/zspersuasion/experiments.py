@@ -3,19 +3,28 @@
 An experiment is stored in the belief-distribution form: a finite list of
 (posterior belief, mass) atoms relative to a full-support prior.  Conversions
 to raw per-state signal tables, products of conditionally independent
-experiments, and conditional atom distributions live here.  The Bayes step
-is one function, ``conditional_posteriors``: ``product`` folds experiments
-through it, and ``utilities.conditional_payoff_against`` sums over it.
+experiments, and conditional atom distributions live here.
+
+The Bayes step is one function, ``conditional_posteriors``, and it runs in
+integers.  An experiment keeps one likelihood row per atom (y, m): the
+integers Z with y_l / prior_l = Z_l / D, and the rational m / D.  An interim
+belief x = k / K with integer k then meets atom y at the posterior
+proportional to w_l = k_l Z_l, with probability (m / D) sum(w) / K, so a
+posterior is an integer vector and no division is made per state.
+``product`` folds experiments through it, merging atoms by the primitive
+ray of w, and ``utilities.conditional_payoff_against`` sums over it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .beliefs import Belief, as_fraction, degenerate
+from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import EnumerationTooLarge
 
 DEFAULT_PRODUCT_CAP = 10**6
@@ -71,6 +80,20 @@ class Experiment:
 
     def is_fully_revealing(self) -> bool:
         return all(b.is_degenerate() for b, _ in self.atoms)
+
+    @cached_property
+    def likelihood_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """Per atom (y, m), in atom order: the integers Z and the rational
+        m / D with y_l / prior_l = Z_l / D, D the least common denominator.
+        Computed on first use and kept as long as the experiment."""
+        rows = []
+        for y, m in self.atoms:
+            ratios = [y_l / p_l for y_l, p_l in zip(y.probs, self.prior.probs)]
+            d = math.lcm(*(r.denominator for r in ratios))
+            rows.append(
+                (tuple(r.numerator * (d // r.denominator) for r in ratios), m / d)
+            )
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -162,25 +185,20 @@ def to_signal_structure(e: Experiment) -> SignalStructure:
 
 
 def conditional_posteriors(
-    x: Belief, other: Experiment
-) -> Iterator[tuple[Belief, Fraction]]:
-    """The Bayes step: for each atom (y, m) of the independent experiment
-    ``other``, the posterior w / sum_l w_l of seeing x and y and the
-    probability m * sum_l w_l of y given x, where w_l = x_l y_l / prior_l.
-    Atoms of zero probability are skipped."""
-    prior = other.prior
-    n = prior.n_states
-    ratios = [(l, x_l / prior[l]) for l, x_l in enumerate(x.probs) if x_l]
-    for y, m in other.atoms:
-        w = [_ZERO] * n
-        total = _ZERO
-        for l, r in ratios:
-            y_l = y.probs[l]
-            if y_l:
-                w[l] = w_l = r * y_l
-                total += w_l
-        if total:
-            yield Belief(tuple(w_l / total for w_l in w)), m * total
+    k: Sequence[int], other: Experiment
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The Bayes step for the interim belief x = k / K, K = sum(k), of a
+    nonnegative integer vector k.  For each likelihood row (Z, m / D) of
+    the independent experiment ``other``, the posterior of seeing x and its
+    atom is w / sum(w) with w_l = k_l Z_l, and the atom's probability given
+    x is (m / D) sum(w) / K.  Yields the primitive ray of w and K times
+    that probability; atoms of zero probability are skipped."""
+    for z, c in other.likelihood_rows:
+        w = tuple(map(operator.mul, k, z))
+        t = sum(w)
+        if t:
+            g = math.gcd(*w)
+            yield (tuple(v // g for v in w) if g != 1 else w), c * t
 
 
 def product(
@@ -190,12 +208,12 @@ def product(
     """The experiment induced by observing all senders' realizations.
 
     A single experiment is its own product and comes back as it is.
-    Otherwise the experiments are folded in one at a time: each atom (x, m)
-    of the product so far meets the next experiment through
-    ``conditional_posteriors``, an atom of posterior b gains m * p(b | x),
-    and atoms with equal posteriors merge before the next fold.  The cap
-    bounds the number of support tuples, prod_i |atoms_i|, and is checked
-    first.
+    Otherwise the experiments are folded in one at a time: each atom of
+    the product so far, an integer ray k with mass m, meets the next
+    experiment through ``conditional_posteriors``, an atom of ray w gains
+    m * p(w | k), and atoms with equal rays merge before the next fold.
+    Beliefs are built for the final atoms only.  The cap bounds the number
+    of support tuples, prod_i |atoms_i|, and is checked first.
     """
     if isinstance(profile, StrategyProfile):
         experiments = profile.experiments
@@ -208,14 +226,17 @@ def product(
         raise EnumerationTooLarge(f"{count} support tuples exceed cap {cap}")
     if len(experiments) == 1:
         return experiments[0]
-    atoms = experiments[0].atoms
+    atoms = [(ray(b), m) for b, m in experiments[0].atoms]
     for e in experiments[1:]:
-        merged: dict[Belief, Fraction] = {}
-        for x, m in atoms:
-            for b, p in conditional_posteriors(x, e):
-                merged[b] = merged.get(b, _ZERO) + m * p
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for k, m in atoms:
+            scale = m / sum(k)
+            for w, q in conditional_posteriors(k, e):
+                merged[w] = merged.get(w, _ZERO) + scale * q
         atoms = merged.items()
-    return Experiment(experiments[0].prior, tuple(atoms))
+    return Experiment(
+        experiments[0].prior, tuple((ray_belief(w), m) for w, m in atoms)
+    )
 
 
 def conditional_dist(

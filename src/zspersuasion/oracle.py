@@ -9,19 +9,25 @@ The scans visit every profile and every deviation, but build no joint
 experiment per profile: whether a profile reveals the state is read from
 its atoms' supports, and a sender's payoff under her own experiment or a
 deviation is summed from her conditional payoffs at its atoms against the
-opponents' joint, which is built once per set of opponents.
+opponents' joint, which is built once per set of opponents.  Those payoffs
+are kept by each atom's integer ray, the form the Bayes step takes.
+
+The grid of beliefs with coordinates in multiples of 1/R is built from
+integer count vectors (``grid_counts``), counted against the enumeration
+cap first.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .beliefs import Belief
+from .beliefs import Belief, ray, ray_belief
 from .exceptions import EnumerationTooLarge, ZeroProbabilityEvent
 from .experiments import (
     Experiment,
@@ -32,6 +38,7 @@ from .experiments import (
 )
 from .utilities import (
     GamePayoffs,
+    Memo,
     conditional_payoff_against,
     memoized,
 )
@@ -80,17 +87,37 @@ def raw_posterior(
     return Belief(tuple(w / total for w in weights))
 
 
-def grid_beliefs(n_states: int, resolution: int) -> list[Belief]:
-    """All beliefs with coordinates that are multiples of 1/resolution, in
-    lexicographic order of the probability tuples."""
+def grid_counts(
+    n_states: int, resolution: int, cap: Optional[int] = None
+) -> list[tuple[int, ...]]:
+    """Every vector of ``n_states`` nonnegative integers summing to
+    ``resolution``, in lexicographic order: the grid beliefs, as counts k
+    of k / resolution.  The number of vectors, C(resolution + N - 1, N - 1),
+    is checked against ``cap`` (``DEFAULT_ENUMERATION_CAP`` when None)
+    before any is built."""
+    if resolution < 1:
+        raise ValueError("grid resolution must be >= 1")
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
+    size = math.comb(resolution + n_states - 1, n_states - 1)
+    if size > cap:
+        raise EnumerationTooLarge(f"{size} grid beliefs exceed cap {cap}")
+    # the n - 1 bar positions among resolution + n - 1 slots, in
+    # lexicographic order, give the counts between bars in that order
+    slots = resolution + n_states - 1
     out = []
-    for combo in itertools.combinations(
-        range(resolution + n_states - 1), n_states - 1
-    ):
-        cuts = (-1,) + combo + (resolution + n_states - 1,)
-        counts = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-        out.append(Belief(tuple(Fraction(c, resolution) for c in counts)))
-    return sorted(out, key=lambda b: b.probs)
+    for bars in itertools.combinations(range(slots), n_states - 1):
+        cuts = (-1,) + bars + (slots,)
+        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    return out
+
+
+def grid_beliefs(
+    n_states: int, resolution: int, cap: Optional[int] = None
+) -> list[Belief]:
+    """All beliefs with coordinates that are multiples of 1/resolution, in
+    lexicographic order of the probability tuples (see ``grid_counts``)."""
+    return [ray_belief(k) for k in grid_counts(n_states, resolution, cap)]
 
 
 def _mass_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -105,12 +132,10 @@ def _mass_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def enumeration_bound(n_states: int, grid: GridSpec) -> int:
     """Upper bound on the number of (support, masses) combinations tried."""
-    from math import comb
-
-    g = comb(grid.belief_resolution + n_states - 1, n_states - 1)
+    g = math.comb(grid.belief_resolution + n_states - 1, n_states - 1)
     total = 0
     for s in range(1, grid.max_support + 1):
-        total += comb(g, s) * comb(grid.mass_resolution - 1, s - 1)
+        total += math.comb(g, s) * math.comb(grid.mass_resolution - 1, s - 1)
     return total
 
 
@@ -135,8 +160,7 @@ def enumerate_grid_strategies(
         return []
     targets = [t.numerator for t in scaled]
     beliefs = [
-        (b, tuple(int(p * big_r) for p in b.probs))
-        for b in grid_beliefs(prior.n_states, big_r)
+        (ray_belief(k), k) for k in grid_counts(prior.n_states, big_r, grid.cap)
     ]
     out = []
     for size in range(1, grid.max_support + 1):
@@ -166,21 +190,26 @@ class ScanResult:
     gain: Optional[Fraction] = None
 
 
+def _ray_atoms(e: Experiment) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """e's atoms as (primitive ray of the belief, mass) pairs."""
+    return tuple((ray(b), m) for b, m in e.atoms)
+
+
 def _deviation_value(
-    u: Callable[[Belief], Fraction],
+    u: Memo,
     others: Experiment,
-    e: Experiment,
-    payoffs: dict[Belief, Fraction],
+    atoms: Sequence[tuple[tuple[int, ...], Fraction]],
+    payoffs: dict[tuple[int, ...], Fraction],
 ) -> Fraction:
-    """A sender's expected payoff when she plays e, her own experiment or a
-    deviation, against the opponents' joint experiment ``others``;
-    ``payoffs`` keeps her conditional payoff at each interim belief against
-    these opponents."""
+    """A sender's expected payoff when she plays the experiment with these
+    ``_ray_atoms``, her own or a deviation, against the opponents' joint
+    experiment ``others``; ``payoffs`` keeps her conditional payoff at each
+    interim belief's ray against these opponents."""
     total = Fraction(0)
-    for b, m in e.atoms:
-        w = payoffs.get(b)
+    for k, m in atoms:
+        w = payoffs.get(k)
         if w is None:
-            w = payoffs[b] = conditional_payoff_against(u, others, b)
+            w = payoffs[k] = conditional_payoff_against(u, others, k)
         total += m * w
     return total
 
@@ -195,10 +224,12 @@ def best_response_scan(
     is scored like a deviation, from the same conditional payoffs."""
     joint = profile.opponents(i)
     u = memoized(g.utilities[i])
-    payoffs: dict[Belief, Fraction] = {}
-    base = _deviation_value(u, joint, profile.experiments[i], payoffs)
+    payoffs: dict[tuple[int, ...], Fraction] = {}
+    base = _deviation_value(
+        u, joint, _ray_atoms(profile.experiments[i]), payoffs
+    )
     for e in enumerate_grid_strategies(profile.prior, grid):
-        value = _deviation_value(u, joint, e, payoffs)
+        value = _deviation_value(u, joint, _ray_atoms(e), payoffs)
         if value > base:
             return ScanResult(True, e, value - base)
     return ScanResult(False)
@@ -252,12 +283,15 @@ def full_revelation_scan(
             f"{len(strategies)}^{m} profiles exceed cap {grid.cap}"
         )
     masks = [_support_masks(e) for e in strategies]
+    atoms = [_ray_atoms(e) for e in strategies]
     # one memo per sender for the whole scan; profiles and opponents are
     # tuples of indices into strategies
     values = [memoized(u) for u in g.utilities]
     # a lone sender's opponents, (), reveal nothing
     joints: dict[tuple[int, ...], Experiment] = {(): uninformative(prior)}
-    payoffs: dict[tuple[int, tuple[int, ...]], dict[Belief, Fraction]] = {}
+    payoffs: dict[
+        tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]
+    ] = {}
     for combo in itertools.product(range(len(strategies)), repeat=m):
         if _reveals_fully([masks[j] for j in combo]):
             continue
@@ -270,10 +304,9 @@ def full_revelation_scan(
                     [strategies[j] for j in others]
                 )
             known = payoffs.setdefault((i, others), {})
-            base = _deviation_value(u, against, strategies[combo[i]], known)
+            base = _deviation_value(u, against, atoms[combo[i]], known)
             if any(
-                _deviation_value(u, against, e, known) > base
-                for e in strategies
+                _deviation_value(u, against, a, known) > base for a in atoms
             ):
                 equilibrium = False
                 break

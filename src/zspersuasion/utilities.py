@@ -3,8 +3,10 @@
 Provides first-match piecewise evaluation, payoff normalization so that every
 utility vanishes at degenerate beliefs, exact expected and conditional
 payoffs against strategy profiles, and one-dimensional edge restrictions.
-A conditional payoff sums the utility over the Bayes step of
-``experiments.conditional_posteriors``.
+A conditional payoff sums the utility over the integer Bayes step of
+``experiments.conditional_posteriors``: each posterior arrives as its
+primitive integer ray, and ``memoized`` keeps a utility's values by that
+ray, so a belief is built and validated only when a value is first needed.
 The zero-sum check and the maximum total surplus of a game are exact: each
 is decided on the first-match cells of the utilities
 (``geometry.overlay_regions``), never by sampling beliefs, and the
@@ -14,12 +16,13 @@ the simplex uncovered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional, Sequence, Union
 
 from .affine import AffineForm, Constraint
-from .beliefs import Belief, as_fraction, degenerate
+from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import NoPieceMatches
 from .experiments import (
     Experiment,
@@ -33,8 +36,6 @@ from .geometry import (
     nonzero_point,
     overlay_regions,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -338,30 +339,60 @@ def expected_utility(g: GamePayoffs, profile: StrategyProfile, i: int) -> Fracti
     return sum((m * u(b) for b, m in joint.atoms), Fraction(0))
 
 
-def memoized(u: PiecewiseAffineUtility) -> Callable[[Belief], Fraction]:
-    """u as a function that evaluates each distinct belief once.  The values
-    live as long as the returned function: callers make one per command, so
-    nothing is kept between commands."""
-    values: dict[Belief, Fraction] = {}
+class Memo:
+    """A utility that evaluates each distinct belief once, for as long as
+    the memo lives: callers make one per command, so nothing is kept
+    between commands.  Values are keyed by the belief's primitive integer
+    ray, whether asked for by ``Belief`` or by ray, so both share one
+    entry, and a belief is built only on a miss."""
 
-    def value(b: Belief) -> Fraction:
-        v = values.get(b)
+    def __init__(self, u: PiecewiseAffineUtility):
+        self.utility = u
+        self.values: dict[tuple[int, ...], Fraction] = {}
+
+    def __call__(self, b: Belief) -> Fraction:
+        return self.at_ray(ray(b))
+
+    def at_ray(self, k: tuple[int, ...]) -> Fraction:
+        """The value at the belief k / sum(k) of a primitive ray k."""
+        v = self.values.get(k)
         if v is None:
-            v = values[b] = u(b)
+            v = self.values[k] = self.utility(ray_belief(k))
         return v
 
-    return value
+
+def memoized(u: PiecewiseAffineUtility) -> Memo:
+    """u with its values kept by belief; see :class:`Memo`."""
+    return Memo(u)
 
 
 def conditional_payoff_against(
-    u: Callable[[Belief], Fraction], others: Experiment, x: Belief
+    u: Union[PiecewiseAffineUtility, Memo],
+    others: Experiment,
+    x: Union[Belief, Sequence[int]],
 ) -> Fraction:
     """Expected utility conditional on independently generating interim
     belief x while opponents jointly generate ``others``: sum_b p(b | x) u(b)
-    over ``conditional_posteriors(x, others)``.  Against the uninformative
-    experiment this is u(x).  ``u`` is a utility or a :func:`memoized` one.
+    over ``conditional_posteriors(k, others)``, where x is a ``Belief`` or
+    the integer vector k of x = k / sum(k).  The terms are summed in
+    integers over their least common denominator and divided by sum(k)
+    once.  Against the uninformative experiment this is u(x).  ``u`` is a
+    utility or a :func:`memoized` one.
     """
-    return sum((p * u(b) for b, p in conditional_posteriors(x, others)), _ZERO)
+    k = ray(x) if isinstance(x, Belief) else x
+    if isinstance(u, Memo):
+        value = u.at_ray
+    else:
+        def value(w: tuple[int, ...]) -> Fraction:
+            return u(ray_belief(w))
+    num, den = 0, 1
+    for w, q in conditional_posteriors(k, others):
+        v = value(w)
+        d = q.denominator * v.denominator
+        g = math.gcd(den, d)
+        num = num * (d // g) + q.numerator * v.numerator * (den // g)
+        den = den // g * d
+    return Fraction(num, den * sum(k))
 
 
 def conditional_payoff(

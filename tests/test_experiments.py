@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zspersuasion.beliefs import belief, combine
+from zspersuasion.beliefs import belief, combine, ray
 from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
     Experiment,
@@ -219,8 +219,10 @@ class TestConditionalDist:
 
 
 class TestConditionalPosteriors:
-    """The Bayes step against its references: the atom probabilities of
-    ``conditional_dist`` and the posteriors of ``combine``."""
+    """The integer Bayes step against its references: the atom
+    probabilities of ``conditional_dist`` and the posteriors of ``combine``.
+    It takes x as its primitive ray k and yields each posterior's primitive
+    ray with sum(k) times the atom's probability."""
 
     def test_equals_conditional_dist_and_combine(self):
         rng = random.Random(77)
@@ -230,10 +232,12 @@ class TestConditionalPosteriors:
             prior = random_prior(n, rng)
             other = random_face_experiment(prior, rng, rng.randint(0, 2))
             x = random_face_experiment(prior, rng, 1).atoms[0][0]
+            k = ray(x)
             expected = [
-                (combine(prior, (x, y)), p) for y, p in conditional_dist(other, x)
+                (ray(combine(prior, (x, y))), sum(k) * p)
+                for y, p in conditional_dist(other, x)
             ]
-            assert list(conditional_posteriors(x, other)) == expected
+            assert list(conditional_posteriors(k, other)) == expected
             skipped += len(other.atoms) - len(expected)
         assert skipped >= 50
 
@@ -242,8 +246,9 @@ class TestConditionalPosteriors:
         for _ in range(20):
             prior = random_prior(rng.randint(2, 5), rng)
             x = random_experiment(prior, rng, splits=2).atoms[0][0]
-            assert list(conditional_posteriors(x, uninformative(prior))) == [
-                (x, Fraction(1))
+            k = ray(x)
+            assert list(conditional_posteriors(k, uninformative(prior))) == [
+                (k, Fraction(sum(k)))
             ]
 
 

@@ -21,6 +21,7 @@ from zspersuasion.oracle import (
     RevelationScanResult,
     ScanResult,
     _deviation_value,
+    _ray_atoms,
     _reveals_fully,
     _support_masks,
     best_response_scan,
@@ -66,7 +67,7 @@ def reference_full_revelation_scan(
             against = joint_of(others) if others else uninformative(prior)
             payoffs = cache.setdefault((i, others), {})
             if any(
-                _deviation_value(u, against, e, payoffs) > base
+                _deviation_value(u, against, _ray_atoms(e), payoffs) > base
                 for e in strategies
             ):
                 equilibrium = False

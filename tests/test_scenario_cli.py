@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zspersuasion import equilibrium
+from zspersuasion import equilibrium, oracle
 from zspersuasion.beliefs import belief
 from zspersuasion.cli import main
 from zspersuasion.exceptions import ScenarioError
@@ -262,6 +262,42 @@ class TestCli:
         )
         assert code == 3
         assert json.loads(err)["error"] == "EnumerationTooLarge"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", FIG1, "--profile", "both_uninformative", "--grid", "0"),
+        ("verify", FIG1, "--profile", "both_fully_revealing", "--grid", "-1"),
+        ("emit-plot", FIG1, "--points", "0"),
+    ])
+    def test_grid_sizes_below_one_are_bad_input(self, capsys, argv):
+        """A grid of no points is malformed input (exit 1), not a crash and
+        not a verdict over no beliefs."""
+        code, out, err = self.run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert "must be >= 1" in error["message"]
+
+    def test_verify_grid_over_the_cap_exits_3(self, capsys, monkeypatch):
+        """The verify grid is counted against the enumeration cap: grid 5 on
+        two states has 6 beliefs."""
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 5)
+        code, out, err = self.run(
+            capsys, "verify", FIG1, "--profile", "both_fully_revealing",
+            "--grid", "5",
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "EnumerationTooLarge"
+        assert error["message"] == "6 grid beliefs exceed cap 5"
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 6)
+        code, out, _ = self.run(
+            capsys, "verify", FIG1, "--profile", "both_fully_revealing",
+            "--grid", "5",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Accepted"
 
     def test_internal_failure_exit_code(self, capsys, monkeypatch):
         """A certificate that fails its exact recomputation is a fault of
