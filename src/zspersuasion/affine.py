@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .beliefs import Belief, as_fraction
 
@@ -90,3 +92,16 @@ class Constraint:
     @property
     def is_strict(self) -> bool:
         return self.op in ("<", ">")
+
+    @cached_property
+    def integer_row(self) -> tuple[int, tuple[int, ...], int]:
+        """(lam, lam * coeffs, lam * const) for the least positive integer
+        lam that makes the form's coefficients and constant integers.
+        Computed on first use and kept as long as the constraint."""
+        const, coeffs = self.expr.const, self.expr.coeffs
+        lam = math.lcm(const.denominator, *(c.denominator for c in coeffs))
+        return (
+            lam,
+            tuple(c.numerator * (lam // c.denominator) for c in coeffs),
+            const.numerator * (lam // const.denominator),
+        )

@@ -222,7 +222,8 @@ def _lexicographic_target(
                     )
                 r = num / den
                 best = r if best is None or r > best else best
-        assert best is not None
+        if best is None:
+            raise InvariantViolation("advantage closure has no vertex")
         # cut down to the argmax set: mass_k - best * tail_mass == 0
         coeffs = [Fraction(0)] * n
         coeffs[states[k]] = Fraction(1)

@@ -2,16 +2,18 @@
 
 Cells are conjunctions of affine constraints (strict or weak) intersected
 with the simplex.  Everything here is rational.  Every sign question is
-asked one way: a two-phase simplex method over Fraction with Bland's
-pivoting rule, where one slack variable s, shared by every strict
-constraint, turns "some point satisfies the strict constraints strictly"
-into "the linear program max s has an optimum above 0".  The point where it
-stops is a point of the cell, which is the cell's strictly feasible point
-and the witness when a form does not vanish on a cell or a cell holds a
-belief other than the simplex vertices.  Vertices, enumerated by Gaussian
-elimination over active sets, are computed only where vertices themselves
-are needed: the maximum of an affine form over a cell's closure, and the
-exploit's lexicographic ratio target, read off closure vertices.
+asked one way: a two-phase simplex method with Bland's pivoting rule, where
+one slack variable s, shared by every strict constraint, turns "some point
+satisfies the strict constraints strictly" into "the linear program max s
+has an optimum above 0".  It pivots fraction-free, in Python ints over one
+common denominator, from the integer row each constraint keeps, and builds
+a Fraction only for the point where it stops.  That point is a point of
+the cell, which is the cell's strictly feasible point and the witness when
+a form does not vanish on a cell or a cell holds a belief other than the
+simplex vertices.  Vertices, enumerated by Gaussian elimination over
+active sets, are computed only where vertices themselves are needed: the
+maximum of an affine form over a cell's closure, and the exploit's
+lexicographic ratio target, read off closure vertices.
 
 The disjoint first-match decompositions of piecewise utilities, and their
 overlays, need only the emptiness test.  The sweep (``first_match_cells``)
@@ -36,6 +38,9 @@ Point = tuple[Fraction, ...]
 
 # most region tuples ``overlay_regions`` intersects, one LP each
 OVERLAY_CAP = 10_000
+
+# most cells ``first_match_cells`` holds, output cells plus remainder
+SWEEP_CAP = 10_000
 
 # A linear equation coeffs . beta + const = 0
 _Equation = tuple[tuple[Fraction, ...], Fraction]
@@ -157,84 +162,110 @@ def closure_vertices(n: int, constraints: Sequence[Constraint]) -> list[Point]:
 
 def _lp_rows(
     n: int, constraints: Sequence[Constraint]
-) -> Optional[list[tuple[tuple[Fraction, ...], Fraction, bool]]]:
+) -> Optional[tuple[int, list[tuple[tuple[int, ...], int, bool]]]]:
     """The cell as rows (a, b, equality) of a.x <= b or a.x == b over
     x = (beta_0, ..., beta_{n-2}, s), with beta_{n-1} = 1 - sum(others)
     substituted, so x >= 0 covers all but beta_{n-1} >= 0, which is a row.
     Strict rows get the slack s, and s <= 1 keeps the program bounded.
-    Duplicates and rows without a variable are dropped; None when such a
-    row fails."""
-    one, zero = Fraction(1), Fraction(0)
+
+    The rows are integers: each constraint's ``integer_row`` times
+    L / lam, L the lcm of the scales lam, so every row is its rational row
+    times the one constant L (one constant keeps the weights of the
+    phase-1 sum of artificials).  Returns (L, rows).  Duplicates and rows
+    without a variable are dropped; None when such a row fails."""
+    scale = math.lcm(*(c.integer_row[0] for c in constraints))
     rows = [
-        (tuple(one for _ in range(n - 1)) + (zero,), one, False),
-        (tuple(zero for _ in range(n - 1)) + (one,), one, False),
+        ((scale,) * (n - 1) + (0,), scale, False),
+        ((0,) * (n - 1) + (scale,), scale, False),
     ]
     for c in constraints:
-        coeffs, last = c.expr.coeffs, c.expr.coeffs[-1]
-        sign = -1 if c.op in (">", ">=") else 1
-        a = tuple(sign * (v - last) for v in coeffs[:-1])
-        b = -sign * (c.expr.const + last)
-        rows.append((a + (one if c.is_strict else zero,), b, c.op == "=="))
+        lam, coeffs, const = c.integer_row
+        last = coeffs[-1]
+        factor = scale // lam * (-1 if c.op in (">", ">=") else 1)
+        a = tuple(factor * (v - last) for v in coeffs[:-1])
+        b = -factor * (const + last)
+        rows.append((a + (scale if c.is_strict else 0,), b, c.op == "=="))
     kept = []
     for a, b, eq in dict.fromkeys(rows):
         if any(a):
             kept.append((a, b, eq))
         elif b < 0 or (eq and b != 0):  # a constant row that fails
             return None
-    return kept
+    return scale, kept
 
 
 def _pivot(
-    table: list[list[Fraction]], rhs: list[Fraction], r: int, c: int
-) -> None:
+    table: list[list[int]], rhs: list[int], d: int, r: int, c: int
+) -> int:
     """Exchange the basic variable of row r with the nonbasic variable of
-    column c in the dictionary x_B = rhs - table . x_N (the last row of
-    table and rhs is the objective)."""
-    row, p = table[r], table[r][c]
-    row[c] = Fraction(1)  # the leaving variable's column: 1 / p after division
-    support = [j for j, v in enumerate(row) if v]
-    for j in support:
-        row[j] /= p
-    rhs[r] /= p
+    column c in the dictionary x_B = rhs / d - (table / d) . x_N (the last
+    row of table and rhs is the objective); returns the new denominator.
+
+    Fraction-free (Edmonds 1967; Bareiss 1968): with p = table[r][c] the
+    new denominator is p, the pivot row stays, its column entry becomes d,
+    the other rows' column entries are negated, and every other entry
+    becomes (entry * p - column entry * pivot row entry) / d.  From an
+    integer tableau with d = 1, every entry is a minor of it and d the
+    absolute determinant of the basis, so each division is exact.  A negative p
+    negates the tableau to keep d > 0."""
+    row, p, b = table[r], table[r][c], rhs[r]
     for i, other in enumerate(table):
         f = other[c]
-        if i == r or not f:
+        if i == r or (not f and p == d):
             continue
-        other[c] = Fraction(0)
-        for j in support:
-            other[j] -= f * row[j]
-        rhs[i] -= f * rhs[r]
+        if f:
+            other = [(v * p - f * w) // d for v, w in zip(other, row)]
+            other[c] = -f
+            rhs[i] = (rhs[i] * p - f * b) // d
+        else:
+            other = [v * p // d for v in other]
+            rhs[i] = rhs[i] * p // d
+        table[i] = other
+    row[c] = d
+    if p > 0:
+        return p
+    for i, other in enumerate(table):
+        table[i] = [-v for v in other]
+    rhs[:] = [-v for v in rhs]
+    return -p
 
 
 def _bland_step(
-    table: list[list[Fraction]],
-    rhs: list[Fraction],
+    table: list[list[int]],
+    rhs: list[int],
+    d: int,
     basic: list[int],
     nonbasic: list[int],
-) -> bool:
+) -> int:
     """One pivot of the simplex method under Bland's rule: the entering
     variable is the lowest-numbered one that improves the objective, the
-    leaving one the lowest-numbered among the tightest ratios.  False at
-    an optimum."""
-    entering = [j for j, d in enumerate(table[-1]) if d < 0]
+    leaving one the lowest-numbered among the tightest ratios rhs / entry
+    over positive entries, compared by cross-multiplying.  Returns the new
+    denominator, or 0 at an optimum."""
+    entering = [j for j, v in enumerate(table[-1]) if v < 0]
     if not entering:
-        return False
+        return 0
     c = min(entering, key=lambda j: nonbasic[j])
-    ratios = [
-        (rhs[i] / table[i][c], basic[i], i)
-        for i in range(len(basic))
-        if table[i][c] > 0
-    ]
-    if not ratios:
+    r = -1
+    for i in range(len(basic)):
+        t = table[i][c]
+        if t <= 0:
+            continue
+        if r < 0:
+            r = i
+            continue
+        lhs, rhs_r = rhs[i] * table[r][c], rhs[r] * t
+        if lhs < rhs_r or (lhs == rhs_r and basic[i] < basic[r]):
+            r = i
+    if r < 0:
         # never: the beta sum to at most 1 and s <= 1
         raise InvariantViolation("linear program over a cell is unbounded")
-    r = min(ratios)[2]
-    _pivot(table, rhs, r, c)
+    d = _pivot(table, rhs, d, r, c)
     basic[r], nonbasic[c] = nonbasic[c], basic[r]
-    return True
+    return d
 
 
-def _drop_column(table: list[list[Fraction]], nonbasic: list[int], c: int) -> None:
+def _drop_column(table: list[list[int]], nonbasic: list[int], c: int) -> None:
     for row in table:
         del row[c]
     del nonbasic[c]
@@ -244,10 +275,14 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Poi
     """The beta of the first feasible basis with s > 0 over the rows of
     ``_lp_rows``, or None when max s <= 0.  Two-phase simplex with Bland's
     rule from the vertex e_{n-1} (x = 0); every strict row holds at the
-    returned point with margin at least s."""
-    rows = _lp_rows(n, constraints)
-    if rows is None:
+    returned point with margin at least s.  The tableau is integers over
+    one common denominator d (``_pivot``); signs and ratio comparisons are
+    those of the rational tableau, so the bases are too, and the point is
+    read off once as Fraction(rhs, d)."""
+    lp = _lp_rows(n, constraints)
+    if lp is None:
         return None
+    scale, rows = lp
     # variables: x_0..x_{n-1} (s last), then the slack of row i is n + i
     # and its artificial artificial + i.  Equalities, and rows that x = 0
     # violates, start with their artificial basic; for b < 0 the row reads
@@ -255,27 +290,23 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Poi
     s_var, artificial = n - 1, n + len(rows)
     negative = [i for i, (_, b, eq) in enumerate(rows) if b < 0 and not eq]
     nonbasic = list(range(n)) + [n + i for i in negative]
-    table: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    table: list[list[int]] = []
+    rhs: list[int] = []
     basic: list[int] = []
     for i, (a, b, eq) in enumerate(rows):
         sign = -1 if b < 0 else 1
-        table.append(
-            [sign * v for v in a] + [Fraction(-1 if i == j else 0) for j in negative]
-        )
+        table.append([sign * v for v in a] + [-scale if i == j else 0 for j in negative])
         rhs.append(sign * b)
         basic.append(artificial + i if eq or b < 0 else n + i)
 
     # phase 1: maximize minus the sum of the artificials, dropping each
     # artificial once it leaves the basis
     started = [i for i, v in enumerate(basic) if v >= artificial]
-    table.append([
-        -sum((table[i][j] for i in started), Fraction(0))
-        for j in range(len(nonbasic))
-    ])
-    rhs.append(-sum((rhs[i] for i in started), Fraction(0)))
+    table.append([-sum(table[i][j] for i in started) for j in range(len(nonbasic))])
+    rhs.append(-sum(rhs[i] for i in started))
+    d = 1
     while rhs[-1] < 0:
-        if not _bland_step(table, rhs, basic, nonbasic):
+        if not (d := _bland_step(table, rhs, d, basic, nonbasic)):
             return None  # even the closure is empty
         for c in reversed([j for j, v in enumerate(nonbasic) if v >= artificial]):
             _drop_column(table, nonbasic, c)
@@ -288,7 +319,7 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Poi
         if c is None:
             del table[i], rhs[i], basic[i]
             continue
-        _pivot(table, rhs, i, c)
+        d = _pivot(table, rhs, d, i, c)
         basic[i], nonbasic[c] = nonbasic[c], basic[i]
         _drop_column(table, nonbasic, c)
 
@@ -297,17 +328,16 @@ def _has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Poi
         r = basic.index(s_var)
         table[-1], rhs[-1] = table[r][:], rhs[r]
     else:
-        table[-1] = [Fraction(-1 if v == s_var else 0) for v in nonbasic]
-        rhs[-1] = Fraction(0)
+        table[-1] = [-d if v == s_var else 0 for v in nonbasic]
+        rhs[-1] = 0
     while rhs[-1] <= 0:
-        if not _bland_step(table, rhs, basic, nonbasic):
+        if not (d := _bland_step(table, rhs, d, basic, nonbasic)):
             return None
-    beta = [Fraction(0)] * n
+    values = [0] * (n - 1)
     for v, value in zip(basic, rhs):
         if v < s_var:
-            beta[v] = value
-    beta[-1] = 1 - sum(beta[:-1], Fraction(0))
-    return tuple(beta)
+            values[v] = value
+    return tuple(Fraction(v, d) for v in values) + (Fraction(d - sum(values), d),)
 
 
 def cell_is_nonempty(n: int, constraints: Sequence[Constraint]) -> bool:
@@ -319,8 +349,8 @@ def cell_is_nonempty(n: int, constraints: Sequence[Constraint]) -> bool:
     cell gives s = min(1, -max strict expr) > 0, and a feasible s > 0 gives
     a point of the cell, so the cell is nonempty iff the optimum is above 0.
     The two-phase simplex method pivots under Bland's rule, which cannot
-    cycle, and computes in Fraction, so the verdict is exact; it stops at
-    the first feasible basis with s > 0.
+    cycle, and computes in integers with exact division (``_pivot``), so
+    the verdict is exact; it stops at the first feasible basis with s > 0.
     """
     return _has_strict_point(n, constraints) is not None
 
@@ -446,13 +476,15 @@ def first_match_cells(
     the complement cells of the kept guard carry on.  The complement cell
     of a kept inequality contains the nonempty set that kept it, so only
     the two sides of a kept equality are tested.  If a cell is left after
-    the last guard, raises NoPieceMatches at a point of the first.
+    the last guard, raises NoPieceMatches at a point of the first.  More
+    than ``SWEEP_CAP`` cells held at once, output cells plus the remainder
+    (carried or still to be matched), raise EnumerationTooLarge.
     """
     cells: list[tuple[int, tuple[Constraint, ...]]] = []
     remainder: list[tuple[Constraint, ...]] = [()]
     for k, guard in enumerate(guards):
         next_remainder: list[tuple[Constraint, ...]] = []
-        for cell in remainder:
+        for j, cell in enumerate(remainder):
             if guard and not cell_is_nonempty(n, cell + tuple(guard)):
                 next_remainder.append(cell)
                 continue
@@ -462,6 +494,11 @@ def first_match_cells(
                 # tail ends in the negation of kept[len(tail) - 1]
                 if kept[len(tail) - 1].op != "==" or cell_is_nonempty(n, cell + tail):
                     next_remainder.append(cell + tail)
+            held = len(cells) + len(next_remainder) + len(remainder) - j - 1
+            if held > SWEEP_CAP:
+                raise EnumerationTooLarge(
+                    f"first-match sweep holds {held} cells, over sweep cap {SWEEP_CAP}"
+                )
         remainder = next_remainder
     if remainder:
         raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))

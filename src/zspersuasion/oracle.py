@@ -204,14 +204,19 @@ def _deviation_value(
     """A sender's expected payoff when she plays the experiment with these
     ``_ray_atoms``, her own or a deviation, against the opponents' joint
     experiment ``others``; ``payoffs`` keeps her conditional payoff at each
-    interim belief's ray against these opponents."""
-    total = Fraction(0)
+    interim belief's ray against these opponents.  The terms m * w are
+    summed in integers over their least common denominator, as in
+    ``conditional_payoff_against``, and divided once."""
+    num, den = 0, 1
     for k, m in atoms:
         w = payoffs.get(k)
         if w is None:
             w = payoffs[k] = conditional_payoff_against(u, others, k)
-        total += m * w
-    return total
+        d = m.denominator * w.denominator
+        g = math.gcd(den, d)
+        num = num * (d // g) + m.numerator * w.numerator * (den // g)
+        den = den // g * d
+    return Fraction(num, den)
 
 
 def best_response_scan(

@@ -1,0 +1,162 @@
+"""Reference implementations that the program no longer uses, kept for
+differential tests.
+
+``has_strict_point`` is the two-phase Bland simplex over ``Fraction`` that
+``geometry._has_strict_point`` replaced with a fraction-free integer
+tableau.  Both start from the same rows and pivot under the same rule, so
+they must stop at the same basis and return the same point.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from zspersuasion.affine import Constraint
+from zspersuasion.exceptions import InvariantViolation
+
+Point = tuple[Fraction, ...]
+
+
+def lp_rows(
+    n: int, constraints: Sequence[Constraint]
+) -> Optional[list[tuple[tuple[Fraction, ...], Fraction, bool]]]:
+    """The cell as rows (a, b, equality) of a.x <= b or a.x == b over
+    x = (beta_0, ..., beta_{n-2}, s), with beta_{n-1} = 1 - sum(others)
+    substituted, so x >= 0 covers all but beta_{n-1} >= 0, which is a row.
+    Strict rows get the slack s, and s <= 1 keeps the program bounded.
+    Duplicates and rows without a variable are dropped; None when such a
+    row fails."""
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        (tuple(one for _ in range(n - 1)) + (zero,), one, False),
+        (tuple(zero for _ in range(n - 1)) + (one,), one, False),
+    ]
+    for c in constraints:
+        coeffs, last = c.expr.coeffs, c.expr.coeffs[-1]
+        sign = -1 if c.op in (">", ">=") else 1
+        a = tuple(sign * (v - last) for v in coeffs[:-1])
+        b = -sign * (c.expr.const + last)
+        rows.append((a + (one if c.is_strict else zero,), b, c.op == "=="))
+    kept = []
+    for a, b, eq in dict.fromkeys(rows):
+        if any(a):
+            kept.append((a, b, eq))
+        elif b < 0 or (eq and b != 0):  # a constant row that fails
+            return None
+    return kept
+
+
+def _pivot(
+    table: list[list[Fraction]], rhs: list[Fraction], r: int, c: int
+) -> None:
+    """Exchange the basic variable of row r with the nonbasic variable of
+    column c in the dictionary x_B = rhs - table . x_N (the last row of
+    table and rhs is the objective)."""
+    row, p = table[r], table[r][c]
+    row[c] = Fraction(1)  # the leaving variable's column: 1 / p after division
+    support = [j for j, v in enumerate(row) if v]
+    for j in support:
+        row[j] /= p
+    rhs[r] /= p
+    for i, other in enumerate(table):
+        f = other[c]
+        if i == r or not f:
+            continue
+        other[c] = Fraction(0)
+        for j in support:
+            other[j] -= f * row[j]
+        rhs[i] -= f * rhs[r]
+
+
+def _bland_step(
+    table: list[list[Fraction]],
+    rhs: list[Fraction],
+    basic: list[int],
+    nonbasic: list[int],
+) -> bool:
+    """One pivot of the simplex method under Bland's rule: the entering
+    variable is the lowest-numbered one that improves the objective, the
+    leaving one the lowest-numbered among the tightest ratios.  False at
+    an optimum."""
+    entering = [j for j, d in enumerate(table[-1]) if d < 0]
+    if not entering:
+        return False
+    c = min(entering, key=lambda j: nonbasic[j])
+    ratios = [
+        (rhs[i] / table[i][c], basic[i], i)
+        for i in range(len(basic))
+        if table[i][c] > 0
+    ]
+    if not ratios:
+        raise InvariantViolation("linear program over a cell is unbounded")
+    r = min(ratios)[2]
+    _pivot(table, rhs, r, c)
+    basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    return True
+
+
+def _drop_column(table: list[list[Fraction]], nonbasic: list[int], c: int) -> None:
+    for row in table:
+        del row[c]
+    del nonbasic[c]
+
+
+def has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Point]:
+    """The beta of the first feasible basis with s > 0 over the rows of
+    ``lp_rows``, or None when max s <= 0.  Two-phase simplex with Bland's
+    rule from the vertex e_{n-1} (x = 0), computing in Fraction."""
+    rows = lp_rows(n, constraints)
+    if rows is None:
+        return None
+    s_var, artificial = n - 1, n + len(rows)
+    negative = [i for i, (_, b, eq) in enumerate(rows) if b < 0 and not eq]
+    nonbasic = list(range(n)) + [n + i for i in negative]
+    table: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basic: list[int] = []
+    for i, (a, b, eq) in enumerate(rows):
+        sign = -1 if b < 0 else 1
+        table.append(
+            [sign * v for v in a] + [Fraction(-1 if i == j else 0) for j in negative]
+        )
+        rhs.append(sign * b)
+        basic.append(artificial + i if eq or b < 0 else n + i)
+
+    started = [i for i, v in enumerate(basic) if v >= artificial]
+    table.append([
+        -sum((table[i][j] for i in started), Fraction(0))
+        for j in range(len(nonbasic))
+    ])
+    rhs.append(-sum((rhs[i] for i in started), Fraction(0)))
+    while rhs[-1] < 0:
+        if not _bland_step(table, rhs, basic, nonbasic):
+            return None
+        for c in reversed([j for j, v in enumerate(nonbasic) if v >= artificial]):
+            _drop_column(table, nonbasic, c)
+    for i in range(len(basic) - 1, -1, -1):
+        if basic[i] < artificial:
+            continue
+        c = next((j for j, v in enumerate(table[i]) if v), None)
+        if c is None:
+            del table[i], rhs[i], basic[i]
+            continue
+        _pivot(table, rhs, i, c)
+        basic[i], nonbasic[c] = nonbasic[c], basic[i]
+        _drop_column(table, nonbasic, c)
+
+    if s_var in basic:
+        r = basic.index(s_var)
+        table[-1], rhs[-1] = table[r][:], rhs[r]
+    else:
+        table[-1] = [Fraction(-1 if v == s_var else 0) for v in nonbasic]
+        rhs[-1] = Fraction(0)
+    while rhs[-1] <= 0:
+        if not _bland_step(table, rhs, basic, nonbasic):
+            return None
+    beta = [Fraction(0)] * n
+    for v, value in zip(basic, rhs):
+        if v < s_var:
+            beta[v] = value
+    beta[-1] = 1 - sum(beta[:-1], Fraction(0))
+    return tuple(beta)

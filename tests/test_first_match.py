@@ -345,3 +345,32 @@ class TestOverlayCap:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["error"] == "EnumerationTooLarge"
+
+
+class TestSweepCap:
+    """The first-match sweep stops at ``SWEEP_CAP`` cells held, output
+    cells plus remainder, with EnumerationTooLarge, which the CLI reports
+    with exit 3."""
+
+    def test_cap_bounds_the_cells(self, monkeypatch):
+        ag = random_action_game(random.Random(3), 3, 4, 3)
+        guards = [p.guard for p in induced_utility(ag, 0).pieces]
+        cells = geometry.first_match_cells(3, guards)
+        assert len(cells) > 1
+        # the last cell matched is held with every earlier one
+        monkeypatch.setattr(geometry, "SWEEP_CAP", len(cells) - 1)
+        with pytest.raises(EnumerationTooLarge, match="over sweep cap"):
+            geometry.first_match_cells(3, guards)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 10 * len(cells))
+        assert geometry.first_match_cells(3, guards) == cells
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_cli_exits_3_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
+        path = action_scenario(tmp_path, random.Random(3), 3, 4, 3)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 1)
+        assert main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "EnumerationTooLarge"
+        assert "sweep cap 1" in error["message"]
