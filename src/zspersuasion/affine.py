@@ -46,6 +46,22 @@ class AffineForm:
     def __neg__(self) -> "AffineForm":
         return AffineForm(-self.const, tuple(-c for c in self.coeffs))
 
+    @cached_property
+    def integer_row(self) -> tuple[int, tuple[int, ...], int]:
+        """(lam, lam * coeffs, lam * const) for the least positive integer
+        lam that makes the coefficients and the constant integers.  Computed
+        on first use and kept as long as the form.  At the belief k / K of
+        a nonnegative integer vector k with K = sum(k), the form's value is
+        (lam * const * K + (lam * coeffs) . k) / (lam * K)."""
+        lam = math.lcm(
+            self.const.denominator, *(c.denominator for c in self.coeffs)
+        )
+        return (
+            lam,
+            tuple(c.numerator * (lam // c.denominator) for c in self.coeffs),
+            self.const.numerator * (lam // self.const.denominator),
+        )
+
     def on_edge(self, l: int, k: int) -> tuple[Fraction, Fraction]:
         """Restrict to beta(t) = (1-t) delta_l + t delta_k; returns
         (constant, slope) in the edge parameter t."""
@@ -70,7 +86,9 @@ class Constraint:
     def holds(self, b: Belief | tuple[Fraction, ...]) -> bool:
         return self.holds_value(self.expr(b))
 
-    def holds_value(self, v: Fraction) -> bool:
+    def holds_value(self, v: Fraction | int) -> bool:
+        """Whether a value of the form, or any positive multiple of one,
+        satisfies ``op 0``."""
         if self.op == "<":
             return v < 0
         if self.op == "<=":
@@ -93,15 +111,8 @@ class Constraint:
     def is_strict(self) -> bool:
         return self.op in ("<", ">")
 
-    @cached_property
+    @property
     def integer_row(self) -> tuple[int, tuple[int, ...], int]:
-        """(lam, lam * coeffs, lam * const) for the least positive integer
-        lam that makes the form's coefficients and constant integers.
-        Computed on first use and kept as long as the constraint."""
-        const, coeffs = self.expr.const, self.expr.coeffs
-        lam = math.lcm(const.denominator, *(c.denominator for c in coeffs))
-        return (
-            lam,
-            tuple(c.numerator * (lam // c.denominator) for c in coeffs),
-            const.numerator * (lam // const.denominator),
-        )
+        """The integer row of the constraint's form
+        (``AffineForm.integer_row``), kept once by the form."""
+        return self.expr.integer_row

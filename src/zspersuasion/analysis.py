@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .beliefs import Belief, degenerate, state_set
+from .beliefs import Belief, state_set
 from .exceptions import InvariantViolation, NotNormalized
 from .experiments import Experiment
 from .geometry import (
@@ -27,17 +27,15 @@ from .geometry import (
     subsimplex_constraints,
 )
 from .affine import Constraint
-from .utilities import GamePayoffs, PiecewiseAffineUtility, edge_restriction
+from .utilities import GamePayoffs, PiecewiseAffineUtility
 
 
 def _require_normalized(utilities: Sequence[PiecewiseAffineUtility]) -> None:
-    n = utilities[0].n_states
     for i, u in enumerate(utilities):
-        for l in range(n):
-            if u(degenerate(n, l)) != 0:
+        for l, v in enumerate(u.vertex_values):
+            if v != 0:
                 raise NotNormalized(
-                    f"utility {i} is {u(degenerate(n, l))} at state {l}; "
-                    "normalize_payoffs first"
+                    f"utility {i} is {v} at state {l}; normalize_payoffs first"
                 )
 
 
@@ -83,8 +81,7 @@ def _zero_on_face(u: PiecewiseAffineUtility, omega: tuple[int, ...]) -> ZeroChec
         return ZeroCheck(True, None)
     if len(omega) == 2:
         l, k = omega
-        f = edge_restriction(u, l, k)
-        t = f.nonzero_witness()
+        t = u.on_edge(l, k).nonzero_witness()
         if t is None:
             return ZeroCheck(True, None)
         return ZeroCheck(False, _edge_belief(n, l, k, t))
@@ -229,7 +226,7 @@ def condition1_report(g: GamePayoffs) -> Condition1Report:
         for k in range(l + 1, n):
             ok = False
             for u in g.utilities:
-                f = edge_restriction(u, l, k)
+                f = u.on_edge(l, k)
                 if f.start_slope != 0 or f.end_slope != 0:
                     ok = True
                     break

@@ -63,11 +63,7 @@ from .scenario import (
     profile_to_json,
     utility_to_json,
 )
-from .utilities import (
-    check_zero_sum,
-    edge_restriction,
-    normalize_payoffs,
-)
+from .utilities import check_zero_sum, normalize_payoffs
 
 EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
@@ -287,7 +283,7 @@ def _cmd_induce(args) -> int:
         for k in range(l + 1, n):
             per_sender = []
             for u in g.utilities:
-                f = edge_restriction(u, l, k)
+                f = u.on_edge(l, k)
                 per_sender.append(
                     {
                         "breakpoints": [frac_to_str(t) for t in f.breakpoints],
@@ -347,7 +343,7 @@ def _cmd_emit_plot(args) -> int:
     scenario = load_scenario(args.scenario)
     g = normalize_payoffs(scenario.payoffs)
     l, k = (int(t) for t in args.edge.split(","))
-    fns = [edge_restriction(u, l, k) for u in g.utilities]
+    fns = [u.on_edge(l, k) for u in g.utilities]
     points = args.points
     ts = sorted(
         {Fraction(j, points) for j in range(points + 1)}

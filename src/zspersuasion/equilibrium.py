@@ -53,7 +53,6 @@ from .utilities import (
     GamePayoffs,
     PiecewiseAffineUtility,
     conditional_payoff_against,
-    edge_restriction,
     memoized,
 )
 
@@ -178,7 +177,7 @@ def _positive_on_face(u: PiecewiseAffineUtility, theta: tuple[int, ...]) -> bool
     """Whether u is positive somewhere on the face over theta: on an edge
     by its exact restriction, else on one of its ``_advantaged`` cells."""
     if len(theta) == 2:
-        return _positive_sup(edge_restriction(u, *theta)) is not None
+        return _positive_sup(u.on_edge(*theta)) is not None
     return any(_advantaged(u, theta))
 
 
@@ -391,7 +390,7 @@ def _edge_candidates(
     on the edge, and the interim belief aiming the lowest posterior at the
     end of her positive run."""
     l, k = theta
-    fns = [edge_restriction(u, l, k) for u in g.utilities]
+    fns = [u.on_edge(l, k) for u in g.utilities]
     sups = [_positive_sup(f) for f in fns]
     r_prime = max(s for s in sups if s is not None)
     sender = next((i for i, f in enumerate(fns) if f(r_prime) > 0), None)

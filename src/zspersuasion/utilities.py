@@ -3,6 +3,11 @@
 Provides first-match piecewise evaluation, payoff normalization so that every
 utility vanishes at degenerate beliefs, exact expected and conditional
 payoffs against strategy profiles, and one-dimensional edge restrictions.
+First-match evaluation signs each guard in integers, from the integer row
+its form keeps (``AffineForm.integer_row``), at the belief's primitive ray
+or, on an edge, at t = p/q; only the value of the matching form is built as
+a ``Fraction``.  Each utility keeps its edge restrictions and its vertex
+values from first use.
 A conditional payoff sums the utility over the integer Bayes step of
 ``experiments.conditional_posteriors``: each posterior arrives as its
 primitive integer ray, and ``memoized`` keeps a utility's values by that
@@ -19,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .affine import AffineForm, Constraint
@@ -45,9 +52,6 @@ class Piece:
 
     guard: tuple[Constraint, ...]
     form: AffineForm
-
-    def matches(self, b: Belief) -> bool:
-        return all(c.holds(b) for c in self.guard)
 
 
 class _Decomposition:
@@ -76,12 +80,17 @@ class PiecewiseAffineUtility:
     them once decomposed and shares them with every utility made from it by
     ``shifted`` and with every utility of a ``GamePayoffs`` that has the
     same guard sequence.  They live as long as those utilities do, which
-    is one command, since every command loads its scenario afresh.
+    is one command, since every command loads its scenario afresh.  Its
+    edge restrictions and vertex values depend on the forms too, so each
+    utility keeps its own, also from first use.
     """
 
     pieces: tuple[Piece, ...]
     _decomposition: _Decomposition = field(
         init=False, repr=False, compare=False
+    )
+    _edges: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -101,11 +110,46 @@ class PiecewiseAffineUtility:
     def n_states(self) -> int:
         return self.pieces[0].form.n_states
 
+    @cached_property
+    def _integer_pieces(self):
+        """Per piece: each guard constraint as (holds_value, a, c) from its
+        integer row, and the form's integer row."""
+        return tuple(
+            (
+                tuple(
+                    (cons.holds_value,) + cons.integer_row[1:] for cons in p.guard
+                ),
+                p.form.integer_row,
+            )
+            for p in self.pieces
+        )
+
     def __call__(self, b: Belief) -> Fraction:
-        for p in self.pieces:
-            if p.matches(b):
-                return p.form(b)
+        """The value of the first piece whose guard holds at b.  At b's
+        primitive ray k, with K = sum(k), a guard with integer row
+        (lam, a, c) is signed by the integer c * K + a . k, and only the
+        matching form's value is built as a Fraction."""
+        k = ray(b)
+        total = sum(k)
+        for guard, (lam, a, c) in self._integer_pieces:
+            if all(holds(c0 * total + sum(map(mul, a0, k)))
+                   for holds, a0, c0 in guard):
+                return Fraction(c * total + sum(map(mul, a, k)), lam * total)
         raise NoPieceMatches.at(b)
+
+    @cached_property
+    def vertex_values(self) -> tuple[Fraction, ...]:
+        """The utility at each degenerate belief, evaluated once."""
+        n = self.n_states
+        return tuple(self(degenerate(n, l)) for l in range(n))
+
+    def on_edge(self, l: int, k: int) -> "EdgeFunction":
+        """``edge_restriction`` to the (l, k) edge, computed on first use
+        and kept as long as the utility."""
+        f = self._edges.get((l, k))
+        if f is None:
+            f = self._edges[(l, k)] = edge_restriction(self, l, k)
+        return f
 
     def first_match_cells(self) -> list[tuple[int, tuple[Constraint, ...]]]:
         """``geometry.first_match_cells`` of the guards, swept once."""
@@ -163,14 +207,12 @@ def normalize_payoffs(g: GamePayoffs) -> GamePayoffs:
     experiment, so senders' rankings over strategy profiles are unchanged,
     and an exactly zero-sum game stays exactly zero-sum.  Idempotent.
     """
-    n = g.n_states
     out = []
     for u in g.utilities:
-        vertex_values = tuple(u(degenerate(n, l)) for l in range(n))
-        if all(v == 0 for v in vertex_values):
+        if all(v == 0 for v in u.vertex_values):
             out.append(u)
             continue
-        alpha = AffineForm(Fraction(0), tuple(-v for v in vertex_values))
+        alpha = AffineForm(Fraction(0), tuple(-v for v in u.vertex_values))
         out.append(u.shifted(alpha))
     return GamePayoffs(tuple(out))
 
@@ -265,38 +307,41 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
     Substitutes beta(t) = (1-t) delta_l + t delta_k into every guard and form;
     guard boundaries become the candidate breakpoints, and first-match
     evaluation on each open interval (constant piece choice there) and at
-    each breakpoint fills in forms and point values.
+    each breakpoint fills in forms and point values.  A guard with integer
+    row (lam, a, c) becomes the integer edge row (c + a_l, a_k - a_l),
+    computed once, and is signed at t = p/q by (c + a_l) q + (a_k - a_l) p.
+    Callers ask the utility (``PiecewiseAffineUtility.on_edge``), which
+    keeps each restriction.
     """
+    n = u.n_states
+    if not (0 <= l < n and 0 <= k < n):
+        raise ValueError(f"edge ({l},{k}) is out of range for N={n}")
     if l == k:
         raise ValueError("edge endpoints must differ")
     cuts = {Fraction(0), Fraction(1)}
-    for p in u.pieces:
-        for cons in p.guard:
-            c, s = cons.expr.on_edge(l, k)
-            if s != 0:
-                t = -c / s
-                if 0 < t < 1:
-                    cuts.add(t)
+    guards = []
+    for rows, _ in u._integer_pieces:
+        guard = []
+        for holds, a, c in rows:
+            c, s = c + a[l], a[k] - a[l]
+            guard.append((holds, c, s))
+            if 0 < -c * s < s * s:  # the root -c/s lies in (0, 1)
+                cuts.add(Fraction(-c, s))
+        guards.append(guard)
     breakpoints = sorted(cuts)
 
-    def first_match(t: Fraction) -> tuple[tuple[Fraction, Fraction], Fraction]:
-        for p in u.pieces:
-            ok = True
-            for cons in p.guard:
-                c, s = cons.expr.on_edge(l, k)
-                if not cons.holds_value(c + s * t):
-                    ok = False
-                    break
-            if ok:
-                fc, fs = p.form.on_edge(l, k)
-                return (fc, fs), fc + fs * t
+    def first_match(t: Fraction) -> tuple[Fraction, Fraction]:
+        p, q = t.numerator, t.denominator
+        for guard, piece in zip(guards, u.pieces):
+            if all(holds(c * q + s * p) for holds, c, s in guard):
+                return piece.form.on_edge(l, k)
         raise NoPieceMatches(f"no piece covers edge ({l},{k}) at t={t}")
 
-    forms = []
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        form, _ = first_match((a + b) / 2)
-        forms.append(form)
-    values = [first_match(t)[1] for t in breakpoints]
+    forms = [first_match((a + b) / 2) for a, b in zip(breakpoints, breakpoints[1:])]
+    values = []
+    for t in breakpoints:
+        fc, fs = first_match(t)
+        values.append(fc + fs * t)
     return _merge_edge(breakpoints, forms, values)
 
 

@@ -5,6 +5,12 @@ differential tests.
 ``geometry._has_strict_point`` replaced with a fraction-free integer
 tableau.  Both start from the same rows and pivot under the same rule, so
 they must stop at the same basis and return the same point.
+
+``evaluate`` and ``edge_restriction`` are first-match evaluation and the
+edge restriction computed in ``Fraction``, guard by guard at every point,
+which ``PiecewiseAffineUtility.__call__`` and ``utilities.edge_restriction``
+replaced with guards signed in integers.  They must agree exactly, errors
+included.
 """
 
 from __future__ import annotations
@@ -13,7 +19,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from zspersuasion.affine import Constraint
-from zspersuasion.exceptions import InvariantViolation
+from zspersuasion.beliefs import Belief
+from zspersuasion.exceptions import InvariantViolation, NoPieceMatches
+from zspersuasion.utilities import (
+    EdgeFunction,
+    Piece,
+    PiecewiseAffineUtility,
+    _merge_edge,
+)
 
 Point = tuple[Fraction, ...]
 
@@ -160,3 +173,53 @@ def has_strict_point(n: int, constraints: Sequence[Constraint]) -> Optional[Poin
             beta[v] = value
     beta[-1] = 1 - sum(beta[:-1], Fraction(0))
     return tuple(beta)
+
+
+def matches(piece: Piece, b: Belief) -> bool:
+    """Whether every guard constraint of the piece holds at b."""
+    return all(c.holds(b) for c in piece.guard)
+
+
+def evaluate(u: PiecewiseAffineUtility, b: Belief) -> Fraction:
+    """The form of the first piece whose guard holds at b, at b."""
+    for p in u.pieces:
+        if matches(p, b):
+            return p.form(b)
+    raise NoPieceMatches.at(b)
+
+
+def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
+    """The restriction of u to the (l, k) edge: every guard and form
+    restricted by ``AffineForm.on_edge`` and evaluated in ``Fraction`` at
+    each probe point."""
+    if l == k:
+        raise ValueError("edge endpoints must differ")
+    cuts = {Fraction(0), Fraction(1)}
+    for p in u.pieces:
+        for cons in p.guard:
+            c, s = cons.expr.on_edge(l, k)
+            if s != 0:
+                t = -c / s
+                if 0 < t < 1:
+                    cuts.add(t)
+    breakpoints = sorted(cuts)
+
+    def first_match(t: Fraction) -> tuple[tuple[Fraction, Fraction], Fraction]:
+        for p in u.pieces:
+            ok = True
+            for cons in p.guard:
+                c, s = cons.expr.on_edge(l, k)
+                if not cons.holds_value(c + s * t):
+                    ok = False
+                    break
+            if ok:
+                fc, fs = p.form.on_edge(l, k)
+                return (fc, fs), fc + fs * t
+        raise NoPieceMatches(f"no piece covers edge ({l},{k}) at t={t}")
+
+    forms = []
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        form, _ = first_match((a + b) / 2)
+        forms.append(form)
+    values = [first_match(t)[1] for t in breakpoints]
+    return _merge_edge(breakpoints, forms, values)

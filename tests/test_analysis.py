@@ -51,6 +51,33 @@ class TestZeroOnSubsimplex:
         with pytest.raises(NotNormalized):
             is_zero_on_subsimplex(u, (0, 1))
 
+    def test_not_normalized_message(self):
+        """The error names the first sender and state whose vertex value is
+        not zero, with the value as a fraction."""
+        raw = load_scenario(str(FIXTURES / "matching_action_game.json")).payoffs
+        with pytest.raises(NotNormalized) as caught:
+            classify_full_revelation(raw)
+        assert str(caught.value) == (
+            "utility 0 is 1 at state 0; normalize_payoffs first"
+        )
+        zero = constant_utility(2)
+        tilted = zero.shifted(AffineForm(Fraction(0), (Fraction(0), Fraction(-3, 2))))
+        with pytest.raises(NotNormalized) as caught:
+            condition1_report(GamePayoffs((zero, tilted)))
+        assert str(caught.value) == (
+            "utility 1 is -3/2 at state 1; normalize_payoffs first"
+        )
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_normalize_payoffs_is_idempotent_on_fixtures(self, name):
+        once = normalize_payoffs(load_scenario(str(FIXTURES / name)).payoffs)
+        twice = normalize_payoffs(once)
+        n = once.n_states
+        for u, v in zip(once.utilities, twice.utilities):
+            assert v is u
+            assert u.vertex_values == (0,) * n
+        condition1_report(twice)  # passes the normalization check
+
     def test_singleton_always_zero(self, figure_game):
         assert is_zero_on_subsimplex(figure_game.utilities[0], (0,)).zero
 

@@ -33,6 +33,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
+import reference
 from test_actions import random_action_game
 
 
@@ -103,7 +104,7 @@ def random_utility(rng, n):
 
 
 def first_piece(u, b):
-    return next((p for p in u.pieces if p.matches(b)), None)
+    return next((p for p in u.pieces if reference.matches(p, b)), None)
 
 
 class GridMasks:

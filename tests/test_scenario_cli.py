@@ -278,6 +278,21 @@ class TestCli:
         assert error["error"] == "ValueError"
         assert "must be >= 1" in error["message"]
 
+    @pytest.mark.parametrize("edge", ["0,-1", "0,7"])
+    def test_emit_plot_edge_out_of_range_is_bad_input(self, capsys, edge):
+        """An edge endpoint outside range(N) is malformed input (exit 1):
+        -1 must not wrap around to the last state, and 7 must not crash."""
+        code, out, err = self.run(
+            capsys, "emit-plot", str(FIXTURES / "example_b51.json"),
+            f"--edge={edge}", "--points", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"edge ({edge}) is out of range for N=3",
+        }
+
     def test_verify_grid_over_the_cap_exits_3(self, capsys, monkeypatch):
         """The verify grid is counted against the enumeration cap: grid 5 on
         two states has 6 beliefs."""
