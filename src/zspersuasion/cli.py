@@ -108,7 +108,7 @@ def _resolve_profile(scenario: Scenario, name: str) -> StrategyProfile:
     if name in scenario.profiles:
         return scenario.profiles[name]
     if name.endswith(".json"):
-        return load_profile(name, scenario.prior)
+        return load_profile(name, scenario.prior, scenario.n_senders)
     return scenario.profile(name)  # raises with the available names
 
 

@@ -12,6 +12,11 @@ one aim (``_aim``) solves for the interim belief that puts the lowest
 pooled atom's posterior there.  Each candidate, the aimed one and any
 budgeted perturbation of it, passes one certify step (``_certify``) that
 recomputes its payoff exactly.
+
+``verify_profile`` screens every grid belief for a profitable deviation
+through each sender's ``utilities.Pullback``: the sign of one integer per
+sender and belief, in integers throughout, and a ``Fraction`` only for the
+gain of the deviation it reports.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ from .utilities import (
     EdgeFunction,
     GamePayoffs,
     PiecewiseAffineUtility,
+    Pullback,
     conditional_payoff_against,
-    memoized,
 )
 
 DEFAULT_SEARCH_BUDGET = 64
@@ -340,7 +345,9 @@ def synthesize_exploit(
     toward strictly advantaged points with geometrically shrinking steps.
     Every certificate is exactly verified; if no candidate earns a profit,
     raises SearchBudgetExceeded instead of returning an unverified result.
+    A profile without one experiment per sender is a ValueError.
     """
+    _require_one_experiment_per_sender(g, profile)
     joint = product(profile.experiments)
     omega = state_set(omega, g.n_states)
     if not any(set(omega) <= b.support for b, _ in joint.atoms):
@@ -526,6 +533,16 @@ class VerificationResult:
     gain: Optional[Fraction] = None
 
 
+def _require_one_experiment_per_sender(
+    g: GamePayoffs, profile: StrategyProfile
+) -> None:
+    if profile.n_senders != g.n_senders:
+        raise ValueError(
+            f"profile has {profile.n_senders} experiments for "
+            f"{g.n_senders} senders"
+        )
+
+
 def verify_profile(
     g: GamePayoffs,
     profile: StrategyProfile,
@@ -538,17 +555,21 @@ def verify_profile(
 
     A passing profile "looks like" an equilibrium at this scrutiny; a
     failing one comes back with a concrete profitable deviation.  Each
-    sender's opponents' joint experiment is built once, each sender's
-    utility is evaluated once per distinct posterior, and the grid beliefs
-    go to the Bayes step as their integer counts.  The grid is checked
-    (resolution >= 1, size under the enumeration cap) before anything else.
+    sender's conditional payoff against the joint of the others is pulled
+    back once (``utilities.Pullback``) to integer rows in the grid counts,
+    so each grid belief is screened by the sign of one integer per sender,
+    and a ``Fraction`` is built only for the gain of the first deviation
+    found.  Senders whose pullback is zero are skipped.  The grid is checked
+    (resolution >= 1, size under the enumeration cap) and the profile must
+    have one experiment per sender (ValueError), before anything else.
     """
     grid = grid_counts(g.n_states, deviation_grid)
+    _require_one_experiment_per_sender(g, profile)
     prior = profile.prior
-    values = [memoized(u) for u in g.utilities]
     joint = product(profile)
     expected = tuple(
-        sum((m * v(b) for b, m in joint.atoms), Fraction(0)) for v in values
+        sum((m * u(b) for b, m in joint.atoms), Fraction(0))
+        for u in g.utilities
     )
     for i, ui in enumerate(expected):
         if ui < 0:
@@ -556,13 +577,16 @@ def verify_profile(
             return VerificationResult(
                 False, expected, i, fully_revealing(prior), -ui
             )
-    opponents = [profile.opponents(i) for i in range(g.n_senders)]
+    pullbacks = [
+        Pullback(u, profile.opponents(i)) for i, u in enumerate(g.utilities)
+    ]
+    screened = [(i, p) for i, p in enumerate(pullbacks) if not p.is_zero]
     for k in grid:
         if deviation_grid in k:  # degenerate
             continue
-        for i, (v, others) in enumerate(zip(values, opponents)):
-            w = conditional_payoff_against(v, others, k)
-            if w > 0:
+        for i, p in screened:
+            num = p.numerator(k)
+            if num > 0:
                 x = ray_belief(k)
                 eps = _epsilon_for(prior, x)
                 return VerificationResult(
@@ -570,7 +594,7 @@ def verify_profile(
                     expected,
                     i,
                     _deviation_experiment(prior, x, eps),
-                    eps * w,
+                    eps * Fraction(num, p.denominator * deviation_grid),
                 )
     for pooled in detect_pooled_sets(joint).maximal:
         theta = _minimal_theta(g, pooled)

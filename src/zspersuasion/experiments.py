@@ -6,13 +6,16 @@ to raw per-state signal tables, products of conditionally independent
 experiments, and conditional atom distributions live here.
 
 The Bayes step is one function, ``conditional_posteriors``, and it runs in
-integers.  An experiment keeps one likelihood row per atom (y, m): the
-integers Z with y_l / prior_l = Z_l / D, and the rational m / D.  An interim
-belief x = k / K with integer k then meets atom y at the posterior
-proportional to w_l = k_l Z_l, with probability (m / D) sum(w) / K, so a
-posterior is an integer vector and no division is made per state.
-``product`` folds experiments through it, merging atoms by the primitive
-ray of w, and ``utilities.conditional_payoff_against`` sums over it.
+integers.  An experiment keeps one likelihood row per atom (y, m), over one
+denominator E for the whole experiment: the integers Z with
+y_l / prior_l = Z_l / D and the integer weight M with m / D = M / E.  An
+interim belief x = k / K with integer k then meets atom y at the posterior
+proportional to w_l = k_l Z_l, with probability M sum(w) / (E K), so a
+posterior is an integer vector, its probability an integer over E K, and no
+division is made per state or per atom.  ``product`` folds experiments
+through it, merging atoms by the primitive ray of w, and
+``utilities.conditional_payoff_against`` sums over it; ``utilities.Pullback``
+reads the same rows to pull a utility's pieces back to the interim belief.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import EnumerationTooLarge
 
 DEFAULT_PRODUCT_CAP = 10**6
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,14 @@ class Experiment:
         return all(b.is_degenerate() for b, _ in self.atoms)
 
     @cached_property
-    def likelihood_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """Per atom (y, m), in atom order: the integers Z and the rational
-        m / D with y_l / prior_l = Z_l / D, D the least common denominator.
-        Computed on first use and kept as long as the experiment."""
+    def likelihood_rows(
+        self,
+    ) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+        """(E, rows): per atom (y, m), in atom order, the integers Z and M
+        with y_l / prior_l = Z_l / D, D the least common denominator of the
+        ratios, and m / D = M / E, E the least common denominator of every
+        atom's m / D.  Computed on first use and kept as long as the
+        experiment."""
         rows = []
         for y, m in self.atoms:
             ratios = [y_l / p_l for y_l, p_l in zip(y.probs, self.prior.probs)]
@@ -93,7 +98,8 @@ class Experiment:
             rows.append(
                 (tuple(r.numerator * (d // r.denominator) for r in ratios), m / d)
             )
-        return tuple(rows)
+        e = math.lcm(*(c.denominator for _, c in rows))
+        return e, tuple((z, c.numerator * (e // c.denominator)) for z, c in rows)
 
 
 @dataclass(frozen=True)
@@ -186,14 +192,15 @@ def to_signal_structure(e: Experiment) -> SignalStructure:
 
 def conditional_posteriors(
     k: Sequence[int], other: Experiment
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """The Bayes step for the interim belief x = k / K, K = sum(k), of a
-    nonnegative integer vector k.  For each likelihood row (Z, m / D) of
-    the independent experiment ``other``, the posterior of seeing x and its
-    atom is w / sum(w) with w_l = k_l Z_l, and the atom's probability given
-    x is (m / D) sum(w) / K.  Yields the primitive ray of w and K times
-    that probability; atoms of zero probability are skipped."""
-    for z, c in other.likelihood_rows:
+    nonnegative integer vector k.  For each likelihood row (Z, M) of the
+    independent experiment ``other``, over its denominator E, the posterior
+    of seeing x and its atom is w / sum(w) with w_l = k_l Z_l, and the
+    atom's probability given x is M sum(w) / (E K).  Yields the primitive
+    ray of w and the integer M sum(w), E K times that probability; atoms of
+    zero probability are skipped."""
+    for z, c in other.likelihood_rows[1]:
         w = tuple(map(operator.mul, k, z))
         t = sum(w)
         if t:
@@ -212,8 +219,10 @@ def product(
     the product so far, an integer ray k with mass m, meets the next
     experiment through ``conditional_posteriors``, an atom of ray w gains
     m * p(w | k), and atoms with equal rays merge before the next fold.
-    Beliefs are built for the final atoms only.  The cap bounds the number
-    of support tuples, prod_i |atoms_i|, and is checked first.
+    Each fold sums those masses as integers over one common denominator
+    and divides once per merged atom.  Beliefs are built for the final
+    atoms only.  The cap bounds the number of support tuples,
+    prod_i |atoms_i|, and is checked first.
     """
     if isinstance(profile, StrategyProfile):
         experiments = profile.experiments
@@ -228,12 +237,16 @@ def product(
         return experiments[0]
     atoms = [(ray(b), m) for b, m in experiments[0].atoms]
     for e in experiments[1:]:
-        merged: dict[tuple[int, ...], Fraction] = {}
-        for k, m in atoms:
-            scale = m / sum(k)
+        # m * q / (E * sum(k)) over the common denominator E * L
+        dens = [m.denominator * sum(k) for k, m in atoms]
+        lcm = math.lcm(*dens)
+        merged: dict[tuple[int, ...], int] = {}
+        for (k, m), d in zip(atoms, dens):
+            scale = m.numerator * (lcm // d)
             for w, q in conditional_posteriors(k, e):
-                merged[w] = merged.get(w, _ZERO) + scale * q
-        atoms = merged.items()
+                merged[w] = merged.get(w, 0) + scale * q
+        den = e.likelihood_rows[0] * lcm
+        atoms = [(w, Fraction(v, den)) for w, v in merged.items()]
     return Experiment(
         experiments[0].prior, tuple((ray_belief(w), m) for w, m in atoms)
     )

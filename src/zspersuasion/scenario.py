@@ -271,15 +271,22 @@ def scenario_from_json(data: Any) -> Scenario:
             )
         payoffs = GamePayoffs(tuple(utilities))
 
-    profiles = {}
-    for name, raw in data.get("profiles", {}).items():
-        profiles[name] = profile_from_json(raw, prior)
-        if profiles[name].n_senders != m:
-            raise ScenarioError(
-                f"profile {name!r} has {profiles[name].n_senders} "
-                f"experiments for {m} senders"
-            )
+    profiles = {
+        name: _one_experiment_per_sender(name, profile_from_json(raw, prior), m)
+        for name, raw in data.get("profiles", {}).items()
+    }
     return Scenario(n, prior, m, payoffs, action_game, profiles)
+
+
+def _one_experiment_per_sender(
+    name: str, profile: StrategyProfile, m: int
+) -> StrategyProfile:
+    if profile.n_senders != m:
+        raise ScenarioError(
+            f"profile {name!r} has {profile.n_senders} "
+            f"experiments for {m} senders"
+        )
+    return profile
 
 
 def _negated_sum(utilities: list[PiecewiseAffineUtility]) -> PiecewiseAffineUtility:
@@ -301,7 +308,9 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_json(data)
 
 
-def load_profile(path: str, prior: Belief) -> StrategyProfile:
+def load_profile(path: str, prior: Belief, n_senders: int) -> StrategyProfile:
+    """The profile in a JSON file, which must have one experiment for each
+    of ``n_senders`` senders."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -309,4 +318,6 @@ def load_profile(path: str, prior: Belief) -> StrategyProfile:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    return profile_from_json(data, prior)
+    return _one_experiment_per_sender(
+        path, profile_from_json(data, prior), n_senders
+    )

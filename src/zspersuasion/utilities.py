@@ -12,6 +12,11 @@ A conditional payoff sums the utility over the integer Bayes step of
 ``experiments.conditional_posteriors``: each posterior arrives as its
 primitive integer ray, and ``memoized`` keeps a utility's values by that
 ray, so a belief is built and validated only when a value is first needed.
+Against a fixed opponents' joint, ``Pullback`` pulls a utility's guards and
+forms back through each of the joint's atoms to integer rows in the interim
+counts, so the conditional payoff at any interim belief is one integer dot
+product per atom that has more than one piece left there, over one
+denominator.
 The zero-sum check and the maximum total surplus of a game are exact: each
 is decided on the first-match cells of the utilities
 (``geometry.overlay_regions``), never by sampling beliefs, and the
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, eq, ge, gt, le, lt, mul
 from typing import Optional, Sequence, Union
 
 from .affine import AffineForm, Constraint
@@ -420,9 +425,10 @@ def conditional_payoff_against(
     belief x while opponents jointly generate ``others``: sum_b p(b | x) u(b)
     over ``conditional_posteriors(k, others)``, where x is a ``Belief`` or
     the integer vector k of x = k / sum(k).  The terms are summed in
-    integers over their least common denominator and divided by sum(k)
-    once.  Against the uninformative experiment this is u(x).  ``u`` is a
-    utility or a :func:`memoized` one.
+    integers over their least common denominator and divided by E sum(k)
+    once, E the denominator of ``others``' likelihood rows.  Against the
+    uninformative experiment this is u(x).  ``u`` is a utility or a
+    :func:`memoized` one.
     """
     k = ray(x) if isinstance(x, Belief) else x
     if isinstance(u, Memo):
@@ -433,11 +439,115 @@ def conditional_payoff_against(
     num, den = 0, 1
     for w, q in conditional_posteriors(k, others):
         v = value(w)
-        d = q.denominator * v.denominator
+        d = v.denominator
         g = math.gcd(den, d)
-        num = num * (d // g) + q.numerator * v.numerator * (den // g)
+        num = num * (d // g) + q * v.numerator * (den // g)
         den = den // g * d
-    return Fraction(num, den * sum(k))
+    return Fraction(num, den * others.likelihood_rows[0] * sum(k))
+
+
+_SIGN_TESTS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
+
+
+class Pullback:
+    """A utility's conditional payoff against one opponents' joint, pulled
+    back to integer rows in the interim counts k of x = k / K, K = sum(k).
+
+    Let the joint's likelihood rows be (Z_j, M_j) over E, and put every
+    piece's form over Lam, the lcm of the pieces' scales, as (C_p, A_p).  At
+    atom j the posterior is w_j / T_j with w_j = k o Z_j and T_j = sum(w_j),
+    and ``numerator(k)`` is the integer
+
+        K E Lam payoff(k) = sum_j M_j (C_p T_j + A_p . w_j) = sum_j k . G_jp,
+
+    p the first piece matching at w_j, over the atoms with T_j > 0.  A guard
+    with integer row (a, c) is signed there by k . H_jg, H_jgl = Z_jl (c + a_l).
+    G and H live on the atom's support and are computed once per (atom,
+    piece).  A guard whose test k . H_jg op 0 comes out the same wherever
+    the atom has positive probability, as the signs of H_jg on the support
+    show, is decided once: it is dropped, or its piece is.  An atom whose
+    first remaining piece then always matches, as every one-state atom
+    does, adds k . G_jp at every k and is folded into one vector V, which is
+    zero under ``normalize_payoffs`` for one-state atoms.  The payoff is
+    ``Fraction(numerator(k), denominator * K)``.
+    """
+
+    def __init__(self, u: PiecewiseAffineUtility, others: Experiment):
+        e, rows = others.likelihood_rows
+        forms = [p.form.integer_row for p in u.pieces]
+        scale = math.lcm(*(lam for lam, _, _ in forms))
+        self.denominator = e * scale
+        n = u.n_states
+        vertex = [0] * n
+        atoms = []
+        for z, m in rows:
+            support = [l for l in range(n) if z[l]]
+            pieces = []
+            for p, (lam, a, c) in zip(u.pieces, forms):
+                guard = _pulled_back_guard(p.guard, z, support)
+                if guard is None:
+                    continue
+                f = m * (scale // lam)
+                pieces.append(
+                    (guard, tuple(f * zl * (c + al) for zl, al in zip(z, a)))
+                )
+                if not guard:  # always matches: later pieces never do
+                    break
+            if pieces and not pieces[0][0]:
+                vertex = list(map(add, vertex, pieces[0][1]))
+            else:
+                atoms.append((z, len(support) < n, tuple(pieces)))
+        self.vertex = tuple(vertex) if any(vertex) else None
+        self.atoms = tuple(atoms)
+
+    @property
+    def is_zero(self) -> bool:
+        """Whether the payoff is 0 at every interim belief."""
+        return self.vertex is None and not self.atoms
+
+    def numerator(self, k: Sequence[int]) -> int:
+        """K E Lam times the conditional payoff at x = k / K.  Raises
+        NoPieceMatches at the first atom, in atom order, whose posterior no
+        piece covers."""
+        total = sum(map(mul, k, self.vertex)) if self.vertex else 0
+        for z, face, pieces in self.atoms:
+            if face and not sum(map(mul, k, z)):
+                continue  # the atom has probability 0 given x
+            for guard, g in pieces:
+                for test, h in guard:
+                    if not test(sum(map(mul, k, h)), 0):
+                        break
+                else:
+                    total += sum(map(mul, k, g))
+                    break
+            else:
+                raise NoPieceMatches.at(ray_belief(tuple(map(mul, k, z))))
+        return total
+
+
+def _pulled_back_guard(
+    guard: tuple[Constraint, ...], z: tuple[int, ...], support: list[int]
+) -> Optional[tuple]:
+    """The guard's constraints at the atom with likelihood row z as
+    (sign test, H) pairs, without those that hold wherever the atom has
+    positive probability; None when one of them holds nowhere there."""
+    out = []
+    for cons in guard:
+        _, a, c = cons.integer_row
+        h = tuple(zl * (c + al) for zl, al in zip(z, a))
+        # the signs k . h can take: those of h on the support, and 0 where
+        # they mix
+        signs = {(h[l] > 0) - (h[l] < 0) for l in support}
+        if 1 in signs and -1 in signs:
+            signs.add(0)
+        test = _SIGN_TESTS[cons.op]
+        held = {test(s, 0) for s in signs}
+        if held == {True}:
+            continue
+        if held == {False}:
+            return None
+        out.append((test, h))
+    return tuple(out)
 
 
 def conditional_payoff(

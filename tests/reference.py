@@ -11,6 +11,12 @@ edge restriction computed in ``Fraction``, guard by guard at every point,
 which ``PiecewiseAffineUtility.__call__`` and ``utilities.edge_restriction``
 replaced with guards signed in integers.  They must agree exactly, errors
 included.
+
+``verify_profile`` is the profile screen that evaluated each sender's
+conditional payoff at every grid belief through ``conditional_payoff_against``
+with a per-sender utility memo, which ``equilibrium.verify_profile``
+replaced with the integer rows of ``utilities.Pullback``.  Both must return
+the same ``VerificationResult`` and raise the same errors.
 """
 
 from __future__ import annotations
@@ -19,13 +25,28 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from zspersuasion.affine import Constraint
-from zspersuasion.beliefs import Belief
+from zspersuasion.analysis import detect_pooled_sets
+from zspersuasion.beliefs import Belief, ray_belief
+from zspersuasion.equilibrium import (
+    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_VERIFY_GRID,
+    VerificationResult,
+    _deviation_experiment,
+    _epsilon_for,
+    _exploit,
+    _minimal_theta,
+)
 from zspersuasion.exceptions import InvariantViolation, NoPieceMatches
+from zspersuasion.experiments import StrategyProfile, fully_revealing, product
+from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
     EdgeFunction,
+    GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
     _merge_edge,
+    conditional_payoff_against,
+    memoized,
 )
 
 Point = tuple[Fraction, ...]
@@ -223,3 +244,52 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
         forms.append(form)
     values = [first_match(t)[1] for t in breakpoints]
     return _merge_edge(breakpoints, forms, values)
+
+
+def verify_profile(
+    g: GamePayoffs,
+    profile: StrategyProfile,
+    deviation_grid: int = DEFAULT_VERIFY_GRID,
+) -> VerificationResult:
+    """The profile screen with one utility memo per sender: the conditional
+    payoff of every sender at every grid belief, in that order, summed over
+    the opponents' joint by ``conditional_payoff_against``."""
+    grid = grid_counts(g.n_states, deviation_grid)
+    prior = profile.prior
+    values = [memoized(u) for u in g.utilities]
+    joint = product(profile)
+    expected = tuple(
+        sum((m * v(b) for b, m in joint.atoms), Fraction(0)) for v in values
+    )
+    for i, ui in enumerate(expected):
+        if ui < 0:
+            return VerificationResult(
+                False, expected, i, fully_revealing(prior), -ui
+            )
+    opponents = [profile.opponents(i) for i in range(g.n_senders)]
+    for k in grid:
+        if deviation_grid in k:  # degenerate
+            continue
+        for i, (v, others) in enumerate(zip(values, opponents)):
+            w = conditional_payoff_against(v, others, k)
+            if w > 0:
+                x = ray_belief(k)
+                eps = _epsilon_for(prior, x)
+                return VerificationResult(
+                    False,
+                    expected,
+                    i,
+                    _deviation_experiment(prior, x, eps),
+                    eps * w,
+                )
+    for pooled in detect_pooled_sets(joint).maximal:
+        theta = _minimal_theta(g, pooled)
+        if theta is None:
+            continue
+        cert = _exploit(
+            g, profile, joint, pooled, theta, DEFAULT_SEARCH_BUDGET
+        )
+        return VerificationResult(
+            False, expected, cert.sender, cert.deviation, cert.payoff
+        )
+    return VerificationResult(True, expected)

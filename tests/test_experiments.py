@@ -222,7 +222,8 @@ class TestConditionalPosteriors:
     """The integer Bayes step against its references: the atom
     probabilities of ``conditional_dist`` and the posteriors of ``combine``.
     It takes x as its primitive ray k and yields each posterior's primitive
-    ray with sum(k) times the atom's probability."""
+    ray with E sum(k) times the atom's probability, an integer, where E is
+    the denominator of the experiment's likelihood rows."""
 
     def test_equals_conditional_dist_and_combine(self):
         rng = random.Random(77)
@@ -233,11 +234,14 @@ class TestConditionalPosteriors:
             other = random_face_experiment(prior, rng, rng.randint(0, 2))
             x = random_face_experiment(prior, rng, 1).atoms[0][0]
             k = ray(x)
+            e = other.likelihood_rows[0]
             expected = [
-                (ray(combine(prior, (x, y))), sum(k) * p)
+                (ray(combine(prior, (x, y))), e * sum(k) * p)
                 for y, p in conditional_dist(other, x)
             ]
-            assert list(conditional_posteriors(k, other)) == expected
+            got = list(conditional_posteriors(k, other))
+            assert got == expected
+            assert all(type(q) is int for _, q in got)
             skipped += len(other.atoms) - len(expected)
         assert skipped >= 50
 
@@ -247,9 +251,9 @@ class TestConditionalPosteriors:
             prior = random_prior(rng.randint(2, 5), rng)
             x = random_experiment(prior, rng, splits=2).atoms[0][0]
             k = ray(x)
-            assert list(conditional_posteriors(k, uninformative(prior))) == [
-                (k, Fraction(sum(k)))
-            ]
+            nothing = uninformative(prior)
+            assert nothing.likelihood_rows == (1, (((1,) * len(k), 1),))
+            assert list(conditional_posteriors(k, nothing)) == [(k, sum(k))]
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -87,11 +87,14 @@ class TestConditionalPosteriorsDifferential:
             other = random_face_experiment(prior, rng, rng.randint(0, 2))
             x = some_interim(prior, rng)
             k = ray(x)
+            e = other.likelihood_rows[0]
             expected = [
-                (ray(combine(prior, (x, y))), sum(k) * p)
+                (ray(combine(prior, (x, y))), e * sum(k) * p)
                 for y, p in conditional_dist(other, x)
             ]
-            assert list(conditional_posteriors(k, other)) == expected
+            got = list(conditional_posteriors(k, other))
+            assert got == expected
+            assert all(type(q) is int for _, q in got)
             # any positive multiple of k is the same interim belief
             scaled = tuple(3 * v for v in k)
             assert list(conditional_posteriors(scaled, other)) == [
@@ -112,9 +115,13 @@ class TestConditionalPosteriorsDifferential:
         for _ in range(100):
             prior = some_prior(rng.randint(2, 5), rng)
             e = random_face_experiment(prior, rng, rng.randint(0, 2))
-            assert len(e.likelihood_rows) == len(e.atoms)
-            for (y, m), (z, c) in zip(e.atoms, e.likelihood_rows):
-                d = m / c
+            scale, rows = e.likelihood_rows
+            assert len(rows) == len(e.atoms)
+            # one denominator for the experiment, and the least one
+            assert math.gcd(scale, *(c for _, c in rows)) == 1
+            for (y, m), (z, c) in zip(e.atoms, rows):
+                assert type(c) is int and c > 0
+                d = m / Fraction(c, scale)
                 assert d.denominator == 1
                 assert tuple(Fraction(v, d.numerator) for v in z) == tuple(
                     y_l / p_l for y_l, p_l in zip(y.probs, prior.probs)
@@ -166,9 +173,9 @@ class TestMemo:
         """x = (1/2, 1/2) against the atom (1/3, 2/3) gives w = (2, 4);
         x = (1/3, 2/3) against nothing gives w = (1, 2).  One posterior,
         one evaluation."""
-        (z, _), _ = self.SPLIT.likelihood_rows
+        (z, _), _ = self.SPLIT.likelihood_rows[1]
         assert tuple(map(operator.mul, (1, 1), z)) == (2, 4)
-        (z, _), = uninformative(self.HALF).likelihood_rows
+        (z, _), = uninformative(self.HALF).likelihood_rows[1]
         assert tuple(map(operator.mul, (1, 2), z)) == (1, 2)
 
         u = self.utility()

@@ -1,12 +1,13 @@
 """The posterior engine of `verify` and `oracle scan`: the one-pass
 conditional payoff against the conditional_dist + combine reference, and the
-work `verify_profile` does per command."""
+work `verify_profile` does per command: one pullback per sender, and no
+utility evaluated per grid belief."""
 
 import random
 import sys
 from fractions import Fraction
 
-from zspersuasion import experiments
+from zspersuasion import equilibrium, experiments
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, combine
@@ -16,9 +17,12 @@ from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
     conditional_dist,
+    fully_revealing,
     product,
+    uninformative,
 )
 from zspersuasion.utilities import (
+    GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
     conditional_payoff_against,
@@ -157,8 +161,28 @@ def count_products(monkeypatch) -> list:
 
 
 class TestVerifyWork:
-    """verify_profile builds each opponents' joint once and evaluates each
-    sender's utility once per distinct posterior."""
+    """verify_profile builds each opponents' joint once, pulls each
+    sender's conditional payoff back once, and evaluates the utilities at
+    the joint's atoms only, never per grid belief."""
+
+    @staticmethod
+    def count_work(monkeypatch):
+        pullbacks, evaluated = [], []
+        build = equilibrium.Pullback
+
+        def counted_pullback(u, others):
+            pullbacks.append(build(u, others))
+            return pullbacks[-1]
+
+        monkeypatch.setattr(equilibrium, "Pullback", counted_pullback)
+        evaluate = PiecewiseAffineUtility.__call__
+
+        def counted_call(u, b):
+            evaluated.append((id(u), b))
+            return evaluate(u, b)
+
+        monkeypatch.setattr(PiecewiseAffineUtility, "__call__", counted_call)
+        return pullbacks, evaluated
 
     def test_products_and_utility_calls(self, monkeypatch):
         rng = random.Random(4)
@@ -167,21 +191,49 @@ class TestVerifyWork:
         prior = random_prior(4, rng)
         profile = construct_fully_revealing(prior, 2)
         products = count_products(monkeypatch)
-
-        evaluate = PiecewiseAffineUtility.__call__
-        evaluated = []
-
-        def counted_call(u, b):
-            evaluated.append((id(u), b))
-            return evaluate(u, b)
-
-        monkeypatch.setattr(PiecewiseAffineUtility, "__call__", counted_call)
+        pullbacks, evaluated = self.count_work(monkeypatch)
 
         result = verify_profile(g, profile, deviation_grid=6)
         assert len(products) <= profile.n_senders + 2
-        assert len(evaluated) <= len(set(evaluated))
+        assert len(pullbacks) == profile.n_senders
+        # fully revealing opponents: every atom folds away, to zero
+        assert all(p.is_zero for p in pullbacks)
+        assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
         assert result.ok
         assert result.expected_utilities == (0, 0)
+
+    def test_no_utility_call_per_grid_belief(self, monkeypatch):
+        """Sender 0 is -min(beta), never positive, against the joint of two
+        uninformative opponents, so every grid belief is screened; the
+        others' opponents include a fully revealing sender, so theirs fold
+        to zero."""
+        n = 3
+        u = PiecewiseAffineUtility(tuple(
+            Piece(
+                tuple(
+                    Constraint(AffineForm(Fraction(0), tuple(
+                        Fraction(int(j == l) - int(j == k)) for j in range(n)
+                    )), "<=")
+                    for k in range(l + 1, n)
+                ),
+                AffineForm(Fraction(0), tuple(
+                    Fraction(-int(j == l)) for j in range(n)
+                )),
+            )
+            for l in range(n)
+        ))
+        g = GamePayoffs((u, u, u))
+        prior = Belief((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+        profile = StrategyProfile((
+            fully_revealing(prior), uninformative(prior), uninformative(prior)
+        ))
+        pullbacks, evaluated = self.count_work(monkeypatch)
+        result = verify_profile(g, profile, deviation_grid=8)
+        assert result.ok
+        assert len(pullbacks) == 3
+        assert [p.is_zero for p in pullbacks] == [False, True, True]
+        assert len(pullbacks[0].atoms) == 1
+        assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
 
     def test_full_joint_built_once_when_exploiting(self, monkeypatch, capsys):
         """The exploit of a pooled set reuses the joint verify printed its

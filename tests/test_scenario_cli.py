@@ -278,6 +278,40 @@ class TestCli:
         assert error["error"] == "ValueError"
         assert "must be >= 1" in error["message"]
 
+    @pytest.mark.parametrize("command", ["verify", "exploit"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_profile_file_needs_one_experiment_per_sender(
+        self, capsys, tmp_path, command, count
+    ):
+        """A --profile file is checked against the sender count as a named
+        profile is: one experiment against figure1's two senders used to
+        print a ProfitableDeviation of gain 1/28 against full revelation,
+        and three printed Accepted for a game of three senders."""
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"experiments": ["fully_revealing"] * count}))
+        extra = ("--set", "0,1") if command == "exploit" else ()
+        code, out, err = self.run(
+            capsys, command, FIG1, "--profile", str(path), *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ScenarioError",
+            "message": f"profile {str(path)!r} has {count} experiments "
+                       "for 2 senders",
+        }
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_verify_and_exploit_reject_a_profile_of_another_size(self, count):
+        g = normalize_payoffs(load_scenario(FIG1).payoffs)
+        prior = load_scenario(FIG1).prior
+        profile = StrategyProfile((uninformative(prior),) * count)
+        message = f"profile has {count} experiments for 2 senders"
+        with pytest.raises(ValueError, match=message):
+            equilibrium.verify_profile(g, profile)
+        with pytest.raises(ValueError, match=message):
+            equilibrium.synthesize_exploit(g, profile, (0, 1))
+
     @pytest.mark.parametrize("edge", ["0,-1", "0,7"])
     def test_emit_plot_edge_out_of_range_is_bad_input(self, capsys, edge):
         """An edge endpoint outside range(N) is malformed input (exit 1):
