@@ -109,33 +109,52 @@ def induced_payoff(ag: ActionGame, i: int, b: Belief) -> Fraction:
     return sum((c * p for c, p in zip(ag.senders[i][a], b.probs)), Fraction(0))
 
 
+def _argmax_guards(ag: ActionGame) -> tuple[tuple[Constraint, ...], ...]:
+    """Per action a, the guard "a is weakly best for the receiver": one
+    constraint (R_c - R_a) . beta <= 0 for each other action c.  It depends
+    on the receiver alone, so the senders' induced utilities can share it."""
+    n = ag.n_states
+    zero = Fraction(0)
+    return tuple(
+        tuple(
+            Constraint(
+                AffineForm(
+                    zero,
+                    tuple(ag.receiver[c][l] - ag.receiver[a][l] for l in range(n)),
+                ),
+                "<=",
+            )
+            for c in range(ag.n_actions)
+            if c != a
+        )
+        for a in range(ag.n_actions)
+    )
+
+
+def _induced(
+    guards: tuple[tuple[Constraint, ...], ...],
+    table: tuple[tuple[Fraction, ...], ...],
+) -> PiecewiseAffineUtility:
+    zero = Fraction(0)
+    return PiecewiseAffineUtility(
+        tuple(Piece(g, AffineForm(zero, row)) for g, row in zip(guards, table))
+    )
+
+
 def induced_utility(ag: ActionGame, i: int) -> PiecewiseAffineUtility:
     """Sender i's utility over posteriors as an explicit piecewise-affine
     function: one piece per action, guarded by that action being weakly
     best.  Listing pieces in action order makes first-match evaluation
     reproduce the lowest-index tie-break exactly."""
-    n = ag.n_states
-    pieces = []
-    for a in range(ag.n_actions):
-        guard = []
-        for c in range(ag.n_actions):
-            if c == a:
-                continue
-            diff = tuple(
-                ag.receiver[c][l] - ag.receiver[a][l] for l in range(n)
-            )
-            guard.append(Constraint(AffineForm(Fraction(0), diff), "<="))
-        form = AffineForm(Fraction(0), tuple(ag.senders[i][a]))
-        pieces.append(Piece(tuple(guard), form))
-    return PiecewiseAffineUtility(tuple(pieces))
+    return _induced(_argmax_guards(ag), ag.senders[i])
 
 
 def induced_game(ag: ActionGame) -> GamePayoffs:
     """All senders' induced utilities; zero-sum by construction but not yet
-    normalized (vertex values are raw table entries)."""
-    return GamePayoffs(
-        tuple(induced_utility(ag, i) for i in range(ag.n_senders))
-    )
+    normalized (vertex values are raw table entries).  The guards are built
+    once, and every sender's utility holds the same guard objects."""
+    guards = _argmax_guards(ag)
+    return GamePayoffs(tuple(_induced(guards, table) for table in ag.senders))
 
 
 @dataclass(frozen=True)

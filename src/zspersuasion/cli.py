@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -342,7 +343,10 @@ def _cmd_emit_plot(args) -> int:
         raise ValueError("plot points must be >= 1")
     scenario = load_scenario(args.scenario)
     g = normalize_payoffs(scenario.payoffs)
-    l, k = (int(t) for t in args.edge.split(","))
+    states = args.edge.split(",")
+    if len(states) != 2:
+        raise ValueError(f"an edge needs two states, got {args.edge!r}")
+    l, k = (int(t) for t in states)
     fns = [u.on_edge(l, k) for u in g.utilities]
     points = args.points
     ts = sorted(
@@ -370,7 +374,11 @@ def _cmd_emit_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: it depends on nothing but this module, and parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="zspersuasion",
         description=(
@@ -446,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _BUDGET_ERRORS as exc:

@@ -39,6 +39,7 @@ from .experiments import (
 from .utilities import (
     GamePayoffs,
     Memo,
+    PiecewiseAffineUtility,
     conditional_payoff_against,
     memoized,
 )
@@ -110,14 +111,6 @@ def grid_counts(
         cuts = (-1,) + bars + (slots,)
         out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
     return out
-
-
-def grid_beliefs(
-    n_states: int, resolution: int, cap: Optional[int] = None
-) -> list[Belief]:
-    """All beliefs with coordinates that are multiples of 1/resolution, in
-    lexicographic order of the probability tuples (see ``grid_counts``)."""
-    return [ray_belief(k) for k in grid_counts(n_states, resolution, cap)]
 
 
 def _mass_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -276,10 +269,17 @@ def full_revelation_scan(
     deviation's alike, is summed from her conditional payoffs against the
     opponents' joint, kept per (sender, opponents) for the whole scan.
 
+    A sender can always deviate to full revelation, on the grid or off it:
+    the joint then reveals the state whatever the others play, and pays her
+    sum_l prior_l u(delta_l), which is 0 under ``normalize_payoffs``.  So a
+    profile in which some sender's own payoff is below that is no
+    equilibrium, and is skipped before any deviation is scored.
+
     Grid equilibrium is a necessary condition for true equilibrium, so
     "only fully revealing found" at grid scale is evidence, not proof, in
     the direction of full revelation — while any non-revealing grid
-    equilibrium it does return survives every grid deviation.
+    equilibrium it does return survives every grid deviation and full
+    revelation.
     """
     strategies = enumerate_grid_strategies(prior, grid)
     m = g.n_senders
@@ -292,6 +292,7 @@ def full_revelation_scan(
     # one memo per sender for the whole scan; profiles and opponents are
     # tuples of indices into strategies
     values = [memoized(u) for u in g.utilities]
+    revealed = [_full_revelation_payoff(u, prior) for u in g.utilities]
     # a lone sender's opponents, (), reveal nothing
     joints: dict[tuple[int, ...], Experiment] = {(): uninformative(prior)}
     payoffs: dict[
@@ -300,7 +301,7 @@ def full_revelation_scan(
     for combo in itertools.product(range(len(strategies)), repeat=m):
         if _reveals_fully([masks[j] for j in combo]):
             continue
-        equilibrium = True
+        scored = []
         for i, u in enumerate(values):
             others = combo[:i] + combo[i + 1:]
             against = joints.get(others)
@@ -310,13 +311,26 @@ def full_revelation_scan(
                 )
             known = payoffs.setdefault((i, others), {})
             base = _deviation_value(u, against, atoms[combo[i]], known)
-            if any(
-                _deviation_value(u, against, a, known) > base for a in atoms
-            ):
-                equilibrium = False
+            if base < revealed[i]:
                 break
-        if equilibrium:
-            return RevelationScanResult(
-                False, StrategyProfile(tuple(strategies[j] for j in combo))
-            )
+            scored.append((u, against, known, base))
+        else:
+            if not any(
+                _deviation_value(u, against, a, known) > base
+                for u, against, known, base in scored
+                for a in atoms
+            ):
+                return RevelationScanResult(
+                    False, StrategyProfile(tuple(strategies[j] for j in combo))
+                )
     return RevelationScanResult(True)
+
+
+def _full_revelation_payoff(
+    u: PiecewiseAffineUtility, prior: Belief
+) -> Fraction:
+    """A sender's payoff when the joint reveals the state:
+    sum_l prior_l u(delta_l), 0 for a normalized utility."""
+    return sum(
+        (p * v for p, v in zip(prior.probs, u.vertex_values)), Fraction(0)
+    )

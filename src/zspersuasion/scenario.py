@@ -222,7 +222,8 @@ def scenario_from_json(data: Any) -> Scenario:
         if key not in data:
             raise ScenarioError(f"scenario missing required field {key!r}")
     n = data["states"]
-    if not isinstance(n, int) or n < 2:
+    # a JSON boolean is a Python int, and no count
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ScenarioError(f"'states' must be an integer >= 2, got {n!r}")
     prior = belief_from_json(data["prior"])
     if prior.n_states != n:
@@ -232,7 +233,7 @@ def scenario_from_json(data: Any) -> Scenario:
     if not prior.has_full_support():
         raise ScenarioError("prior must have full support")
     m = data["senders"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ScenarioError(f"'senders' must be a positive integer, got {m!r}")
 
     has_payoffs = "payoffs" in data

@@ -1,8 +1,8 @@
 """Piecewise-affine sender utilities on the belief simplex.
 
 Provides first-match piecewise evaluation, payoff normalization so that every
-utility vanishes at degenerate beliefs, exact expected and conditional
-payoffs against strategy profiles, and one-dimensional edge restrictions.
+utility vanishes at degenerate beliefs, exact conditional payoffs against
+strategy profiles, and one-dimensional edge restrictions.
 First-match evaluation signs each guard in integers, from the integer row
 its form keeps (``AffineForm.integer_row``), at the belief's primitive ray
 or, on an edge, at t = p/q; only the value of the matching form is built as
@@ -17,9 +17,8 @@ forms back through each of the joint's atoms to integer rows in the interim
 counts, so the conditional payoff at any interim belief is one integer dot
 product per atom that has more than one piece left there, over one
 denominator.
-The zero-sum check and the maximum total surplus of a game are exact: each
-is decided on the first-match cells of the utilities
-(``geometry.overlay_regions``), never by sampling beliefs, and the
+The zero-sum check is exact: it is decided on the first-match cells of the
+utilities (``geometry.overlay_regions``), never by sampling beliefs, and the
 decomposition into those cells rejects a utility whose pieces leave part of
 the simplex uncovered.
 """
@@ -36,18 +35,8 @@ from typing import Optional, Sequence, Union
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import NoPieceMatches
-from .experiments import (
-    Experiment,
-    StrategyProfile,
-    conditional_posteriors,
-    product,
-)
-from .geometry import (
-    closure_vertices,
-    first_match_cells,
-    nonzero_point,
-    overlay_regions,
-)
+from .experiments import Experiment, StrategyProfile, conditional_posteriors
+from .geometry import first_match_cells, nonzero_point, overlay_regions
 
 
 @dataclass(frozen=True)
@@ -144,9 +133,18 @@ class PiecewiseAffineUtility:
 
     @cached_property
     def vertex_values(self) -> tuple[Fraction, ...]:
-        """The utility at each degenerate belief, evaluated once."""
-        n = self.n_states
-        return tuple(self(degenerate(n, l)) for l in range(n))
+        """The utility at each degenerate belief, evaluated once.  At delta_l
+        every guard and form is const + coeffs[l], so no belief is built.
+        Raises NoPieceMatches at the first vertex no piece covers."""
+        return tuple(self._vertex_value(l) for l in range(self.n_states))
+
+    def _vertex_value(self, l: int) -> Fraction:
+        for p in self.pieces:
+            if all(
+                c.holds_value(c.expr.const + c.expr.coeffs[l]) for c in p.guard
+            ):
+                return p.form.const + p.form.coeffs[l]
+        raise NoPieceMatches.at(degenerate(self.n_states, l))
 
     def on_edge(self, l: int, k: int) -> "EdgeFunction":
         """``edge_restriction`` to the (l, k) edge, computed on first use
@@ -189,11 +187,16 @@ class GamePayoffs:
         n = self.utilities[0].n_states
         if any(u.n_states != n for u in self.utilities):
             raise ValueError("utilities disagree on the number of states")
-        # utilities with one guard sequence share one decomposition
-        shared: dict = {}
+        # utilities with one guard sequence share one decomposition; the
+        # equality scan is immediate on guard objects the utilities share
+        kept: list[_Decomposition] = []
         for u in self.utilities:
-            d = shared.setdefault(u._decomposition.guards, u._decomposition)
-            object.__setattr__(u, "_decomposition", d)
+            for d in kept:
+                if d.guards == u._decomposition.guards:
+                    object.__setattr__(u, "_decomposition", d)
+                    break
+            else:
+                kept.append(u._decomposition)
 
     @property
     def n_states(self) -> int:
@@ -210,15 +213,20 @@ def normalize_payoffs(g: GamePayoffs) -> GamePayoffs:
 
     The correction has the same expectation under every Bayes-plausible
     experiment, so senders' rankings over strategy profiles are unchanged,
-    and an exactly zero-sum game stays exactly zero-sum.  Idempotent.
+    and an exactly zero-sum game stays exactly zero-sum.  Idempotent.  Each
+    shifted utility starts with its vertex values known: all 0.
     """
+    zeros = (Fraction(0),) * g.n_states
     out = []
     for u in g.utilities:
-        if all(v == 0 for v in u.vertex_values):
+        if u.vertex_values == zeros:
             out.append(u)
             continue
-        alpha = AffineForm(Fraction(0), tuple(-v for v in u.vertex_values))
-        out.append(u.shifted(alpha))
+        shifted = u.shifted(
+            AffineForm(Fraction(0), tuple(-v for v in u.vertex_values))
+        )
+        object.__setattr__(shifted, "vertex_values", zeros)
+        out.append(shifted)
     return GamePayoffs(tuple(out))
 
 
@@ -379,14 +387,6 @@ def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
 
 # ---------------------------------------------------------------------------
 # Payoffs against strategy profiles
-
-
-def expected_utility(g: GamePayoffs, profile: StrategyProfile, i: int) -> Fraction:
-    """Ex-ante expected payoff of sender i: the utility integrated against
-    the posterior distribution induced by all senders jointly."""
-    joint = product(profile)
-    u = g.utilities[i]
-    return sum((m * u(b) for b, m in joint.atoms), Fraction(0))
 
 
 class Memo:
@@ -556,21 +556,3 @@ def conditional_payoff(
     """Sender i's expected payoff conditional on generating interim belief x
     against the joint of the other senders' experiments."""
     return conditional_payoff_against(g.utilities[i], profile.opponents(i), x)
-
-
-# ---------------------------------------------------------------------------
-# Maximum total surplus
-
-
-def max_total_surplus(g: GamePayoffs) -> Fraction:
-    """The exact sup over the simplex of the pooled sum of utilities.
-
-    On each cell of the overlay of the senders' first-match regions the sum
-    is one affine form, whose sup over the cell is attained at a vertex of
-    the cell's closure.
-    """
-    return max(
-        form(v)
-        for cell, form in overlay_regions(g.utilities)
-        for v in closure_vertices(g.n_states, cell)
-    )

@@ -17,6 +17,11 @@ conditional payoff at every grid belief through ``conditional_payoff_against``
 with a per-sender utility memo, which ``equilibrium.verify_profile``
 replaced with the integer rows of ``utilities.Pullback``.  Both must return
 the same ``VerificationResult`` and raise the same errors.
+
+``grid_beliefs``, ``expected_utility`` and ``max_total_surplus`` have no
+caller in the program: the grid of beliefs as ``Belief`` objects, a
+sender's ex-ante payoff from the full joint experiment, and the exact
+maximum of the pooled sum of utilities.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from zspersuasion.equilibrium import (
 )
 from zspersuasion.exceptions import InvariantViolation, NoPieceMatches
 from zspersuasion.experiments import StrategyProfile, fully_revealing, product
+from zspersuasion.geometry import closure_vertices, overlay_regions
 from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
     EdgeFunction,
@@ -293,3 +299,33 @@ def verify_profile(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )
     return VerificationResult(True, expected)
+
+
+def grid_beliefs(
+    n_states: int, resolution: int, cap: Optional[int] = None
+) -> list[Belief]:
+    """All beliefs with coordinates that are multiples of 1/resolution, in
+    lexicographic order of the probability tuples (see ``grid_counts``)."""
+    return [ray_belief(k) for k in grid_counts(n_states, resolution, cap)]
+
+
+def expected_utility(g: GamePayoffs, profile: StrategyProfile, i: int) -> Fraction:
+    """Ex-ante expected payoff of sender i: the utility integrated against
+    the posterior distribution induced by all senders jointly."""
+    joint = product(profile)
+    u = g.utilities[i]
+    return sum((m * u(b) for b, m in joint.atoms), Fraction(0))
+
+
+def max_total_surplus(g: GamePayoffs) -> Fraction:
+    """The exact sup over the simplex of the pooled sum of utilities.
+
+    On each cell of the overlay of the senders' first-match regions the sum
+    is one affine form, whose sup over the cell is attained at a vertex of
+    the cell's closure.
+    """
+    return max(
+        form(v)
+        for cell, form in overlay_regions(g.utilities)
+        for v in closure_vertices(g.n_states, cell)
+    )

@@ -44,8 +44,6 @@ from zspersuasion.utilities import (
     GamePayoffs,
     conditional_payoff,
     constant_utility,
-    expected_utility,
-    max_total_surplus,
     normalize_payoffs,
 )
 
@@ -58,6 +56,7 @@ from conftest import (
     random_prior,
     random_ternary_game,
 )
+from reference import expected_utility, max_total_surplus
 from test_actions import random_action_game
 
 

@@ -24,11 +24,11 @@ from zspersuasion.geometry import (
     piece_regions,
     strictly_feasible_point,
 )
-from zspersuasion.oracle import grid_beliefs
 from zspersuasion.scenario import load_scenario
 from zspersuasion.utilities import check_zero_sum, normalize_payoffs
 
 from conftest import FIXTURES
+from reference import grid_beliefs
 
 
 def matching_game() -> ActionGame:

@@ -30,11 +30,11 @@ from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
     constant_utility,
-    expected_utility,
     normalize_payoffs,
 )
 
 from conftest import FIXTURES, negate_utility
+from reference import expected_utility
 from test_lexicographic_exploit import record_lexicographic_targets
 
 

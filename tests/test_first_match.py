@@ -24,7 +24,6 @@ from zspersuasion.geometry import (
     piece_regions,
     strictly_feasible_point,
 )
-from zspersuasion.oracle import grid_beliefs
 from zspersuasion.scenario import utility_to_json
 from zspersuasion.utilities import (
     Piece,
@@ -34,6 +33,7 @@ from zspersuasion.utilities import (
 )
 
 import reference
+from reference import grid_beliefs
 from test_actions import random_action_game
 
 

@@ -19,7 +19,7 @@ from zspersuasion.experiments import (
     product,
     uninformative,
 )
-from zspersuasion.oracle import grid_beliefs, grid_counts
+from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
     PiecewiseAffineUtility,
     conditional_payoff_against,
@@ -27,6 +27,8 @@ from zspersuasion.utilities import (
 )
 
 from conftest import random_experiment, random_prior
+import reference
+from reference import grid_beliefs
 from test_experiments import reference_product
 from test_posterior_engine import (
     random_face_experiment,
@@ -246,7 +248,7 @@ class TestGrid:
 
     def test_cap_is_checked_before_any_belief_is_built(self, monkeypatch):
         built = []
-        monkeypatch.setattr(oracle, "ray_belief", built.append)
+        monkeypatch.setattr(reference, "ray_belief", built.append)
         with pytest.raises(EnumerationTooLarge, match="21 grid beliefs"):
             grid_beliefs(3, 5, cap=20)
         monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 20)

@@ -16,6 +16,7 @@ from zspersuasion.beliefs import ray_belief
 from zspersuasion.exceptions import NoPieceMatches
 from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
+    GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
     edge_restriction,
@@ -97,18 +98,27 @@ class TestEvaluation:
         assert boundary_hits > 500 and gaps > 100, (boundary_hits, gaps)
 
     def test_vertex_values_are_kept_once(self):
+        """Read off the guards and forms, they are the values at the
+        vertices, or the NoPieceMatches of the first vertex with none; a
+        utility ``normalize_payoffs`` shifts starts with zeros, which
+        evaluation confirms."""
+        gaps = shifted = 0
         for u in UTILITIES:
             n = u.n_states
-            expected = tuple(
-                outcome(reference.evaluate, u, ray_belief([int(i == l) for i in range(n)]))
-                for l in range(n)
-            )
-            if any(isinstance(v, tuple) for v in expected):
-                with pytest.raises(NoPieceMatches):
-                    u.vertex_values
+            vertices = [ray_belief([int(i == l) for i in range(n)]) for l in range(n)]
+            expected = tuple(outcome(reference.evaluate, u, b) for b in vertices)
+            gap = next((v for v in expected if isinstance(v, tuple)), None)
+            if gap is not None:
+                assert outcome(lambda: u.vertex_values) == gap
+                gaps += 1
                 continue
             assert u.vertex_values == expected
             assert u.vertex_values is u.vertex_values
+            (v,) = normalize_payoffs(GamePayoffs((u,))).utilities
+            assert v.vertex_values == (0,) * n
+            assert tuple(reference.evaluate(v, b) for b in vertices) == (0,) * n
+            shifted += v is not u
+        assert gaps >= 5 and shifted >= 50, (gaps, shifted)
 
     def test_constraint_shares_its_forms_integer_row(self):
         form = AffineForm(Fraction(1, 6), (Fraction(-1, 4), Fraction(3), Fraction(0)))

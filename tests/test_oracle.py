@@ -19,11 +19,11 @@ from zspersuasion.oracle import (
     enumerate_grid_strategies,
     enumeration_bound,
     full_revelation_scan,
-    grid_beliefs,
     raw_posterior,
 )
 
 from conftest import random_experiment, random_prior
+from reference import grid_beliefs
 
 
 HALF = belief(["1/2", "1/2"])

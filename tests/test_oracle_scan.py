@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from zspersuasion.actions import induced_game
-from zspersuasion.beliefs import Belief
+from zspersuasion.beliefs import Belief, degenerate
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -27,16 +27,15 @@ from zspersuasion.oracle import (
     best_response_scan,
     enumerate_grid_strategies,
     full_revelation_scan,
-    grid_beliefs,
 )
 from zspersuasion.utilities import (
     GamePayoffs,
-    expected_utility,
     memoized,
     normalize_payoffs,
 )
 
 from conftest import random_binary_game, random_prior
+from reference import expected_utility, grid_beliefs
 from test_actions import random_action_game
 from test_posterior_engine import random_face_experiment, random_utility
 
@@ -45,9 +44,19 @@ def reference_full_revelation_scan(
     g: GamePayoffs, prior: Belief, grid: GridSpec
 ) -> RevelationScanResult:
     """The scan that builds every profile's joint experiment and takes each
-    sender's base payoff from it."""
+    sender's base payoff from it.  A profile in which a sender gets less
+    than full revelation pays her, sum_l prior_l u(delta_l), is no
+    equilibrium: she can reveal everything, on the grid or off it."""
     strategies = enumerate_grid_strategies(prior, grid)
     values = [memoized(u) for u in g.utilities]
+    revealed = [
+        sum(
+            (prior[l] * u(degenerate(prior.n_states, l))
+             for l in range(prior.n_states)),
+            Fraction(0),
+        )
+        for u in g.utilities
+    ]
     cache: dict = {}
 
     def joint_of(experiments):
@@ -66,7 +75,7 @@ def reference_full_revelation_scan(
             others = combo[:i] + combo[i + 1:]
             against = joint_of(others) if others else uninformative(prior)
             payoffs = cache.setdefault((i, others), {})
-            if any(
+            if base < revealed[i] or any(
                 _deviation_value(u, against, _ray_atoms(e), payoffs) > base
                 for e in strategies
             ):

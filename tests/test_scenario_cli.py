@@ -154,6 +154,19 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             load_scenario(str(FIXTURES / "missing.json"))
 
+    @pytest.mark.parametrize("key, message", [
+        ("states", "'states' must be an integer >= 2, got True"),
+        ("senders", "'senders' must be a positive integer, got True"),
+    ])
+    def test_a_boolean_is_no_count(self, key, message):
+        """JSON true is the Python int 1: as a sender count it used to load
+        figure1 with one payoff as a one-sender game."""
+        data = json.loads(open(FIG1).read())
+        data[key] = True
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_json(data)
+        assert str(exc.value) == message
+
     def test_unknown_profile(self):
         s = load_scenario(FIG1)
         with pytest.raises(ScenarioError):
@@ -327,6 +340,33 @@ class TestCli:
             "message": f"edge ({edge}) is out of range for N=3",
         }
 
+    @pytest.mark.parametrize("edge", ["0", "0,1,2"])
+    def test_emit_plot_edge_needs_two_states(self, capsys, edge):
+        code, out, err = self.run(
+            capsys, "emit-plot", FIG1, f"--edge={edge}", "--points", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"an edge needs two states, got {edge!r}",
+        }
+
+    def test_boolean_sender_count_is_bad_input(self, capsys, tmp_path):
+        """figure1 with one payoff and "senders": true used to exit 1 only
+        because the structural zero-sum rule then expects no utility."""
+        data = json.loads(open(FIG1).read())
+        data["senders"] = True
+        path = tmp_path / "one_sender.json"
+        path.write_text(json.dumps(data))
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ScenarioError",
+            "message": "'senders' must be a positive integer, got True",
+        }
+
     def test_verify_grid_over_the_cap_exits_3(self, capsys, monkeypatch):
         """The verify grid is counted against the enumeration cap: grid 5 on
         two states has 6 beliefs."""
@@ -445,6 +485,24 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "OnlyFullyRevealingFound"
+
+    @pytest.mark.parametrize("fixture, verdict", [
+        ("figure1", "OnlyFullyRevealingFound"),
+        ("example_b51", "NonRevealingEquilibriumFound"),
+    ])
+    def test_oracle_scan_off_grid_full_revelation(self, capsys, fixture, verdict):
+        """Full revelation needs masses of 1/2, off a mass grid of 5, but a
+        sender paid less than it by a grid profile still deviates to it.
+        figure1's non-revealing grid profile paid sender 1 -1/10.  b51's
+        grid equilibrium pays both senders 0 and survives every grid
+        deviation; an off-grid deviation refutes it (gain 2/75 at
+        verify --grid 6), which this scan does not look for."""
+        code, out, _ = self.run(
+            capsys, "oracle", "scan", str(FIXTURES / f"{fixture}.json"),
+            "--belief-res", "6", "--mass-res", "5", "--max-support", "3",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == verdict
 
     def test_induce(self, capsys):
         code, out, _ = self.run(

@@ -24,8 +24,6 @@ from zspersuasion.utilities import (
     conditional_payoff,
     constant_utility,
     edge_restriction,
-    expected_utility,
-    max_total_surplus,
     normalize_payoffs,
 )
 
@@ -37,6 +35,7 @@ from conftest import (
     random_experiment,
     random_prior,
 )
+from reference import expected_utility, max_total_surplus
 
 
 def edge_belief(t: Fraction) -> Belief:
