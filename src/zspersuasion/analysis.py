@@ -68,15 +68,9 @@ def is_zero_on_subsimplex(
     decomposition (zero on a cell iff neither form < 0 nor form > 0 has a
     point in the cell on the face).
     """
-    omega = state_set(omega, u.n_states)
-    _require_normalized([u])
-    return _zero_on_face(u, omega)
-
-
-def _zero_on_face(u: PiecewiseAffineUtility, omega: tuple[int, ...]) -> ZeroCheck:
-    """``is_zero_on_subsimplex`` on a state set, without the normalization
-    check: callers check once before their loop over faces."""
     n = u.n_states
+    omega = state_set(omega, n)
+    _require_normalized([u])
     if len(omega) == 1:
         return ZeroCheck(True, None)
     if len(omega) == 2:
@@ -109,13 +103,9 @@ def classify_pooling(g: GamePayoffs, omega: Sequence[int]) -> PoolingVerdict:
     """No equilibrium pools omega iff some sender's normalized utility is
     nonzero on the face over omega; otherwise pooling equilibria exist."""
     _require_normalized(g.utilities)
-    return _pooling_verdict(g, state_set(omega, g.n_states))
-
-
-def _pooling_verdict(g: GamePayoffs, omega: tuple[int, ...]) -> PoolingVerdict:
-    """``classify_pooling`` on a state set of a normalized game."""
+    omega = state_set(omega, g.n_states)
     for u in g.utilities:
-        b = _zero_on_face(u, omega).witness
+        b = is_zero_on_subsimplex(u, omega).witness
         if b is None:
             continue
         # zero-sum: somebody is strictly positive wherever somebody is nonzero
@@ -145,7 +135,7 @@ def classify_full_revelation(g: GamePayoffs) -> RevelationReport:
     counterexample = None
     for l in range(n):
         for k in range(l + 1, n):
-            v = _pooling_verdict(g, (l, k))
+            v = classify_pooling(g, (l, k))
             verdicts.append(v)
             if counterexample is None and not v.never_pooled:
                 counterexample = (l, k)
@@ -166,7 +156,7 @@ def minimal_subsets(g: GamePayoffs) -> list[tuple[int, ...]]:
         for omega in itertools.combinations(range(n), size):
             if any(set(m) < set(omega) for m in found):
                 continue
-            if any(not _zero_on_face(u, omega).zero for u in g.utilities):
+            if any(not is_zero_on_subsimplex(u, omega).zero for u in g.utilities):
                 found.append(omega)
     return found
 

@@ -245,6 +245,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_exploit(args) -> int:
+    if args.budget < 0:
+        raise ValueError("the search budget must be >= 0")
     scenario = load_scenario(args.scenario)
     profile = _resolve_profile(scenario, args.profile)
     g = normalize_payoffs(scenario.payoffs)

@@ -559,9 +559,11 @@ def verify_profile(
     back once (``utilities.Pullback``) to integer rows in the grid counts,
     so each grid belief is screened by the sign of one integer per sender,
     and a ``Fraction`` is built only for the gain of the first deviation
-    found.  Senders whose pullback is zero are skipped.  The grid is checked
-    (resolution >= 1, size under the enumeration cap) and the profile must
-    have one experiment per sender (ValueError), before anything else.
+    found.  Senders whose pullback is zero are skipped, and the grid counts
+    are generated one at a time, none when every pullback is zero.  The
+    grid is checked (resolution >= 1, size under the enumeration cap) and
+    the profile must have one experiment per sender (ValueError), before
+    anything else.
     """
     grid = grid_counts(g.n_states, deviation_grid)
     _require_one_experiment_per_sender(g, profile)
@@ -581,7 +583,7 @@ def verify_profile(
         Pullback(u, profile.opponents(i)) for i, u in enumerate(g.utilities)
     ]
     screened = [(i, p) for i, p in enumerate(pullbacks) if not p.is_zero]
-    for k in grid:
+    for k in grid if screened else ():
         if deviation_grid in k:  # degenerate
             continue
         for i, p in screened:

@@ -13,9 +13,9 @@ interim belief x = k / K with integer k then meets atom y at the posterior
 proportional to w_l = k_l Z_l, with probability M sum(w) / (E K), so a
 posterior is an integer vector, its probability an integer over E K, and no
 division is made per state or per atom.  ``product`` folds experiments
-through it, merging atoms by the primitive ray of w, and
-``utilities.conditional_payoff_against`` sums over it; ``utilities.Pullback``
-reads the same rows to pull a utility's pieces back to the interim belief.
+through it, merging atoms by the primitive ray of w.  ``utilities.Pullback``,
+the one conditional-payoff engine, reads the same rows to pull a utility's
+pieces back to the interim belief.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ validate the closed-form machinery on small instances.
 The scans visit every profile and every deviation, but build no joint
 experiment per profile: whether a profile reveals the state is read from
 its atoms' supports, and a sender's payoff under her own experiment or a
-deviation is summed from her conditional payoffs at its atoms against the
-opponents' joint, which is built once per set of opponents.  Those payoffs
-are kept by each atom's integer ray, the form the Bayes step takes.
+deviation is summed from her conditional payoffs at its atoms, through one
+``utilities.Pullback`` per (sender, opponents' joint).  A grid strategy's
+payoff against a pullback is an integer score over a scale common to every
+grid strategy, so strategies are compared in integers.
 
 The grid of beliefs with coordinates in multiples of 1/R is built from
 integer count vectors (``grid_counts``), counted against the enumeration
@@ -36,13 +37,7 @@ from .experiments import (
     product,
     uninformative,
 )
-from .utilities import (
-    GamePayoffs,
-    Memo,
-    PiecewiseAffineUtility,
-    conditional_payoff_against,
-    memoized,
-)
+from .utilities import GamePayoffs, PiecewiseAffineUtility, Pullback
 
 DEFAULT_ENUMERATION_CAP = 500_000
 
@@ -61,6 +56,8 @@ class GridSpec:
     def __post_init__(self):
         if min(self.belief_resolution, self.mass_resolution, self.max_support) < 1:
             raise ValueError("grid resolutions must be >= 1")
+        if self.cap < 1:
+            raise ValueError("the enumeration cap must be >= 1")
 
 
 def raw_posterior(
@@ -90,12 +87,13 @@ def raw_posterior(
 
 def grid_counts(
     n_states: int, resolution: int, cap: Optional[int] = None
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Every vector of ``n_states`` nonnegative integers summing to
     ``resolution``, in lexicographic order: the grid beliefs, as counts k
-    of k / resolution.  The number of vectors, C(resolution + N - 1, N - 1),
-    is checked against ``cap`` (``DEFAULT_ENUMERATION_CAP`` when None)
-    before any is built."""
+    of k / resolution.  The resolution and the number of vectors,
+    C(resolution + N - 1, N - 1), against ``cap``
+    (``DEFAULT_ENUMERATION_CAP`` when None) are checked when called; the
+    vectors are then generated one at a time."""
     if resolution < 1:
         raise ValueError("grid resolution must be >= 1")
     if cap is None:
@@ -106,11 +104,10 @@ def grid_counts(
     # the n - 1 bar positions among resolution + n - 1 slots, in
     # lexicographic order, give the counts between bars in that order
     slots = resolution + n_states - 1
-    out = []
-    for bars in itertools.combinations(range(slots), n_states - 1):
-        cuts = (-1,) + bars + (slots,)
-        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
-    return out
+    return (
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in itertools.combinations(range(slots), n_states - 1)
+    )
 
 
 def _mass_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -183,33 +180,44 @@ class ScanResult:
     gain: Optional[Fraction] = None
 
 
-def _ray_atoms(e: Experiment) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """e's atoms as (primitive ray of the belief, mass) pairs."""
-    return tuple((ray(b), m) for b, m in e.atoms)
+def _grid_atoms(
+    e: Experiment, grid: GridSpec
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """A grid experiment's atoms as (k, c): the belief k / R in grid counts,
+    sum(k) = R the belief resolution, and the mass c / r, r the mass
+    resolution."""
+    big_r, r = grid.belief_resolution, grid.mass_resolution
+    return tuple(
+        (
+            tuple(p.numerator * (big_r // p.denominator) for p in b.probs),
+            m.numerator * (r // m.denominator),
+        )
+        for b, m in e.atoms
+    )
 
 
-def _deviation_value(
-    u: Memo,
-    others: Experiment,
-    atoms: Sequence[tuple[tuple[int, ...], Fraction]],
-    payoffs: dict[tuple[int, ...], Fraction],
-) -> Fraction:
-    """A sender's expected payoff when she plays the experiment with these
-    ``_ray_atoms``, her own or a deviation, against the opponents' joint
-    experiment ``others``; ``payoffs`` keeps her conditional payoff at each
-    interim belief's ray against these opponents.  The terms m * w are
-    summed in integers over their least common denominator, as in
-    ``conditional_payoff_against``, and divided once."""
-    num, den = 0, 1
-    for k, m in atoms:
-        w = payoffs.get(k)
-        if w is None:
-            w = payoffs[k] = conditional_payoff_against(u, others, k)
-        d = m.denominator * w.denominator
-        g = math.gcd(den, d)
-        num = num * (d // g) + m.numerator * w.numerator * (den // g)
-        den = den // g * d
-    return Fraction(num, den)
+class _Scores:
+    """A sender's grid strategies scored against one pullback.  A strategy
+    with ``_grid_atoms`` (k_j, c_j) pays sum_j (c_j / r) payoff(k_j), which
+    is the integer sum_j c_j numerator(k_j) over ``scale`` = E Lam R r, the
+    same for every grid strategy; strategies compare by that integer.  Each
+    grid belief's numerator is computed once."""
+
+    def __init__(self, pullback: Pullback, grid: GridSpec):
+        self.pullback = pullback
+        self.scale = (
+            pullback.denominator * grid.belief_resolution * grid.mass_resolution
+        )
+        self.numerators: dict[tuple[int, ...], int] = {}
+
+    def __call__(self, atoms: Sequence[tuple[tuple[int, ...], int]]) -> int:
+        total = 0
+        for k, c in atoms:
+            v = self.numerators.get(k)
+            if v is None:
+                v = self.numerators[k] = self.pullback.numerator(k)
+            total += c * v
+        return total
 
 
 def best_response_scan(
@@ -218,18 +226,20 @@ def best_response_scan(
     i: int,
     grid: GridSpec,
 ) -> ScanResult:
-    """Exhaustive grid deviation search for one sender.  Her own experiment
-    is scored like a deviation, from the same conditional payoffs."""
-    joint = profile.opponents(i)
-    u = memoized(g.utilities[i])
-    payoffs: dict[tuple[int, ...], Fraction] = {}
-    base = _deviation_value(
-        u, joint, _ray_atoms(profile.experiments[i]), payoffs
+    """Exhaustive grid deviation search for one sender.  Every grid strategy
+    is scored in integers (``_Scores``); her own experiment, which may lie
+    off the grid, is scored as a ``Fraction`` through ``Pullback.payoff``."""
+    pullback = Pullback(g.utilities[i], profile.opponents(i))
+    base = sum(
+        (m * pullback.payoff(ray(b)) for b, m in profile.experiments[i].atoms),
+        Fraction(0),
     )
+    score = _Scores(pullback, grid)
+    bar = math.floor(base * score.scale)
     for e in enumerate_grid_strategies(profile.prior, grid):
-        value = _deviation_value(u, joint, _ray_atoms(e), payoffs)
-        if value > base:
-            return ScanResult(True, e, value - base)
+        value = score(_grid_atoms(e, grid))
+        if value > bar:
+            return ScanResult(True, e, Fraction(value, score.scale) - base)
     return ScanResult(False)
 
 
@@ -266,8 +276,9 @@ def full_revelation_scan(
 
     No profile's joint is built: full revelation is read from the atom
     supports, and each sender's payoff, her own experiment's and every
-    deviation's alike, is summed from her conditional payoffs against the
-    opponents' joint, kept per (sender, opponents) for the whole scan.
+    deviation's alike, is an integer score against her pullback of the
+    opponents' joint (``_Scores``), one per (sender, opponents) for the
+    whole scan.
 
     A sender can always deviate to full revelation, on the grid or off it:
     the joint then reveals the state whatever the others play, and pays her
@@ -288,37 +299,39 @@ def full_revelation_scan(
             f"{len(strategies)}^{m} profiles exceed cap {grid.cap}"
         )
     masks = [_support_masks(e) for e in strategies]
-    atoms = [_ray_atoms(e) for e in strategies]
-    # one memo per sender for the whole scan; profiles and opponents are
-    # tuples of indices into strategies
-    values = [memoized(u) for u in g.utilities]
+    atoms = [_grid_atoms(e, grid) for e in strategies]
     revealed = [_full_revelation_payoff(u, prior) for u in g.utilities]
-    # a lone sender's opponents, (), reveal nothing
+    # profiles and opponents are tuples of indices into strategies; a lone
+    # sender's opponents, (), reveal nothing
     joints: dict[tuple[int, ...], Experiment] = {(): uninformative(prior)}
-    payoffs: dict[
-        tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]
-    ] = {}
+    # per (sender, opponents): her scores, and the least score that pays
+    # her at least full revelation
+    pulled: dict[tuple[int, tuple[int, ...]], tuple[_Scores, int]] = {}
     for combo in itertools.product(range(len(strategies)), repeat=m):
         if _reveals_fully([masks[j] for j in combo]):
             continue
         scored = []
-        for i, u in enumerate(values):
+        for i, own in enumerate(combo):
             others = combo[:i] + combo[i + 1:]
-            against = joints.get(others)
-            if against is None:
-                against = joints[others] = product(
-                    [strategies[j] for j in others]
+            pair = pulled.get((i, others))
+            if pair is None:
+                against = joints.get(others)
+                if against is None:
+                    against = joints[others] = product(
+                        [strategies[j] for j in others]
+                    )
+                score = _Scores(Pullback(g.utilities[i], against), grid)
+                pair = pulled[(i, others)] = (
+                    score, math.ceil(revealed[i] * score.scale)
                 )
-            known = payoffs.setdefault((i, others), {})
-            base = _deviation_value(u, against, atoms[combo[i]], known)
-            if base < revealed[i]:
+            score, least = pair
+            base = score(atoms[own])
+            if base < least:
                 break
-            scored.append((u, against, known, base))
+            scored.append((score, base))
         else:
             if not any(
-                _deviation_value(u, against, a, known) > base
-                for u, against, known, base in scored
-                for a in atoms
+                score(a) > base for score, base in scored for a in atoms
             ):
                 return RevelationScanResult(
                     False, StrategyProfile(tuple(strategies[j] for j in combo))

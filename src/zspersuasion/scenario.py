@@ -298,27 +298,24 @@ def _negated_sum(utilities: list[PiecewiseAffineUtility]) -> PiecewiseAffineUtil
     )
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_json(path: str):
+    """The JSON document in the file at path."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    return scenario_from_json(data)
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_json(_read_json(path))
 
 
 def load_profile(path: str, prior: Belief, n_senders: int) -> StrategyProfile:
     """The profile in a JSON file, which must have one experiment for each
     of ``n_senders`` senders."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     return _one_experiment_per_sender(
-        path, profile_from_json(data, prior), n_senders
+        path, profile_from_json(_read_json(path), prior), n_senders
     )

@@ -8,15 +8,11 @@ its form keeps (``AffineForm.integer_row``), at the belief's primitive ray
 or, on an edge, at t = p/q; only the value of the matching form is built as
 a ``Fraction``.  Each utility keeps its edge restrictions and its vertex
 values from first use.
-A conditional payoff sums the utility over the integer Bayes step of
-``experiments.conditional_posteriors``: each posterior arrives as its
-primitive integer ray, and ``memoized`` keeps a utility's values by that
-ray, so a belief is built and validated only when a value is first needed.
-Against a fixed opponents' joint, ``Pullback`` pulls a utility's guards and
-forms back through each of the joint's atoms to integer rows in the interim
-counts, so the conditional payoff at any interim belief is one integer dot
-product per atom that has more than one piece left there, over one
-denominator.
+A conditional payoff is computed one way, by ``Pullback``: against a fixed
+opponents' joint, it pulls a utility's guards and forms back through each
+of the joint's atoms to integer rows in the interim counts, so the
+conditional payoff at any interim belief is one integer dot product per
+atom that has more than one piece left there, over one denominator.
 The zero-sum check is exact: it is decided on the first-match cells of the
 utilities (``geometry.overlay_regions``), never by sampling beliefs, and the
 decomposition into those cells rejects a utility whose pieces leave part of
@@ -35,7 +31,7 @@ from typing import Optional, Sequence, Union
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import NoPieceMatches
-from .experiments import Experiment, StrategyProfile, conditional_posteriors
+from .experiments import Experiment, StrategyProfile
 from .geometry import first_match_cells, nonzero_point, overlay_regions
 
 
@@ -389,63 +385,6 @@ def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
 # Payoffs against strategy profiles
 
 
-class Memo:
-    """A utility that evaluates each distinct belief once, for as long as
-    the memo lives: callers make one per command, so nothing is kept
-    between commands.  Values are keyed by the belief's primitive integer
-    ray, whether asked for by ``Belief`` or by ray, so both share one
-    entry, and a belief is built only on a miss."""
-
-    def __init__(self, u: PiecewiseAffineUtility):
-        self.utility = u
-        self.values: dict[tuple[int, ...], Fraction] = {}
-
-    def __call__(self, b: Belief) -> Fraction:
-        return self.at_ray(ray(b))
-
-    def at_ray(self, k: tuple[int, ...]) -> Fraction:
-        """The value at the belief k / sum(k) of a primitive ray k."""
-        v = self.values.get(k)
-        if v is None:
-            v = self.values[k] = self.utility(ray_belief(k))
-        return v
-
-
-def memoized(u: PiecewiseAffineUtility) -> Memo:
-    """u with its values kept by belief; see :class:`Memo`."""
-    return Memo(u)
-
-
-def conditional_payoff_against(
-    u: Union[PiecewiseAffineUtility, Memo],
-    others: Experiment,
-    x: Union[Belief, Sequence[int]],
-) -> Fraction:
-    """Expected utility conditional on independently generating interim
-    belief x while opponents jointly generate ``others``: sum_b p(b | x) u(b)
-    over ``conditional_posteriors(k, others)``, where x is a ``Belief`` or
-    the integer vector k of x = k / sum(k).  The terms are summed in
-    integers over their least common denominator and divided by E sum(k)
-    once, E the denominator of ``others``' likelihood rows.  Against the
-    uninformative experiment this is u(x).  ``u`` is a utility or a
-    :func:`memoized` one.
-    """
-    k = ray(x) if isinstance(x, Belief) else x
-    if isinstance(u, Memo):
-        value = u.at_ray
-    else:
-        def value(w: tuple[int, ...]) -> Fraction:
-            return u(ray_belief(w))
-    num, den = 0, 1
-    for w, q in conditional_posteriors(k, others):
-        v = value(w)
-        d = v.denominator
-        g = math.gcd(den, d)
-        num = num * (d // g) + q * v.numerator * (den // g)
-        den = den // g * d
-    return Fraction(num, den * others.likelihood_rows[0] * sum(k))
-
-
 _SIGN_TESTS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
 
 
@@ -468,8 +407,9 @@ class Pullback:
     show, is decided once: it is dropped, or its piece is.  An atom whose
     first remaining piece then always matches, as every one-state atom
     does, adds k . G_jp at every k and is folded into one vector V, which is
-    zero under ``normalize_payoffs`` for one-state atoms.  The payoff is
-    ``Fraction(numerator(k), denominator * K)``.
+    zero under ``normalize_payoffs`` for one-state atoms.  ``payoff(k)`` is
+    ``Fraction(numerator(k), denominator * K)``.  This is the only place the
+    program computes a conditional payoff.
     """
 
     def __init__(self, u: PiecewiseAffineUtility, others: Experiment):
@@ -504,6 +444,10 @@ class Pullback:
     def is_zero(self) -> bool:
         """Whether the payoff is 0 at every interim belief."""
         return self.vertex is None and not self.atoms
+
+    def payoff(self, k: Sequence[int]) -> Fraction:
+        """The conditional payoff at x = k / sum(k)."""
+        return Fraction(self.numerator(k), self.denominator * sum(k))
 
     def numerator(self, k: Sequence[int]) -> int:
         """K E Lam times the conditional payoff at x = k / K.  Raises
@@ -548,6 +492,20 @@ def _pulled_back_guard(
             return None
         out.append((test, h))
     return tuple(out)
+
+
+def conditional_payoff_against(
+    u: PiecewiseAffineUtility,
+    others: Experiment,
+    x: Union[Belief, Sequence[int]],
+) -> Fraction:
+    """Expected utility conditional on independently generating interim
+    belief x while opponents jointly generate ``others``, where x is a
+    ``Belief`` or the integer vector k of x = k / sum(k): the ``Pullback``
+    of u against ``others`` at k.  Against the uninformative experiment
+    this is u(x)."""
+    k = ray(x) if isinstance(x, Belief) else x
+    return Pullback(u, others).payoff(k)
 
 
 def conditional_payoff(

@@ -12,11 +12,15 @@ which ``PiecewiseAffineUtility.__call__`` and ``utilities.edge_restriction``
 replaced with guards signed in integers.  They must agree exactly, errors
 included.
 
-``verify_profile`` is the profile screen that evaluated each sender's
-conditional payoff at every grid belief through ``conditional_payoff_against``
-with a per-sender utility memo, which ``equilibrium.verify_profile``
-replaced with the integer rows of ``utilities.Pullback``.  Both must return
-the same ``VerificationResult`` and raise the same errors.
+``conditional_payoff_against`` is the conditional payoff as a sum of
+utility values over the posteriors of ``experiments.conditional_posteriors``,
+with ``memoized`` keeping a utility's values by posterior ray, which
+``utilities.Pullback`` replaced everywhere in the program: in ``verify``,
+in the oracle's scans and in exploit certificates.  ``verify_profile`` is
+the profile screen that evaluated each sender's conditional payoff at every
+grid belief that way, which ``equilibrium.verify_profile`` replaced with
+the integer rows of ``utilities.Pullback``.  Both must return the same
+values and results and raise the same errors.
 
 ``grid_beliefs``, ``expected_utility`` and ``max_total_surplus`` have no
 caller in the program: the grid of beliefs as ``Belief`` objects, a
@@ -26,12 +30,13 @@ maximum of the pooled sum of utilities.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from zspersuasion.affine import Constraint
 from zspersuasion.analysis import detect_pooled_sets
-from zspersuasion.beliefs import Belief, ray_belief
+from zspersuasion.beliefs import Belief, ray, ray_belief
 from zspersuasion.equilibrium import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERIFY_GRID,
@@ -42,7 +47,13 @@ from zspersuasion.equilibrium import (
     _minimal_theta,
 )
 from zspersuasion.exceptions import InvariantViolation, NoPieceMatches
-from zspersuasion.experiments import StrategyProfile, fully_revealing, product
+from zspersuasion.experiments import (
+    Experiment,
+    StrategyProfile,
+    conditional_posteriors,
+    fully_revealing,
+    product,
+)
 from zspersuasion.geometry import closure_vertices, overlay_regions
 from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
@@ -51,8 +62,6 @@ from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
     _merge_edge,
-    conditional_payoff_against,
-    memoized,
 )
 
 Point = tuple[Fraction, ...]
@@ -252,6 +261,58 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
     return _merge_edge(breakpoints, forms, values)
 
 
+class Memo:
+    """A utility that evaluates each distinct belief once, for as long as
+    the memo lives.  Values are keyed by the belief's primitive integer
+    ray, whether asked for by ``Belief`` or by ray, so both share one
+    entry, and a belief is built only on a miss."""
+
+    def __init__(self, u: PiecewiseAffineUtility):
+        self.utility = u
+        self.values: dict[tuple[int, ...], Fraction] = {}
+
+    def __call__(self, b: Belief) -> Fraction:
+        return self.at_ray(ray(b))
+
+    def at_ray(self, k: tuple[int, ...]) -> Fraction:
+        """The value at the belief k / sum(k) of a primitive ray k."""
+        v = self.values.get(k)
+        if v is None:
+            v = self.values[k] = self.utility(ray_belief(k))
+        return v
+
+
+def memoized(u: PiecewiseAffineUtility) -> Memo:
+    """u with its values kept by belief; see :class:`Memo`."""
+    return Memo(u)
+
+
+def conditional_payoff_against(
+    u: Union[PiecewiseAffineUtility, Memo],
+    others: Experiment,
+    x: Union[Belief, Sequence[int]],
+) -> Fraction:
+    """sum_b p(b | x) u(b) over ``conditional_posteriors(k, others)``, where
+    x is a ``Belief`` or the integer vector k of x = k / sum(k).  The terms
+    are summed in integers over their least common denominator and divided
+    by E sum(k) once, E the denominator of ``others``' likelihood rows.
+    ``u`` is a utility or a :func:`memoized` one."""
+    k = ray(x) if isinstance(x, Belief) else x
+    if isinstance(u, Memo):
+        value = u.at_ray
+    else:
+        def value(w: tuple[int, ...]) -> Fraction:
+            return u(ray_belief(w))
+    num, den = 0, 1
+    for w, q in conditional_posteriors(k, others):
+        v = value(w)
+        d = v.denominator
+        g = math.gcd(den, d)
+        num = num * (d // g) + q * v.numerator * (den // g)
+        den = den // g * d
+    return Fraction(num, den * others.likelihood_rows[0] * sum(k))
+
+
 def verify_profile(
     g: GamePayoffs,
     profile: StrategyProfile,
@@ -259,7 +320,7 @@ def verify_profile(
 ) -> VerificationResult:
     """The profile screen with one utility memo per sender: the conditional
     payoff of every sender at every grid belief, in that order, summed over
-    the opponents' joint by ``conditional_payoff_against``."""
+    the posteriors by ``conditional_payoff_against`` above."""
     grid = grid_counts(g.n_states, deviation_grid)
     prior = profile.prior
     values = [memoized(u) for u in g.utilities]

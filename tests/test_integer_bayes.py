@@ -1,9 +1,9 @@
-"""The integer Bayes step against its Fraction references, the utility memo
-keyed by primitive rays, and the integer grid."""
+"""The integer Bayes step against its Fraction references, the conditional
+payoff against the posterior sum of ``conditional_dist`` and ``combine``,
+and the integer grid."""
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -13,18 +13,12 @@ from zspersuasion import oracle
 from zspersuasion.beliefs import Belief, belief, combine, ray, ray_belief
 from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
-    Experiment,
     conditional_dist,
     conditional_posteriors,
     product,
-    uninformative,
 )
 from zspersuasion.oracle import grid_counts
-from zspersuasion.utilities import (
-    PiecewiseAffineUtility,
-    conditional_payoff_against,
-    memoized,
-)
+from zspersuasion.utilities import conditional_payoff_against
 
 from conftest import random_experiment, random_prior
 import reference
@@ -149,57 +143,7 @@ class TestProductDifferential:
         assert senders == {2, 3, 4}
 
 
-class CountingUtility:
-    """A utility that records every belief it is evaluated at."""
-
-    def __init__(self, u: PiecewiseAffineUtility):
-        self.u = u
-        self.seen = []
-
-    def __call__(self, b: Belief) -> Fraction:
-        self.seen.append(b)
-        return self.u(b)
-
-
-class TestMemo:
-    HALF = belief(["1/2", "1/2"])
-    SPLIT = Experiment(HALF, (
-        (belief(["1/3", "2/3"]), Fraction(1, 2)),
-        (belief(["2/3", "1/3"]), Fraction(1, 2)),
-    ))
-
-    def utility(self) -> CountingUtility:
-        return CountingUtility(random_utility(random.Random(5), 2))
-
-    def test_w_and_2w_evaluate_once(self):
-        """x = (1/2, 1/2) against the atom (1/3, 2/3) gives w = (2, 4);
-        x = (1/3, 2/3) against nothing gives w = (1, 2).  One posterior,
-        one evaluation."""
-        (z, _), _ = self.SPLIT.likelihood_rows[1]
-        assert tuple(map(operator.mul, (1, 1), z)) == (2, 4)
-        (z, _), = uninformative(self.HALF).likelihood_rows[1]
-        assert tuple(map(operator.mul, (1, 2), z)) == (1, 2)
-
-        u = self.utility()
-        v = memoized(u)
-        conditional_payoff_against(v, self.SPLIT, self.HALF)
-        assert len(u.seen) == 2
-        got = conditional_payoff_against(
-            v, uninformative(self.HALF), belief(["1/3", "2/3"])
-        )
-        assert len(u.seen) == 2
-        assert got == u.u(belief(["1/3", "2/3"]))
-
-    def test_belief_and_ray_share_one_entry(self):
-        u = self.utility()
-        v = memoized(u)
-        b = belief(["1/3", "2/3"])
-        first = v(b)
-        assert v.at_ray((1, 2)) == first
-        conditional_payoff_against(v, self.SPLIT, self.HALF)
-        assert u.seen == [b, belief(["2/3", "1/3"])]
-        assert len(v.values) == 2
-
+class TestConditionalPayoff:
     def test_unmemoized_utility_gives_the_same_value(self):
         rng = random.Random(20265)
         for _ in range(200):
@@ -214,7 +158,6 @@ class TestMemo:
             expected = reference_payoff(u, others, x)
             got = conditional_payoff_against(u, others, x)
             assert type(got) is Fraction and got == expected
-            assert conditional_payoff_against(memoized(u), others, x) == expected
             assert conditional_payoff_against(u, others, ray(x)) == expected
 
 
@@ -246,6 +189,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be >= 1"):
             grid_counts(3, resolution)
 
+    def test_counts_are_generated_one_at_a_time(self):
+        counts = grid_counts(3, 5)
+        assert iter(counts) is counts
+        assert next(counts) == (0, 0, 5)
+        assert next(counts) == (0, 1, 4)
+
     def test_cap_is_checked_before_any_belief_is_built(self, monkeypatch):
         built = []
         monkeypatch.setattr(reference, "ray_belief", built.append)
@@ -255,4 +204,4 @@ class TestGrid:
         with pytest.raises(EnumerationTooLarge, match="exceed cap 20"):
             grid_beliefs(3, 5)
         assert built == []
-        assert len(grid_counts(3, 5, cap=21)) == 21
+        assert len(list(grid_counts(3, 5, cap=21))) == 21

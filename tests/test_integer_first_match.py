@@ -34,7 +34,7 @@ def boundary_form(rng, n):
     """A form with rational coefficients whose zero set passes through a
     grid belief of ``RESOLUTION[n]``."""
     coeffs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
-    point = ray_belief(rng.choice(grid_counts(n, RESOLUTION[n])))
+    point = ray_belief(rng.choice(list(grid_counts(n, RESOLUTION[n]))))
     return AffineForm(-sum(c * p for c, p in zip(coeffs, point)), coeffs)
 
 

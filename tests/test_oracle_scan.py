@@ -1,14 +1,16 @@
 """The oracle's scans without a joint product per profile: full revelation
-read from atom supports, payoffs summed from conditional payoffs, and the
-grid enumeration's integer plausibility test, each against the slower
-computation it replaces."""
+read from atom supports, payoffs scored in integers against one pullback
+per (sender, opponents), and the grid enumeration's integer plausibility
+test, each against the slower computation it replaces: the reference scans
+sum ``Fraction`` conditional payoffs over the posteriors
+(``reference.conditional_payoff_against``)."""
 
 import itertools
 import random
 from fractions import Fraction
 
 from zspersuasion.actions import induced_game
-from zspersuasion.beliefs import Belief, degenerate
+from zspersuasion.beliefs import Belief, degenerate, ray
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -20,24 +22,35 @@ from zspersuasion.oracle import (
     GridSpec,
     RevelationScanResult,
     ScanResult,
-    _deviation_value,
-    _ray_atoms,
     _reveals_fully,
     _support_masks,
     best_response_scan,
     enumerate_grid_strategies,
     full_revelation_scan,
 )
-from zspersuasion.utilities import (
-    GamePayoffs,
-    memoized,
-    normalize_payoffs,
-)
+from zspersuasion.utilities import GamePayoffs, normalize_payoffs
 
-from conftest import random_binary_game, random_prior
+from conftest import random_binary_game, random_experiment, random_prior
+import reference
 from reference import expected_utility, grid_beliefs
 from test_actions import random_action_game
 from test_posterior_engine import random_face_experiment, random_utility
+
+
+def reference_value(u, against: Experiment, e: Experiment, payoffs: dict):
+    """A sender's payoff from playing e against the opponents' joint
+    ``against``: sum_j m_j times the reference conditional payoff at e's
+    atom j, kept in ``payoffs`` by the atom's ray."""
+    total = Fraction(0)
+    for b, m in e.atoms:
+        k = ray(b)
+        w = payoffs.get(k)
+        if w is None:
+            w = payoffs[k] = reference.conditional_payoff_against(
+                u, against, k
+            )
+        total += m * w
+    return total
 
 
 def reference_full_revelation_scan(
@@ -48,7 +61,7 @@ def reference_full_revelation_scan(
     than full revelation pays her, sum_l prior_l u(delta_l), is no
     equilibrium: she can reveal everything, on the grid or off it."""
     strategies = enumerate_grid_strategies(prior, grid)
-    values = [memoized(u) for u in g.utilities]
+    values = [reference.memoized(u) for u in g.utilities]
     revealed = [
         sum(
             (prior[l] * u(degenerate(prior.n_states, l))
@@ -76,7 +89,7 @@ def reference_full_revelation_scan(
             against = joint_of(others) if others else uninformative(prior)
             payoffs = cache.setdefault((i, others), {})
             if base < revealed[i] or any(
-                _deviation_value(u, against, _ray_atoms(e), payoffs) > base
+                reference_value(u, against, e, payoffs) > base
                 for e in strategies
             ):
                 equilibrium = False
@@ -191,6 +204,30 @@ class TestBestResponseScan:
                 tuple(rng.choice(strategies) for _ in range(m))
             )
             i = rng.randrange(m)
+            expected = reference_best_response_scan(g, profile, i, grid)
+            assert best_response_scan(g, profile, i, grid) == expected
+            improved[expected.improved] += 1
+        assert min(improved.values()) >= 10, improved
+
+    def test_an_off_grid_own_experiment(self):
+        """Her own experiment, off the grid, is scored as a Fraction and
+        compared exactly with the integer scores of the grid strategies."""
+        rng = random.Random(5150)
+        improved = {True: 0, False: 0}
+        for _ in range(80):
+            n = rng.randint(2, 3)
+            m = rng.randint(1, 3)
+            g = random_scan_game(rng, n, m)
+            grid = random_scan_grid(rng, n, m)
+            prior = grid_prior(rng, n, grid)
+            strategies = enumerate_grid_strategies(prior, grid)
+            i = rng.randrange(m)
+            own = random_experiment(prior, rng, splits=rng.randint(1, 3))
+            if own in strategies:
+                continue
+            profile = StrategyProfile(tuple(
+                own if j == i else rng.choice(strategies) for j in range(m)
+            ))
             expected = reference_best_response_scan(g, profile, i, grid)
             assert best_response_scan(g, profile, i, grid) == expected
             improved[expected.improved] += 1

@@ -1,7 +1,8 @@
 """The posterior engine of `verify` and `oracle scan`: the one-pass
 conditional payoff against the conditional_dist + combine reference, and the
-work `verify_profile` does per command: one pullback per sender, and no
-utility evaluated per grid belief."""
+work `verify_profile` does per command: one pullback per sender, no utility
+evaluated per grid belief, and no grid belief generated when every
+pullback is zero."""
 
 import random
 import sys
@@ -26,7 +27,6 @@ from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
     conditional_payoff_against,
-    memoized,
     normalize_payoffs,
 )
 
@@ -140,7 +140,6 @@ class TestAgainstReference:
             seen["x_interior" if x.has_full_support() else "x_face"] += 1
             expected = reference_payoff(u, others, x)
             assert conditional_payoff_against(u, others, x) == expected
-            assert conditional_payoff_against(memoized(u), others, x) == expected
         assert min(seen.values()) >= 100, seen
 
 
@@ -167,8 +166,15 @@ class TestVerifyWork:
 
     @staticmethod
     def count_work(monkeypatch):
-        pullbacks, evaluated = [], []
+        pullbacks, evaluated, drawn = [], [], []
         build = equilibrium.Pullback
+        counts = equilibrium.grid_counts
+
+        def counted_grid(*args):
+            grid = counts(*args)
+            return (drawn.append(k) or k for k in grid)
+
+        monkeypatch.setattr(equilibrium, "grid_counts", counted_grid)
 
         def counted_pullback(u, others):
             pullbacks.append(build(u, others))
@@ -182,7 +188,7 @@ class TestVerifyWork:
             return evaluate(u, b)
 
         monkeypatch.setattr(PiecewiseAffineUtility, "__call__", counted_call)
-        return pullbacks, evaluated
+        return pullbacks, evaluated, drawn
 
     def test_products_and_utility_calls(self, monkeypatch):
         rng = random.Random(4)
@@ -191,13 +197,15 @@ class TestVerifyWork:
         prior = random_prior(4, rng)
         profile = construct_fully_revealing(prior, 2)
         products = count_products(monkeypatch)
-        pullbacks, evaluated = self.count_work(monkeypatch)
+        pullbacks, evaluated, drawn = self.count_work(monkeypatch)
 
         result = verify_profile(g, profile, deviation_grid=6)
         assert len(products) <= profile.n_senders + 2
         assert len(pullbacks) == profile.n_senders
-        # fully revealing opponents: every atom folds away, to zero
+        # fully revealing opponents: every atom folds away, to zero, and
+        # no grid belief is generated
         assert all(p.is_zero for p in pullbacks)
+        assert drawn == []
         assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
         assert result.ok
         assert result.expected_utilities == (0, 0)
@@ -227,9 +235,10 @@ class TestVerifyWork:
         profile = StrategyProfile((
             fully_revealing(prior), uninformative(prior), uninformative(prior)
         ))
-        pullbacks, evaluated = self.count_work(monkeypatch)
+        pullbacks, evaluated, drawn = self.count_work(monkeypatch)
         result = verify_profile(g, profile, deviation_grid=8)
         assert result.ok
+        assert len(drawn) == 45  # every (k0, k1, k2) summing to 8
         assert len(pullbacks) == 3
         assert [p.is_zero for p in pullbacks] == [False, True, True]
         assert len(pullbacks[0].atoms) == 1

@@ -1,5 +1,6 @@
 """The integer rows of ``utilities.Pullback`` against the conditional payoffs
-they replace in ``verify``: equal values at every grid belief, the same
+they replace: equal values at every grid belief to the ``Fraction`` sum over
+the posteriors of ``reference.conditional_payoff_against``, the same
 ``NoPieceMatches`` at the same atom, and the same ``VerificationResult`` as
 the memo loop of ``reference.verify_profile``."""
 
@@ -26,7 +27,6 @@ from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
     Pullback,
-    conditional_payoff_against,
     normalize_payoffs,
 )
 
@@ -52,7 +52,9 @@ def outcome(f, *args):
 def pullback_payoff(p: Pullback, k) -> Fraction:
     num = p.numerator(k)
     assert type(num) is int
-    return Fraction(num, p.denominator * sum(k))
+    payoff = p.payoff(k)
+    assert payoff == Fraction(num, p.denominator * sum(k))
+    return payoff
 
 
 def some_opponent(prior: Belief, rng: random.Random, kind: str) -> Experiment:
@@ -106,7 +108,7 @@ class TestNumerator:
                 for k in grid_counts(n, RESOLUTION[n]):
                     got = outcome(pullback_payoff, p, k)
                     assert got == outcome(
-                        conditional_payoff_against, u, others, k
+                        reference.conditional_payoff_against, u, others, k
                     ), (u, others, k)
                     seen["gap"] += isinstance(got, tuple)
         assert min(seen.values()) >= 5, seen
@@ -175,7 +177,7 @@ class TestNumerator:
         ] == [Belief((Fraction(1, 9), Fraction(4, 9), Fraction(4, 9))), uniform]
         assert outcome(p.numerator, k) == ("NoPieceMatches", message)
         assert outcome(p.numerator, k) == outcome(
-            conditional_payoff_against, u, split, k
+            reference.conditional_payoff_against, u, split, k
         )
 
 
@@ -214,7 +216,8 @@ def grid_witness(g: GamePayoffs, profile: StrategyProfile, grid: int):
     ks = [k for k in grid_counts(g.n_states, grid) if grid not in k]
     for j, k in enumerate(ks):
         for i, u in enumerate(g.utilities):
-            if conditional_payoff_against(u, profile.opponents(i), k) > 0:
+            others = profile.opponents(i)
+            if reference.conditional_payoff_against(u, others, k) > 0:
                 return j
     return None
 
