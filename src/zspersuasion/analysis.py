@@ -20,12 +20,7 @@ from typing import Optional, Sequence
 from .beliefs import Belief, state_set
 from .exceptions import InvariantViolation, NotNormalized
 from .experiments import Experiment
-from .geometry import (
-    nondegenerate_point,
-    nonzero_point,
-    overlay_regions,
-    subsimplex_constraints,
-)
+from .geometry import nondegenerate_point, nonzero_point, subsimplex_constraints
 from .affine import Constraint
 from .utilities import GamePayoffs, PiecewiseAffineUtility
 
@@ -238,7 +233,7 @@ class SurplusSufficiency:
 def strict_surplus_sufficiency(g: GamePayoffs) -> SurplusSufficiency:
     _require_normalized(g.utilities)
     n = g.n_states
-    for cell, form in overlay_regions(g.utilities):
+    for cell, form in g.overlay:
         # a point with sum >= 0 other than a simplex vertex
         p = nondegenerate_point(n, cell + (Constraint(-form, "<="),))
         if p is not None:

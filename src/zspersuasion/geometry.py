@@ -22,6 +22,7 @@ constraints that the cell does not already imply (LP redundancy removal),
 so the convex region of each piece is cut into as few cells as its
 predecessors require.  The cells depend on the guards alone: a utility
 keeps its decomposition, and utilities with one guard sequence share it.
+An overlay refines one sweep's cells by the next guard sequence's sweep.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from .exceptions import EnumerationTooLarge, InvariantViolation, NoPieceMatches
 
 Point = tuple[Fraction, ...]
 
-# most region tuples ``overlay_regions`` intersects, one LP each
-OVERLAY_CAP = 10_000
-
-# most cells ``first_match_cells`` holds, output cells plus remainder
+# most cells ``first_match_cells`` holds, output cells plus remainder, and
+# most refined cells ``overlay_regions`` holds
 SWEEP_CAP = 10_000
 
 # A linear equation coeffs . beta + const = 0
@@ -462,26 +461,28 @@ def _kept_guard(
 
 
 def first_match_cells(
-    n: int, guards: Sequence[Sequence[Constraint]]
+    n: int,
+    guards: Sequence[Sequence[Constraint]],
+    start: tuple[Constraint, ...] = (),
 ) -> list[tuple[int, tuple[Constraint, ...]]]:
-    """Disjoint decomposition of the simplex by first-match guards, which
-    also checks that the guards cover it.
+    """Disjoint decomposition of the nonempty cell ``start`` (by default
+    the simplex) by first-match guards, which also checks that they cover it.
 
     Returns (piece index, cell) pairs: nonempty, pairwise disjoint cells,
-    each the part of the simplex where that piece's guard is the first to
-    hold.  The sweep carries the cells that no guard has matched yet.  A
-    cell that misses a guard passes to the next one unchanged.  Otherwise
-    the guard is cut to the constraints the cell does not imply
-    (``_kept_guard``), the cell plus the kept guard is the piece's cell, and
-    the complement cells of the kept guard carry on.  The complement cell
-    of a kept inequality contains the nonempty set that kept it, so only
-    the two sides of a kept equality are tested.  If a cell is left after
-    the last guard, raises NoPieceMatches at a point of the first.  More
-    than ``SWEEP_CAP`` cells held at once, output cells plus the remainder
-    (carried or still to be matched), raise EnumerationTooLarge.
+    each the part of ``start`` where that piece's guard is the first to
+    hold.  The sweep carries the cells that no guard has matched yet, from
+    ``[start]``.  A cell that misses a guard passes to the next one
+    unchanged.  Otherwise the guard is cut to the constraints the cell
+    does not imply (``_kept_guard``), the cell plus the kept guard is the
+    piece's cell, and the complement cells of the kept guard carry on.
+    The complement cell of a kept inequality contains the nonempty set
+    that kept it, so only the two sides of a kept equality are tested.  A
+    cell left after the last guard raises NoPieceMatches at a point of the
+    first; more than ``SWEEP_CAP`` cells held at once (output cells plus
+    the remainder, carried or to be matched) raise EnumerationTooLarge.
     """
     cells: list[tuple[int, tuple[Constraint, ...]]] = []
-    remainder: list[tuple[Constraint, ...]] = [()]
+    remainder: list[tuple[Constraint, ...]] = [start]
     for k, guard in enumerate(guards):
         next_remainder: list[tuple[Constraint, ...]] = []
         for j, cell in enumerate(remainder):
@@ -527,36 +528,33 @@ def overlay_regions(utilities):
     """Common refinement of several piecewise utilities' first-match regions.
 
     Yields (constraints, summed form) for every nonempty cell of the
-    refinement; on that cell the sum of the utilities equals the summed
-    affine form.  Utilities with one guard sequence (the induced utilities
-    of an action game, normalized or not) share one partition, so their
-    forms are summed piece by piece onto its cells; otherwise the cells
-    are the nonempty intersections of one region per utility, and more
-    than ``OVERLAY_CAP`` region tuples raise EnumerationTooLarge.  The cells
-    are the utilities' own decompositions (``first_match_cells`` and
-    ``regions``, kept by each utility), so overlaying again sweeps nothing.
-    Every utility is decomposed before the first cell is yielded, so a
-    coverage gap in any of them raises NoPieceMatches first.  No vertices
-    are computed: callers that need the closure's vertices ask
-    ``closure_vertices`` for them.
+    refinement, on which the sum of the utilities is the summed form.
+    Utilities with one guard sequence (the induced utilities of an action
+    game, normalized or not) form a group, whose forms are summed piece by
+    piece.  Each group's ``first_match_cells`` refines each cell of the
+    groups before it (the first group's, of the simplex, are kept by its
+    first utility); more than ``SWEEP_CAP`` refined cells raise
+    EnumerationTooLarge.  Every cell is computed before the first is
+    yielded, so a coverage gap in any utility raises NoPieceMatches first.
     """
     n = utilities[0].n_states
-    guards = [tuple(p.guard for p in u.pieces) for u in utilities]
-    if all(g == guards[0] for g in guards):
-        forms = [
-            sum((p.form for p in column), AffineForm.zero(n))
-            for column in zip(*(u.pieces for u in utilities))
-        ]
-        for k, cell in utilities[0].first_match_cells():
-            yield cell, forms[k]
-        return
-    decomposed = [u.regions() for u in utilities]
-    count = math.prod(map(len, decomposed))
-    if count > OVERLAY_CAP:
-        raise EnumerationTooLarge(
-            f"{count} region tuples exceed overlay cap {OVERLAY_CAP}"
-        )
-    for combo in itertools.product(*decomposed):
-        constraints = tuple(c for cell, _ in combo for c in cell)
-        if cell_is_nonempty(n, constraints):
-            yield constraints, sum((form for _, form in combo), AffineForm.zero(n))
+    groups: list[tuple[tuple, object, list[AffineForm]]] = []
+    for u in utilities:
+        guards = tuple(p.guard for p in u.pieces)
+        forms = next((f for g, _, f in groups if g == guards), None)
+        if forms is None:
+            groups.append((guards, u, forms := [AffineForm.zero(n)] * len(u.pieces)))
+        forms[:] = [f + p.form for f, p in zip(forms, u.pieces)]
+    cells = [((), AffineForm.zero(n))]
+    for guards, u, forms in groups:
+        refined = []
+        for cell, total in cells:
+            # the sweep from the whole simplex is the one the utility keeps
+            sweep = first_match_cells(n, guards, cell) if cell else u.first_match_cells()
+            refined += [(sub, total + forms[k]) for k, sub in sweep]
+            if len(refined) > SWEEP_CAP:
+                raise EnumerationTooLarge(
+                    f"overlay holds {len(refined)} cells, over sweep cap {SWEEP_CAP}"
+                )
+        cells = refined
+    yield from cells

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .beliefs import Belief, ray, ray_belief
-from .exceptions import EnumerationTooLarge, ZeroProbabilityEvent
+from .exceptions import EnumerationTooLarge, PreconditionFailed, ZeroProbabilityEvent
 from .experiments import (
     Experiment,
     SignalStructure,
@@ -290,9 +290,10 @@ def full_revelation_scan(
     "only fully revealing found" at grid scale is evidence, not proof, in
     the direction of full revelation — while any non-revealing grid
     equilibrium it does return survives every grid deviation and full
-    revelation.
+    revelation.  An empty grid is no evidence: it raises PreconditionFailed.
     """
-    strategies = enumerate_grid_strategies(prior, grid)
+    if not (strategies := enumerate_grid_strategies(prior, grid)):
+        raise PreconditionFailed("no grid experiment is Bayes-plausible for the prior")
     m = g.n_senders
     if len(strategies) ** m > grid.cap:
         raise EnumerationTooLarge(

@@ -13,10 +13,10 @@ opponents' joint, it pulls a utility's guards and forms back through each
 of the joint's atoms to integer rows in the interim counts, so the
 conditional payoff at any interim belief is one integer dot product per
 atom that has more than one piece left there, over one denominator.
-The zero-sum check is exact: it is decided on the first-match cells of the
-utilities (``geometry.overlay_regions``), never by sampling beliefs, and the
-decomposition into those cells rejects a utility whose pieces leave part of
-the simplex uncovered.
+The zero-sum check is exact: it is decided on the common refinement of the
+utilities' first-match cells (``geometry.overlay_regions``, kept by the
+game), never by sampling beliefs, and the decomposition into those cells
+rejects a utility whose pieces leave part of the simplex uncovered.
 """
 
 from __future__ import annotations
@@ -202,6 +202,11 @@ class GamePayoffs:
     def n_senders(self) -> int:
         return len(self.utilities)
 
+    @cached_property
+    def overlay(self) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+        """``geometry.overlay_regions`` of the utilities, kept from first use."""
+        return list(overlay_regions(self.utilities))
+
 
 def normalize_payoffs(g: GamePayoffs) -> GamePayoffs:
     """Shifts each utility by the affine correction -sum_l beta_l u_i(delta_l)
@@ -374,7 +379,7 @@ def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
     """Verifies sum_i u_i == 0 exactly: the summed form must vanish on every
     cell of the overlay of the senders' first-match regions."""
     n = g.n_states
-    for cell, form in overlay_regions(g.utilities):
+    for cell, form in g.overlay:
         p = nonzero_point(n, cell, form)
         if p is not None:
             return ZeroSumResult(Belief(p))

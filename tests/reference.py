@@ -22,6 +22,12 @@ grid belief that way, which ``equilibrium.verify_profile`` replaced with
 the integer rows of ``utilities.Pullback``.  Both must return the same
 values and results and raise the same errors.
 
+``overlay_product`` is the overlay as the nonempty intersections of one
+first-match region per utility, one emptiness test per tuple, which
+``geometry.overlay_regions`` replaced with a sweep refined cell by cell.
+Both must cover every belief once with the same summed form, and both must
+reject a coverage gap.
+
 ``grid_beliefs``, ``expected_utility`` and ``max_total_surplus`` have no
 caller in the program: the grid of beliefs as ``Belief`` objects, a
 sender's ex-ante payoff from the full joint experiment, and the exact
@@ -30,11 +36,12 @@ maximum of the pooled sum of utilities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from zspersuasion.affine import Constraint
+from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.analysis import detect_pooled_sets
 from zspersuasion.beliefs import Belief, ray, ray_belief
 from zspersuasion.equilibrium import (
@@ -54,7 +61,7 @@ from zspersuasion.experiments import (
     fully_revealing,
     product,
 )
-from zspersuasion.geometry import closure_vertices, overlay_regions
+from zspersuasion.geometry import cell_is_nonempty, closure_vertices, overlay_regions
 from zspersuasion.oracle import grid_counts
 from zspersuasion.utilities import (
     EdgeFunction,
@@ -360,6 +367,22 @@ def verify_profile(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )
     return VerificationResult(True, expected)
+
+
+def overlay_product(
+    utilities: Sequence[PiecewiseAffineUtility],
+) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+    """(constraints, summed form) for every nonempty intersection of one
+    first-match region per utility.  Every utility is decomposed first, so
+    a coverage gap raises NoPieceMatches."""
+    n = utilities[0].n_states
+    decomposed = [u.regions() for u in utilities]
+    out = []
+    for combo in itertools.product(*decomposed):
+        cell = tuple(c for constraints, _ in combo for c in constraints)
+        if cell_is_nonempty(n, cell):
+            out.append((cell, sum((form for _, form in combo), AffineForm.zero(n))))
+    return out
 
 
 def grid_beliefs(

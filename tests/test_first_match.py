@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from zspersuasion.geometry import (
 )
 from zspersuasion.scenario import utility_to_json
 from zspersuasion.utilities import (
+    GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
     check_zero_sum,
@@ -309,7 +311,7 @@ class TestSweepsPerCommand:
 def mixed_guard_scenario(tmp_path, n):
     """Sender i is sender 0's induced utility of its own random action game,
     so the two utilities have different guard sequences and their overlay
-    is the product of their regions."""
+    refines the first one's cells by the second one's sweep."""
     rng = random.Random(11)
     utilities = [induced_utility(random_action_game(rng, n, 3), 0) for _ in range(2)]
     assert utilities[0].pieces[0].guard != utilities[1].pieces[0].guard
@@ -324,28 +326,119 @@ def mixed_guard_scenario(tmp_path, n):
 
 
 class TestOverlayCap:
-    """The product of regions in ``overlay_regions`` stops at its cap with
+    """The overlay's refinement stops past ``SWEEP_CAP`` refined cells with
     EnumerationTooLarge, which the CLI reports with exit 3."""
 
-    def test_cap_bounds_the_region_tuples(self, tmp_path, monkeypatch):
+    def test_cap_bounds_the_refined_cells(self, tmp_path, monkeypatch):
         _, us = mixed_guard_scenario(tmp_path, 3)
-        tuples = math.prod(len(u.regions()) for u in us)
-        assert tuples > 1
         cells = list(overlay_regions(us))
-        monkeypatch.setattr(geometry, "OVERLAY_CAP", tuples)
+        assert len(cells) == 6
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 6)
         assert list(overlay_regions(us)) == cells
-        monkeypatch.setattr(geometry, "OVERLAY_CAP", tuples - 1)
-        with pytest.raises(EnumerationTooLarge, match=f"{tuples} region tuples"):
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 5)
+        with pytest.raises(EnumerationTooLarge, match="overlay holds 6 cells"):
             next(overlay_regions(us))
 
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_cli_exits_3_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
         path, _ = mixed_guard_scenario(tmp_path, 3)
-        monkeypatch.setattr(geometry, "OVERLAY_CAP", 1)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 5)
         assert main([command, str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert json.loads(err)["error"] == "EnumerationTooLarge"
+        error = json.loads(err)
+        assert error["error"] == "EnumerationTooLarge"
+        assert "overlay holds 6 cells" in error["message"]
+
+
+def count_overlays(monkeypatch):
+    """Counts calls of ``overlay_regions``, in every namespace of the
+    package that holds it."""
+    calls = []
+    overlay = geometry.overlay_regions
+
+    def counted(us):
+        calls.append(us)
+        return overlay(us)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zspersuasion") and getattr(module, "overlay_regions", None) is overlay:
+            monkeypatch.setattr(module, "overlay_regions", counted)
+    return calls
+
+
+class TestOverlaysPerCommand:
+    def test_nonzero_sum_analyze_overlays_once(self, tmp_path, monkeypatch):
+        path, _ = mixed_guard_scenario(tmp_path, 3)
+        calls = count_overlays(monkeypatch)
+        first = run("analyze", str(path))
+        assert first["zero_sum"] is False
+        # the zero-sum check and the surplus condition read the game's overlay
+        assert len(calls) == 1
+        # the next command loads a new game, which keeps no overlay
+        assert run("analyze", str(path)) == first
+        assert len(calls) == 2
+
+
+def mixed_guard_game(rng, n, m):
+    """m utilities over n states, each a random first-match utility, an
+    induced utility of a random action game, or a shifted copy of an
+    earlier one (sharing its guard sequence), with at least two guard
+    sequences; normalized when the draw says so and the vertices are
+    covered.  Returns (utilities, normalized)."""
+    while True:
+        us = []
+        for _ in range(m):
+            roll = rng.random()
+            if us and roll < 0.3:
+                us.append(rng.choice(us).shifted(random_form(rng, n)))
+            elif roll < 0.6:
+                ag = random_action_game(rng, n, rng.randint(2, 3))
+                us.append(induced_utility(ag, 0))
+            else:
+                us.append(random_utility(rng, n))
+        if len({tuple(p.guard for p in u.pieces) for u in us}) > 1:
+            break
+    g = GamePayoffs(tuple(us))
+    if rng.random() < 0.5:
+        try:
+            return normalize_payoffs(g).utilities, True
+        except NoPieceMatches:
+            pass
+    return g.utilities, False
+
+
+class TestOverlayAgainstProduct:
+    """The overlay refined cell by cell against the product of regions it
+    replaced (``reference.overlay_product``)."""
+
+    def test_agrees_on_60_games(self):
+        rng = random.Random(22)
+        seen, games, beliefs = set(), 0, 0
+        while games < 60:
+            n, m = rng.randint(2, 4), rng.randint(2, 3)
+            us, normalized = mixed_guard_game(rng, n, m)
+            try:
+                expected = reference.overlay_product(us)
+            except NoPieceMatches:
+                with pytest.raises(NoPieceMatches):
+                    next(overlay_regions(us))
+                seen.add("gap")
+                continue
+            cells = list(overlay_regions(us))
+            # every grid belief lies in exactly one cell of each, and both
+            # give it the summed form, which is the sum of the utilities
+            masks = GridMasks(n, 6)
+            by_belief = forms_by_belief(masks, cells)
+            assert by_belief == forms_by_belief(masks, expected), us
+            for b, forms in zip(masks.beliefs, by_belief):
+                assert len(forms) == 1, (us, b)
+                assert forms[0](b) == sum(reference.evaluate(u, b) for u in us)
+            games += 1
+            beliefs += len(masks.beliefs)
+            seen.update({("N", n), ("M", m), normalized})
+        assert seen == {("N", 2), ("N", 3), ("N", 4), ("M", 2), ("M", 3), True, False, "gap"}
+        assert beliefs > 2000
 
 
 class TestSweepCap:

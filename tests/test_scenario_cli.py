@@ -523,6 +523,18 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["verdict"] == verdict
 
+    def test_oracle_scan_of_an_empty_grid_is_a_failed_precondition(self, capsys):
+        """b51's prior (1/6, 1/3, 1/2) is no mass-1/5 mix of 1/5-grid
+        beliefs, so no grid experiment is Bayes-plausible: no verdict."""
+        code, out, err = self.run(
+            capsys, "oracle", "scan", str(FIXTURES / "example_b51.json"),
+            "--belief-res", "5", "--mass-res", "5", "--max-support", "3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "PreconditionFailed"
+        assert error["message"] == "no grid experiment is Bayes-plausible for the prior"
+
     def test_induce(self, capsys):
         code, out, _ = self.run(
             capsys, "induce", str(FIXTURES / "matching_action_game.json")
@@ -597,16 +609,21 @@ class TestCoverageGap:
     rejects a utility that leaves part of the simplex uncovered, even where
     no belief it evaluates lies in the gap (the prior is off the centroid)."""
 
-    @pytest.fixture
-    def scenario(self, tmp_path):
+    @pytest.fixture(params=["gap_first", "gap_second"])
+    def scenario(self, tmp_path, request):
+        # the overlay must meet the gap whichever sender's utility has it
+        zero = {"pieces": [
+            {"guard": [], "form": {"coeffs": ["0", "0", "0"], "const": "0"}}
+        ]}
+        payoffs = [CENTROID_GAP, zero]
+        if request.param == "gap_second":
+            payoffs.reverse()
         path = tmp_path / "gap.json"
         path.write_text(json.dumps({
             "states": 3,
             "prior": ["1/2", "1/4", "1/4"],
             "senders": 2,
-            "payoffs": [CENTROID_GAP, {"pieces": [
-                {"guard": [], "form": {"coeffs": ["0", "0", "0"], "const": "0"}}
-            ]}],
+            "payoffs": payoffs,
             "profiles": {"both_uninformative": ["uninformative", "uninformative"]},
         }))
         return str(path)
