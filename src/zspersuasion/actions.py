@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .affine import AffineForm, Constraint
-from .beliefs import Belief, as_fraction, degenerate
+from .beliefs import as_fraction
 from .exceptions import InvariantViolation
-from .experiments import StrategyProfile, product
 from .utilities import GamePayoffs, Piece, PiecewiseAffineUtility
 
 
@@ -89,26 +87,6 @@ class ActionGame:
         return len(self.senders)
 
 
-def best_action(ag: ActionGame, b: Belief) -> int:
-    """Index of the receiver's expected-payoff-maximizing action at belief
-    b, lowest index first on ties."""
-    best = None
-    best_value = None
-    for a in range(ag.n_actions):
-        value = sum(
-            (c * p for c, p in zip(ag.receiver[a], b.probs)), Fraction(0)
-        )
-        if best_value is None or value > best_value:
-            best, best_value = a, value
-    return best
-
-
-def induced_payoff(ag: ActionGame, i: int, b: Belief) -> Fraction:
-    """Sender i's expected payoff at belief b given the receiver's choice."""
-    a = best_action(ag, b)
-    return sum((c * p for c, p in zip(ag.senders[i][a], b.probs)), Fraction(0))
-
-
 def _argmax_guards(ag: ActionGame) -> tuple[tuple[Constraint, ...], ...]:
     """Per action a, the guard "a is weakly best for the receiver": one
     constraint (R_c - R_a) . beta <= 0 for each other action c.  It depends
@@ -141,81 +119,12 @@ def _induced(
     )
 
 
-def induced_utility(ag: ActionGame, i: int) -> PiecewiseAffineUtility:
-    """Sender i's utility over posteriors as an explicit piecewise-affine
-    function: one piece per action, guarded by that action being weakly
-    best.  Listing pieces in action order makes first-match evaluation
-    reproduce the lowest-index tie-break exactly."""
-    return _induced(_argmax_guards(ag), ag.senders[i])
-
-
 def induced_game(ag: ActionGame) -> GamePayoffs:
     """All senders' induced utilities; zero-sum by construction but not yet
-    normalized (vertex values are raw table entries).  The guards are built
-    once, and every sender's utility holds the same guard objects."""
+    normalized (vertex values are raw table entries).  Each has one piece
+    per action, guarded by that action being weakly best, in action order,
+    so first-match evaluation reproduces the lowest-index tie-break
+    exactly.  The guards are built once, and every sender's utility holds
+    the same guard objects."""
     guards = _argmax_guards(ag)
     return GamePayoffs(tuple(_induced(guards, table) for table in ag.senders))
-
-
-@dataclass(frozen=True)
-class ActionClassification:
-    """vertex_actions[l] is the receiver's action under certainty of state
-    l.  Full revelation in every equilibrium of the induced persuasion game
-    is equivalent to those actions being pairwise distinct; a repeated pair
-    supports a non-revealing equilibrium pooling it."""
-
-    vertex_actions: tuple[int, ...]
-    full_revelation: bool
-    counterexample: Optional[tuple[int, int]]
-
-    @property
-    def first_best_statement(self) -> str:
-        if self.full_revelation:
-            return (
-                "every equilibrium fully reveals the state; the receiver "
-                "always takes the full-information action"
-            )
-        return (
-            "equilibria may pool states with a shared best action; the "
-            "receiver still takes the full-information action almost surely"
-        )
-
-
-def classify_action_game(ag: ActionGame) -> ActionClassification:
-    n = ag.n_states
-    vertex_actions = tuple(best_action(ag, degenerate(n, l)) for l in range(n))
-    pair = None
-    for l in range(n):
-        for k in range(l + 1, n):
-            if vertex_actions[l] == vertex_actions[k]:
-                pair = (l, k)
-                break
-        if pair:
-            break
-    return ActionClassification(vertex_actions, pair is None, pair)
-
-
-@dataclass(frozen=True)
-class FirstBestResult:
-    """ok means every realized posterior leads the receiver to the same
-    action they would take knowing any state in the posterior's support."""
-
-    ok: bool
-    posterior: Optional[Belief] = None
-    state: Optional[int] = None
-
-
-def first_best_check(ag: ActionGame, profile: StrategyProfile) -> FirstBestResult:
-    """Does the receiver always end up taking their full-information action?
-
-    True for equilibrium profiles of the induced game; pooling states with
-    different best actions is the canonical failure."""
-    n = ag.n_states
-    vertex_actions = tuple(best_action(ag, degenerate(n, l)) for l in range(n))
-    joint = product(profile.experiments)
-    for b, _ in joint.atoms:
-        a = best_action(ag, b)
-        for l in sorted(b.support):
-            if a != vertex_actions[l]:
-                return FirstBestResult(False, b, l)
-    return FirstBestResult(True)

@@ -89,10 +89,6 @@ def degenerate(n_states: int, l: int) -> Belief:
     return Belief(tuple(Fraction(1 if i == l else 0) for i in range(n_states)))
 
 
-def uniform(n_states: int) -> Belief:
-    return Belief(tuple(Fraction(1, n_states) for _ in range(n_states)))
-
-
 def state_set(members: Iterable[int], n_states: int) -> tuple[int, ...]:
     """Normalize a non-empty set of state indices to a sorted tuple."""
     omega = tuple(sorted(set(members)))

@@ -46,9 +46,8 @@ from .exceptions import (
     ScenarioError,
     SearchBudgetExceeded,
     UndefinedPosterior,
-    ZeroProbabilityEvent,
 )
-from .experiments import StrategyProfile, check_bayes_plausible, product
+from .experiments import StrategyProfile, product
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     GridSpec,
@@ -77,7 +76,6 @@ _PRECONDITION_ERRORS = (
     NotNormalized,
     NoPieceMatches,
     UndefinedPosterior,
-    ZeroProbabilityEvent,
 )
 _BUDGET_ERRORS = (SearchBudgetExceeded, EnumerationTooLarge)
 
@@ -138,18 +136,13 @@ def _cmd_validate(args) -> int:
         coverage_ok = True
     except NoPieceMatches:
         coverage_ok = zero_sum_ok = False
-    plausible = {
-        name: all(
-            check_bayes_plausible(e).ok for e in profile.experiments
-        )
-        for name, profile in scenario.profiles.items()
-    }
-    ok = coverage_ok and zero_sum_ok and all(plausible.values())
+    ok = coverage_ok and zero_sum_ok
     _emit(
         {
             "coverage_ok": coverage_ok,
             "ok": ok,
-            "profiles_bayes_plausible": plausible,
+            # a profile that is not Bayes-plausible fails to load
+            "profiles_bayes_plausible": dict.fromkeys(scenario.profiles, True),
             "senders": scenario.n_senders,
             "states": scenario.n_states,
             "zero_sum_ok": zero_sum_ok,

@@ -38,10 +38,6 @@ class EnumerationTooLarge(RuntimeError):
     """Grid enumeration would exceed the configured cap."""
 
 
-class ZeroProbabilityEvent(ArithmeticError):
-    """Conditioning on a signal tuple with zero joint likelihood."""
-
-
 class InvariantViolation(ValueError):
     """A declared model invariant (zero-sum, genericity, ...) fails."""
 

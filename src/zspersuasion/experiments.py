@@ -1,9 +1,9 @@
 """Finite-signal experiments as Bayes-plausible interim-belief distributions.
 
 An experiment is stored in the belief-distribution form: a finite list of
-(posterior belief, mass) atoms relative to a full-support prior.  Conversions
-to raw per-state signal tables, products of conditionally independent
-experiments, and conditional atom distributions live here.
+(posterior belief, mass) atoms relative to a full-support prior.  Products
+of conditionally independent experiments and conditional atom distributions
+live here.
 
 The Bayes step is one function, ``conditional_posteriors``, and it runs in
 integers.  An experiment keeps one likelihood row per atom (y, m), over one
@@ -38,9 +38,8 @@ class Experiment:
     """Finite-support distribution over interim beliefs for a fixed prior.
 
     Atoms are kept sorted by belief so value equality is canonical.  Masses
-    must be positive and sum to one; Bayes-plausibility is checked separately
-    via :func:`check_bayes_plausible` so that violating inputs can be
-    represented and reported.
+    must be positive and sum to one; Bayes-plausibility, a mean equal to
+    the prior, is checked by the ``StrategyProfile`` that holds it.
     """
 
     prior: Belief
@@ -103,23 +102,6 @@ class Experiment:
 
 
 @dataclass(frozen=True)
-class SignalStructure:
-    """Per-state signal distributions: table[state][signal] = probability."""
-
-    signals: tuple[str, ...]
-    table: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for l, row in enumerate(self.table):
-            if len(row) != len(self.signals):
-                raise ValueError("table row length differs from signal count")
-            if any(p < 0 for p in row):
-                raise ValueError("signal probabilities must be >= 0")
-            if sum(row) != 1:
-                raise ValueError(f"state {l} signal probabilities do not sum to 1")
-
-
-@dataclass(frozen=True)
 class StrategyProfile:
     """One experiment per sender, all sharing the same prior."""
 
@@ -133,11 +115,11 @@ class StrategyProfile:
             if e.prior != prior:
                 raise ValueError("experiments in a profile must share one prior")
         for e in self.experiments:
-            result = check_bayes_plausible(e)
-            if not result.ok:
+            mean = e.mean()
+            if mean != prior:
                 raise ValueError(
-                    f"experiment mean {result.got.probs} differs from prior "
-                    f"{result.expected.probs}"
+                    f"experiment mean {mean.probs} differs from prior "
+                    f"{prior.probs}"
                 )
 
     @property
@@ -155,13 +137,6 @@ class StrategyProfile:
         return product(others) if others else uninformative(self.prior)
 
 
-@dataclass(frozen=True)
-class PlausibilityCheck:
-    ok: bool
-    expected: Belief
-    got: Belief
-
-
 def fully_revealing(prior: Belief) -> Experiment:
     """Gamma^FR: degenerate beliefs realized with the prior probabilities."""
     n = prior.n_states
@@ -171,23 +146,6 @@ def fully_revealing(prior: Belief) -> Experiment:
 def uninformative(prior: Belief) -> Experiment:
     """Gamma^U: the prior realized with probability one."""
     return Experiment(prior, ((prior, Fraction(1)),))
-
-
-def check_bayes_plausible(e: Experiment) -> PlausibilityCheck:
-    """Exact mean test: the atom-weighted mean belief must equal the prior."""
-    mean = e.mean()
-    return PlausibilityCheck(mean == e.prior, e.prior, mean)
-
-
-def to_signal_structure(e: Experiment) -> SignalStructure:
-    """Raw signal table with one signal per atom:
-    Pr(s_x | w=l) = mass(x) * x_l / prior_l."""
-    n = e.n_states
-    signals = tuple(f"s{j}" for j in range(len(e.atoms)))
-    table = tuple(
-        tuple(m * b[l] / e.prior[l] for b, m in e.atoms) for l in range(n)
-    )
-    return SignalStructure(signals, table)
 
 
 def conditional_posteriors(

@@ -1,9 +1,8 @@
 """Brute-force ground truth.
 
-Computes posteriors straight from per-state signal tables, enumerates every
-Bayes-plausible grid experiment, and exhaustively scans grid strategy
-profiles for profitable deviations and non-revealing equilibria.  Used to
-validate the closed-form machinery on small instances.
+Enumerates every Bayes-plausible grid experiment, and exhaustively scans
+grid strategy profiles for profitable deviations and non-revealing
+equilibria.  Used to validate the closed-form machinery on small instances.
 
 The scans visit every profile and every deviation, but build no joint
 experiment per profile: whether a profile reveals the state is read from
@@ -29,14 +28,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .beliefs import Belief, ray, ray_belief
-from .exceptions import EnumerationTooLarge, PreconditionFailed, ZeroProbabilityEvent
-from .experiments import (
-    Experiment,
-    SignalStructure,
-    StrategyProfile,
-    product,
-    uninformative,
-)
+from .exceptions import EnumerationTooLarge, PreconditionFailed
+from .experiments import Experiment, StrategyProfile, product, uninformative
 from .utilities import GamePayoffs, PiecewiseAffineUtility, Pullback
 
 DEFAULT_ENUMERATION_CAP = 500_000
@@ -58,31 +51,6 @@ class GridSpec:
             raise ValueError("grid resolutions must be >= 1")
         if self.cap < 1:
             raise ValueError("the enumeration cap must be >= 1")
-
-
-def raw_posterior(
-    structures: Sequence[SignalStructure],
-    realized: Sequence[int | str],
-    prior: Belief,
-) -> Belief:
-    """Posterior by direct Bayes' rule on signal tables:
-    Pr(state l | signals) proportional to prior_l * prod_i Pr(s_i | l)."""
-    n = prior.n_states
-    indices = []
-    for structure, s in zip(structures, realized):
-        if isinstance(s, str):
-            s = structure.signals.index(s)
-        indices.append(s)
-    weights = []
-    for l in range(n):
-        w = prior[l]
-        for structure, s in zip(structures, indices):
-            w *= structure.table[l][s]
-        weights.append(w)
-    total = sum(weights)
-    if total == 0:
-        raise ZeroProbabilityEvent("signal tuple has zero joint likelihood")
-    return Belief(tuple(w / total for w in weights))
 
 
 def grid_counts(

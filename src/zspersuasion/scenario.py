@@ -157,10 +157,12 @@ def utility_to_json(u: PiecewiseAffineUtility) -> dict:
 
 
 def utility_from_json(data: Any, n_states: int) -> PiecewiseAffineUtility:
-    if not isinstance(data, dict) or "pieces" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
         raise ScenarioError(f"utility needs a 'pieces' array: {data!r}")
     pieces = []
     for raw in data["pieces"]:
+        if not isinstance(raw, dict) or "form" not in raw:
+            raise ScenarioError(f"piece needs a 'form': {raw!r}")
         guard = tuple(
             constraint_from_json(c, n_states) for c in raw.get("guard", [])
         )
@@ -236,6 +238,15 @@ def scenario_from_json(data: Any) -> Scenario:
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ScenarioError(f"'senders' must be a positive integer, got {m!r}")
 
+    structural = data.get("assert_zero_sum_structural", False)
+    if not isinstance(structural, bool):
+        raise ScenarioError(
+            f"'assert_zero_sum_structural' must be a boolean, got {structural!r}"
+        )
+    profiles = data.get("profiles", {})
+    if not isinstance(profiles, dict):
+        raise ScenarioError("'profiles' must be an object of named profiles")
+
     has_payoffs = "payoffs" in data
     has_actions = "action_game" in data
     if has_payoffs == has_actions:
@@ -258,7 +269,7 @@ def scenario_from_json(data: Any) -> Scenario:
         if not isinstance(raw, list):
             raise ScenarioError("'payoffs' must be an array of utilities")
         utilities = [utility_from_json(u, n) for u in raw]
-        if data.get("assert_zero_sum_structural", False):
+        if structural:
             # author supplies M-1 utilities; the last is their exact negation
             if len(utilities) != m - 1:
                 raise ScenarioError(
@@ -274,7 +285,7 @@ def scenario_from_json(data: Any) -> Scenario:
 
     profiles = {
         name: _one_experiment_per_sender(name, profile_from_json(raw, prior), m)
-        for name, raw in data.get("profiles", {}).items()
+        for name, raw in profiles.items()
     }
     return Scenario(n, prior, m, payoffs, action_game, profiles)
 
@@ -292,9 +303,10 @@ def _one_experiment_per_sender(
 
 def _negated_sum(utilities: list[PiecewiseAffineUtility]) -> PiecewiseAffineUtility:
     """-(u_1 + ... + u_k) on the cells of the utilities' overlay, so the
-    game is zero-sum by construction."""
-    return PiecewiseAffineUtility(
-        tuple(Piece(cell, -total) for cell, total in overlay_regions(utilities))
+    game is zero-sum by construction; its first-match cells are the
+    overlay's, known without a sweep."""
+    return PiecewiseAffineUtility.on_cells(
+        (cell, -total) for cell, total in overlay_regions(utilities)
     )
 
 

@@ -158,17 +158,22 @@ class PiecewiseAffineUtility:
         """``geometry.piece_regions`` of the pieces, on the kept cells."""
         return [(cell, self.pieces[k].form) for k, cell in self.first_match_cells()]
 
+    @classmethod
+    def on_cells(cls, regions) -> "PiecewiseAffineUtility":
+        """The utility equal to each form on its cell, for (cell, form)
+        regions whose cells are nonempty, pairwise disjoint and cover the
+        simplex, as an overlay's are.  Piece k's first-match cell is then
+        cell k, so the utility starts with its decomposition known."""
+        u = cls(tuple(Piece(cell, form) for cell, form in regions))
+        u._decomposition.cells = list(enumerate(u._decomposition.guards))
+        return u
+
     def shifted(self, delta: AffineForm) -> "PiecewiseAffineUtility":
         out = PiecewiseAffineUtility(
             tuple(replace(p, form=p.form + delta) for p in self.pieces)
         )
         object.__setattr__(out, "_decomposition", self._decomposition)
         return out
-
-
-def constant_utility(n_states: int, value=Fraction(0)) -> PiecewiseAffineUtility:
-    form = AffineForm(as_fraction(value), tuple(Fraction(0) for _ in range(n_states)))
-    return PiecewiseAffineUtility((Piece((), form),))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Shared builders: the worked two-state game, random zero-sum game
-generators, and random Bayes-plausible experiments."""
+"""Shared builders: the uniform belief, constant utilities, the worked
+two-state game, random zero-sum game generators, and random
+Bayes-plausible experiments."""
 
 from __future__ import annotations
 
@@ -20,6 +21,15 @@ from zspersuasion.utilities import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def uniform(n_states: int) -> Belief:
+    return Belief(tuple(Fraction(1, n_states) for _ in range(n_states)))
+
+
+def constant_utility(n_states: int) -> PiecewiseAffineUtility:
+    """The utility that is 0 at every belief."""
+    return PiecewiseAffineUtility((Piece((), AffineForm.zero(n_states)),))
 
 
 def negate_utility(u: PiecewiseAffineUtility) -> PiecewiseAffineUtility:

@@ -32,18 +32,28 @@ reject a coverage gap.
 caller in the program: the grid of beliefs as ``Belief`` objects, a
 sender's ex-ante payoff from the full joint experiment, and the exact
 maximum of the pooled sum of utilities.
+
+``best_action``, ``classify_action_game`` and ``first_best_check`` are the
+action-game criterion, which no command applies: every equilibrium of an
+action game reveals the state iff the states' best actions are pairwise
+distinct, and the receiver takes its full-information action in every
+equilibrium.  ``raw_posterior`` is Bayes' rule straight on per-state
+signal tables (``to_signal_structure``), the independent answer that
+``beliefs.combine`` and ``experiments.product`` are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.analysis import detect_pooled_sets
-from zspersuasion.beliefs import Belief, ray, ray_belief
+from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief
 from zspersuasion.equilibrium import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERIFY_GRID,
@@ -413,3 +423,132 @@ def max_total_surplus(g: GamePayoffs) -> Fraction:
         for cell, form in overlay_regions(g.utilities)
         for v in closure_vertices(g.n_states, cell)
     )
+
+
+def best_action(ag: ActionGame, b: Belief) -> int:
+    """Index of the receiver's expected-payoff-maximizing action at belief
+    b, lowest index first on ties."""
+    best = None
+    best_value = None
+    for a in range(ag.n_actions):
+        value = sum(
+            (c * p for c, p in zip(ag.receiver[a], b.probs)), Fraction(0)
+        )
+        if best_value is None or value > best_value:
+            best, best_value = a, value
+    return best
+
+
+def induced_payoff(ag: ActionGame, i: int, b: Belief) -> Fraction:
+    """Sender i's expected payoff at belief b given the receiver's choice."""
+    a = best_action(ag, b)
+    return sum((c * p for c, p in zip(ag.senders[i][a], b.probs)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class ActionClassification:
+    """vertex_actions[l] is the receiver's action under certainty of state
+    l.  Full revelation in every equilibrium of the induced persuasion game
+    is equivalent to those actions being pairwise distinct; a repeated pair
+    supports a non-revealing equilibrium pooling it."""
+
+    vertex_actions: tuple[int, ...]
+    full_revelation: bool
+    counterexample: Optional[tuple[int, int]]
+
+
+def classify_action_game(ag: ActionGame) -> ActionClassification:
+    n = ag.n_states
+    vertex_actions = tuple(best_action(ag, degenerate(n, l)) for l in range(n))
+    pair = None
+    for l in range(n):
+        for k in range(l + 1, n):
+            if vertex_actions[l] == vertex_actions[k]:
+                pair = (l, k)
+                break
+        if pair:
+            break
+    return ActionClassification(vertex_actions, pair is None, pair)
+
+
+@dataclass(frozen=True)
+class FirstBestResult:
+    """ok means every realized posterior leads the receiver to the same
+    action they would take knowing any state in the posterior's support."""
+
+    ok: bool
+    posterior: Optional[Belief] = None
+    state: Optional[int] = None
+
+
+def first_best_check(ag: ActionGame, profile: StrategyProfile) -> FirstBestResult:
+    """Does the receiver always end up taking their full-information action?
+
+    True for equilibrium profiles of the induced game; pooling states with
+    different best actions is the canonical failure."""
+    n = ag.n_states
+    vertex_actions = tuple(best_action(ag, degenerate(n, l)) for l in range(n))
+    joint = product(profile.experiments)
+    for b, _ in joint.atoms:
+        a = best_action(ag, b)
+        for l in sorted(b.support):
+            if a != vertex_actions[l]:
+                return FirstBestResult(False, b, l)
+    return FirstBestResult(True)
+
+
+class ZeroProbabilityEvent(ArithmeticError):
+    """Conditioning on a signal tuple with zero joint likelihood."""
+
+
+@dataclass(frozen=True)
+class SignalStructure:
+    """Per-state signal distributions: table[state][signal] = probability."""
+
+    signals: tuple[str, ...]
+    table: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        for l, row in enumerate(self.table):
+            if len(row) != len(self.signals):
+                raise ValueError("table row length differs from signal count")
+            if any(p < 0 for p in row):
+                raise ValueError("signal probabilities must be >= 0")
+            if sum(row) != 1:
+                raise ValueError(f"state {l} signal probabilities do not sum to 1")
+
+
+def to_signal_structure(e: Experiment) -> SignalStructure:
+    """Raw signal table with one signal per atom:
+    Pr(s_x | w=l) = mass(x) * x_l / prior_l."""
+    n = e.n_states
+    signals = tuple(f"s{j}" for j in range(len(e.atoms)))
+    table = tuple(
+        tuple(m * b[l] / e.prior[l] for b, m in e.atoms) for l in range(n)
+    )
+    return SignalStructure(signals, table)
+
+
+def raw_posterior(
+    structures: Sequence[SignalStructure],
+    realized: Sequence[Union[int, str]],
+    prior: Belief,
+) -> Belief:
+    """Posterior by direct Bayes' rule on signal tables:
+    Pr(state l | signals) proportional to prior_l * prod_i Pr(s_i | l)."""
+    n = prior.n_states
+    indices = []
+    for structure, s in zip(structures, realized):
+        if isinstance(s, str):
+            s = structure.signals.index(s)
+        indices.append(s)
+    weights = []
+    for l in range(n):
+        w = prior[l]
+        for structure, s in zip(structures, indices):
+            w *= structure.table[l][s]
+        weights.append(w)
+    total = sum(weights)
+    if total == 0:
+        raise ZeroProbabilityEvent("signal tuple has zero joint likelihood")
+    return Belief(tuple(w / total for w in weights))

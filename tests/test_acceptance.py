@@ -6,12 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zspersuasion.actions import (
-    best_action,
-    classify_action_game,
-    first_best_check,
-    induced_game,
-)
+from zspersuasion.actions import induced_game
 from zspersuasion.analysis import (
     classify_full_revelation,
     classify_pooling,
@@ -19,7 +14,7 @@ from zspersuasion.analysis import (
     is_zero_on_subsimplex,
     strict_surplus_sufficiency,
 )
-from zspersuasion.beliefs import Belief, belief, combine, degenerate, uniform
+from zspersuasion.beliefs import Belief, belief, combine, degenerate
 from zspersuasion.equilibrium import (
     construct_fully_revealing,
     construct_pooling_equilibrium,
@@ -27,36 +22,39 @@ from zspersuasion.equilibrium import (
     verify_profile,
 )
 from zspersuasion.exceptions import NotPoolable, PreconditionFailed
-from zspersuasion.experiments import (
-    StrategyProfile,
-    product,
-    to_signal_structure,
-    uninformative,
-)
+from zspersuasion.experiments import StrategyProfile, product, uninformative
 from zspersuasion.oracle import (
     GridSpec,
     enumerate_grid_strategies,
     full_revelation_scan,
-    raw_posterior,
 )
 from zspersuasion.scenario import load_scenario
 from zspersuasion.utilities import (
     GamePayoffs,
     conditional_payoff,
-    constant_utility,
     normalize_payoffs,
 )
 
 from conftest import (
     FIXTURES,
+    constant_utility,
     edge_piecewise_utility,
     negate_utility,
     random_binary_game,
     random_experiment,
     random_prior,
     random_ternary_game,
+    uniform,
 )
-from reference import expected_utility, max_total_surplus
+from reference import (
+    best_action,
+    classify_action_game,
+    expected_utility,
+    first_best_check,
+    max_total_surplus,
+    raw_posterior,
+    to_signal_structure,
+)
 from test_actions import random_action_game
 
 

@@ -30,11 +30,10 @@ from zspersuasion.utilities import (
     GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
-    constant_utility,
     normalize_payoffs,
 )
 
-from conftest import FIXTURES, edge_piecewise_utility, negate_utility
+from conftest import FIXTURES, constant_utility, edge_piecewise_utility, negate_utility
 
 
 def b51_game() -> GamePayoffs:

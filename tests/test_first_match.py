@@ -1,5 +1,6 @@
 """The first-match sweep: the redundancy-pruned cells against the
-fragmenting sweep they replace, and how often one command sweeps."""
+fragmenting sweep they replace, how often one command sweeps, and the
+cells a structural scenario's negated utility starts with."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from zspersuasion import geometry, utilities
-from zspersuasion.actions import induced_game, induced_utility
+from zspersuasion.actions import induced_game
 from zspersuasion.affine import OPS, AffineForm, Constraint
 from zspersuasion.analysis import is_zero_on_subsimplex
 from zspersuasion.beliefs import Belief
@@ -25,7 +26,7 @@ from zspersuasion.geometry import (
     piece_regions,
     strictly_feasible_point,
 )
-from zspersuasion.scenario import utility_to_json
+from zspersuasion.scenario import load_scenario, scenario_from_json, utility_to_json
 from zspersuasion.utilities import (
     GamePayoffs,
     Piece,
@@ -35,6 +36,7 @@ from zspersuasion.utilities import (
 )
 
 import reference
+from conftest import FIXTURES
 from reference import grid_beliefs
 from test_actions import random_action_game
 
@@ -313,7 +315,7 @@ def mixed_guard_scenario(tmp_path, n):
     so the two utilities have different guard sequences and their overlay
     refines the first one's cells by the second one's sweep."""
     rng = random.Random(11)
-    utilities = [induced_utility(random_action_game(rng, n, 3), 0) for _ in range(2)]
+    utilities = [induced_game(random_action_game(rng, n, 3)).utilities[0] for _ in range(2)]
     assert utilities[0].pieces[0].guard != utilities[1].pieces[0].guard
     path = tmp_path / f"mixed-N{n}.json"
     path.write_text(json.dumps({
@@ -394,7 +396,7 @@ def mixed_guard_game(rng, n, m):
                 us.append(rng.choice(us).shifted(random_form(rng, n)))
             elif roll < 0.6:
                 ag = random_action_game(rng, n, rng.randint(2, 3))
-                us.append(induced_utility(ag, 0))
+                us.append(induced_game(ag).utilities[0])
             else:
                 us.append(random_utility(rng, n))
         if len({tuple(p.guard for p in u.pieces) for u in us}) > 1:
@@ -448,7 +450,7 @@ class TestSweepCap:
 
     def test_cap_bounds_the_cells(self, monkeypatch):
         ag = random_action_game(random.Random(3), 3, 4, 3)
-        guards = [p.guard for p in induced_utility(ag, 0).pieces]
+        guards = [p.guard for p in induced_game(ag).utilities[0].pieces]
         cells = geometry.first_match_cells(3, guards)
         assert len(cells) > 1
         # the last cell matched is held with every earlier one
@@ -468,3 +470,80 @@ class TestSweepCap:
         error = json.loads(err)
         assert error["error"] == "EnumerationTooLarge"
         assert "sweep cap 1" in error["message"]
+
+
+def count_lps(monkeypatch):
+    """Counts the emptiness LPs, wherever geometry asks one."""
+    calls = []
+    solve = geometry._has_strict_point
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(geometry, "_has_strict_point", counted)
+    return calls
+
+
+def pieces_by_belief(masks, cells):
+    """For each grid belief, the pieces of the (piece, cell) pairs whose
+    cell contains it."""
+    cells = [(k, masks(cell)) for k, cell in cells]
+    return [
+        [k for k, mask in cells if mask >> i & 1]
+        for i in range(len(masks.beliefs))
+    ]
+
+
+def structural_scenario(rng, n, m):
+    """m - 1 random utilities over n states, and the last sender's their
+    negated sum; None when the utilities leave a coverage gap."""
+    data = {
+        "states": n,
+        "prior": [str(Fraction(1, n))] * n,
+        "senders": m,
+        "assert_zero_sum_structural": True,
+        "payoffs": [utility_to_json(random_utility(rng, n)) for _ in range(m - 1)],
+    }
+    try:
+        return scenario_from_json(data)
+    except NoPieceMatches:
+        return None
+
+
+class TestNegatedSumCells:
+    """A structural scenario's negated utility has one piece per overlay
+    cell, so its first-match cells are those cells, handed over when it is
+    built instead of swept again."""
+
+    @pytest.mark.parametrize("fixture, lps", [("example_b51", 24), ("figure1", 2)])
+    def test_lps_from_load_through_every_decomposition(self, monkeypatch, fixture, lps):
+        calls = count_lps(monkeypatch)
+        scenario = load_scenario(str(FIXTURES / f"{fixture}.json"))
+        for u in scenario.payoffs.utilities:
+            u.first_match_cells()
+        # 78 and 6 when the negated utility was swept again
+        assert len(calls) == lps
+
+    def test_handed_over_cells_match_a_fresh_sweep(self):
+        rng = random.Random(23)
+        scenarios = [
+            load_scenario(str(FIXTURES / f"{name}.json"))
+            for name in ("example_b51", "figure1")
+        ]
+        seen = set()
+        while len(scenarios) < 42:
+            n, m = rng.randint(2, 4), rng.randint(2, 3)
+            scenario = structural_scenario(rng, n, m)
+            if scenario is not None:
+                scenarios.append(scenario)
+                seen.update({("N", n), ("M", m)})
+        assert seen == {("N", 2), ("N", 3), ("N", 4), ("M", 2), ("M", 3)}
+        for scenario in scenarios:
+            n = scenario.n_states
+            masks = GridMasks(n, 6)
+            for u in scenario.payoffs.utilities:
+                fresh = geometry.first_match_cells(n, [p.guard for p in u.pieces])
+                kept = pieces_by_belief(masks, u.first_match_cells())
+                assert kept == pieces_by_belief(masks, fresh), u
+                assert all(len(pieces) == 1 for pieces in kept), u

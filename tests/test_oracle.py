@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from zspersuasion.beliefs import belief, combine
-from zspersuasion.exceptions import EnumerationTooLarge, ZeroProbabilityEvent
+from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
     StrategyProfile,
     fully_revealing,
-    to_signal_structure,
     uninformative,
 )
 from zspersuasion.oracle import (
@@ -19,11 +18,15 @@ from zspersuasion.oracle import (
     enumerate_grid_strategies,
     enumeration_bound,
     full_revelation_scan,
-    raw_posterior,
 )
 
-from conftest import random_experiment, random_prior
-from reference import grid_beliefs
+from conftest import constant_utility, random_experiment, random_prior
+from reference import (
+    ZeroProbabilityEvent,
+    grid_beliefs,
+    raw_posterior,
+    to_signal_structure,
+)
 
 
 HALF = belief(["1/2", "1/2"])
@@ -128,7 +131,7 @@ class TestScans:
         assert result.only_fully_revealing
 
     def test_flat_game_scan_finds_pooling(self):
-        from zspersuasion.utilities import GamePayoffs, constant_utility
+        from zspersuasion.utilities import GamePayoffs
 
         g = GamePayoffs((constant_utility(2), constant_utility(2)))
         result = full_revelation_scan(g, HALF, GridSpec(2, 2, 2))

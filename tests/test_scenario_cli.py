@@ -386,6 +386,50 @@ class TestCli:
             "message": "'senders' must be a positive integer, got True",
         }
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("payoffs", [{"pieces": ["x"]}], "piece needs a 'form': 'x'"),
+            ("profiles", [], "'profiles' must be an object of named profiles"),
+            (
+                "assert_zero_sum_structural",
+                "false",
+                "'assert_zero_sum_structural' must be a boolean, got 'false'",
+            ),
+        ],
+        ids=["piece_not_an_object", "profiles_not_an_object", "structural_not_a_boolean"],
+    )
+    def test_malformed_shapes_are_bad_input(
+        self, capsys, tmp_path, key, value, message
+    ):
+        """figure1 with one field of the wrong shape.  The first two used to
+        end in an AttributeError traceback, and the string "false" turned
+        structural mode on."""
+        data = json.loads(open(FIG1).read())
+        data[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ScenarioError", "message": message}
+
+    def test_implausible_profile_fails_at_load(self, capsys, tmp_path):
+        """A profile whose mean is off the prior never loads, so ``validate``
+        has no profile left to report as not Bayes-plausible."""
+        data = json.loads(open(FIG1).read())
+        off_prior = {"atoms": [{"belief": ["1/3", "2/3"], "mass": "1"}]}
+        data["profiles"]["off_prior"] = [off_prior, "uninformative"]
+        path = tmp_path / "off_prior.json"
+        path.write_text(json.dumps(data))
+        code, out, err = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ScenarioError"
+        assert error["message"].startswith("invalid profile: experiment mean (")
+        assert "differs from prior (" in error["message"]
+
     def test_verify_grid_over_the_cap_exits_3(self, capsys, monkeypatch):
         """The verify grid is counted against the enumeration cap: grid 5 on
         two states has 6 beliefs."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.beliefs import Belief, belief, degenerate, uniform
+from zspersuasion.beliefs import Belief, belief, degenerate
 from zspersuasion.exceptions import NoPieceMatches
 from zspersuasion.experiments import (
     StrategyProfile,
@@ -22,18 +22,19 @@ from zspersuasion.utilities import (
     PiecewiseAffineUtility,
     check_zero_sum,
     conditional_payoff,
-    constant_utility,
     edge_restriction,
     normalize_payoffs,
 )
 
 from conftest import (
+    constant_utility,
     edge_piecewise_utility,
     jump_game,
     negate_utility,
     random_binary_game,
     random_experiment,
     random_prior,
+    uniform,
 )
 from reference import expected_utility, max_total_surplus
 
