@@ -96,10 +96,17 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def _parse_state_set(raw: str) -> tuple[int, ...]:
+    """A --pool or --set argument: two distinct states or more, since a
+    set of one state pools nothing."""
     try:
-        return tuple(sorted({int(tok) for tok in raw.split(",") if tok != ""}))
+        omega = tuple(sorted({int(tok) for tok in raw.split(",") if tok != ""}))
     except ValueError as exc:
         raise ScenarioError(f"bad state set {raw!r}: {exc}") from exc
+    if len(omega) < 2:
+        raise ScenarioError(
+            f"bad state set {raw!r}: a pooled set needs two distinct states"
+        )
+    return omega
 
 
 def _resolve_profile(scenario: Scenario, name: str) -> StrategyProfile:

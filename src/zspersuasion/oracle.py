@@ -4,13 +4,18 @@ Enumerates every Bayes-plausible grid experiment, and exhaustively scans
 grid strategy profiles for profitable deviations and non-revealing
 equilibria.  Used to validate the closed-form machinery on small instances.
 
-The scans visit every profile and every deviation, but build no joint
-experiment per profile: whether a profile reveals the state is read from
-its atoms' supports, and a sender's payoff under her own experiment or a
-deviation is summed from her conditional payoffs at its atoms, through one
-``utilities.Pullback`` per (sender, opponents' joint).  A grid strategy's
-payoff against a pullback is an integer score over a scale common to every
-grid strategy, so strategies are compared in integers.
+The scans work on grid strategies as integer atoms (k, c), a belief k / R
+in grid counts with mass c / r, and build an ``Experiment`` only for a
+profile or deviation they return and for the opponents ``product`` folds
+when there are three senders or more.  The enumeration solves each
+strategy's last atom from the others and the prior.  Whether a profile
+reveals the state is read from its atoms' supports, and a sender's payoff
+under her own experiment or a deviation is summed from her conditional
+payoffs at its atoms, through one ``utilities.Pullback`` per (sender,
+opponents' joint), built from the opponents' likelihood rows; each grid
+belief's row is computed once per scan.  A grid strategy's payoff against
+a pullback is an integer score over a scale common to every grid strategy,
+so strategies are compared in integers.
 
 The grid of beliefs with coordinates in multiples of 1/R is built from
 integer count vectors (``grid_counts``), counted against the enumeration
@@ -97,48 +102,109 @@ def enumeration_bound(n_states: int, grid: GridSpec) -> int:
     return total
 
 
-def enumerate_grid_strategies(
-    prior: Belief, grid: GridSpec
-) -> list[Experiment]:
-    """Every Bayes-plausible experiment with grid-belief support and
-    grid-resolution masses, in deterministic lexicographic order.
+# a grid strategy: its atoms (k, c), the belief k / R in grid counts,
+# sum(k) = R the belief resolution, and the mass c / r, r the mass
+# resolution, in increasing order of k
+GridAtoms = tuple[tuple[tuple[int, ...], int], ...]
 
-    Plausibility is tested in integers: with coordinates k/R and masses c/r,
-    the mean equals the prior iff sum c*k = prior_l*r*R in every state l, so
-    a prior off that grid has no plausible grid experiment at all.
+
+def _grid_strategies(prior: Belief, grid: GridSpec) -> Iterator[GridAtoms]:
+    """Every Bayes-plausible grid strategy, in the order of
+    ``enumerate_grid_strategies``: by support size, then support in
+    lexicographic order of the beliefs, then mass split in the order of
+    ``_mass_splits``.
+
+    With coordinates k/R and masses c/r, the mean equals the prior iff
+    sum_j c_j k_j = t, t = prior * r * R, so a prior off that grid has no
+    plausible grid strategy, and the last atom of a support is solved, not
+    searched: k_s = (t - sum_{j<s} c_j k_j) / c_s, kept when it is a
+    nonnegative integer vector after the support's other beliefs.  It then
+    sums to R, since t does to r R.  The enumeration bound is checked
+    against the cap first.
     """
     if enumeration_bound(prior.n_states, grid) > grid.cap:
         raise EnumerationTooLarge(
             f"grid enumeration bound exceeds cap {grid.cap}"
         )
-    big_r = grid.belief_resolution
-    r = grid.mass_resolution
+    big_r, r = grid.belief_resolution, grid.mass_resolution
     scaled = [p * r * big_r for p in prior.probs]
     if any(t.denominator != 1 for t in scaled):
-        return []
-    targets = [t.numerator for t in scaled]
-    beliefs = [
-        (ray_belief(k), k) for k in grid_counts(prior.n_states, big_r, grid.cap)
-    ]
-    out = []
+        return
+    target = tuple(t.numerator for t in scaled)
+    beliefs = list(grid_counts(prior.n_states, big_r, grid.cap))
     for size in range(1, grid.max_support + 1):
-        for support in itertools.combinations(beliefs, size):
-            for split in _mass_splits(r, size):
-                if any(
-                    sum(c * k[l] for c, (_, k) in zip(split, support)) != t
-                    for l, t in enumerate(targets)
-                ):
+        splits = list(_mass_splits(r, size))
+        for prefix in itertools.combinations(beliefs, size - 1):
+            solved = []
+            for rank, split in enumerate(splits):
+                rest = target
+                for c, k in zip(split, prefix):
+                    rest = [t - c * v for t, v in zip(rest, k)]
+                last = split[-1]
+                if any(v < 0 or v % last for v in rest):
                     continue
-                out.append(
-                    Experiment(
-                        prior,
-                        tuple(
-                            (b, Fraction(c, r))
-                            for c, (b, _) in zip(split, support)
-                        ),
-                    )
-                )
-    return out
+                k = tuple(v // last for v in rest)
+                if not prefix or k > prefix[-1]:
+                    solved.append((k, rank, split))
+            solved.sort()
+            for k, _, split in solved:
+                yield tuple(zip(prefix + (k,), split))
+
+
+def _experiment(prior: Belief, grid: GridSpec, atoms: GridAtoms) -> Experiment:
+    """A grid strategy as an ``Experiment``."""
+    r = grid.mass_resolution
+    return Experiment(
+        prior, tuple((ray_belief(k), Fraction(c, r)) for k, c in atoms)
+    )
+
+
+def enumerate_grid_strategies(
+    prior: Belief, grid: GridSpec
+) -> list[Experiment]:
+    """Every Bayes-plausible experiment with grid-belief support and
+    grid-resolution masses, in deterministic lexicographic order."""
+    return [_experiment(prior, grid, a) for a in _grid_strategies(prior, grid)]
+
+
+class _LikelihoodRows:
+    """``Experiment.likelihood_rows`` of grid strategies, from their atoms.
+    With the prior t / (r R), the belief k / R has y_l / prior_l =
+    r k_l / t_l, so its row Z over D, computed once per belief, needs only
+    integers, and an atom's mass c / r gives c / (r D) = M / E."""
+
+    def __init__(self, prior: Belief, grid: GridSpec):
+        self.r = grid.mass_resolution
+        self.target = tuple(
+            (p * self.r * grid.belief_resolution).numerator for p in prior.probs
+        )
+        self.beliefs: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+
+    def row(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(Z, D) with y_l / prior_l = Z_l / D, D the least common
+        denominator, for the belief k / R."""
+        out = self.beliefs.get(k)
+        if out is None:
+            ratios = []
+            for v, t in zip(k, self.target):
+                g = math.gcd(self.r * v, t)
+                ratios.append((self.r * v // g, t // g))
+            d = math.lcm(*(den for _, den in ratios))
+            out = self.beliefs[k] = (
+                tuple(num * (d // den) for num, den in ratios), d
+            )
+        return out
+
+    def __call__(self, atoms: GridAtoms):
+        """(E, rows) of the grid strategy with these atoms."""
+        masses = []
+        for k, c in atoms:
+            z, d = self.row(k)
+            den = self.r * d
+            g = math.gcd(c, den)
+            masses.append((z, c // g, den // g))
+        e = math.lcm(*(den for _, _, den in masses))
+        return e, tuple((z, num * (e // den)) for z, num, den in masses)
 
 
 @dataclass(frozen=True)
@@ -148,25 +214,9 @@ class ScanResult:
     gain: Optional[Fraction] = None
 
 
-def _grid_atoms(
-    e: Experiment, grid: GridSpec
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """A grid experiment's atoms as (k, c): the belief k / R in grid counts,
-    sum(k) = R the belief resolution, and the mass c / r, r the mass
-    resolution."""
-    big_r, r = grid.belief_resolution, grid.mass_resolution
-    return tuple(
-        (
-            tuple(p.numerator * (big_r // p.denominator) for p in b.probs),
-            m.numerator * (r // m.denominator),
-        )
-        for b, m in e.atoms
-    )
-
-
 class _Scores:
     """A sender's grid strategies scored against one pullback.  A strategy
-    with ``_grid_atoms`` (k_j, c_j) pays sum_j (c_j / r) payoff(k_j), which
+    with atoms (k_j, c_j) pays sum_j (c_j / r) payoff(k_j), which
     is the integer sum_j c_j numerator(k_j) over ``scale`` = E Lam R r, the
     same for every grid strategy; strategies compare by that integer.  Each
     grid belief's numerator is computed once."""
@@ -178,7 +228,7 @@ class _Scores:
         )
         self.numerators: dict[tuple[int, ...], int] = {}
 
-    def __call__(self, atoms: Sequence[tuple[tuple[int, ...], int]]) -> int:
+    def __call__(self, atoms: GridAtoms) -> int:
         total = 0
         for k, c in atoms:
             v = self.numerators.get(k)
@@ -204,10 +254,14 @@ def best_response_scan(
     )
     score = _Scores(pullback, grid)
     bar = math.floor(base * score.scale)
-    for e in enumerate_grid_strategies(profile.prior, grid):
-        value = score(_grid_atoms(e, grid))
+    for atoms in _grid_strategies(profile.prior, grid):
+        value = score(atoms)
         if value > bar:
-            return ScanResult(True, e, Fraction(value, score.scale) - base)
+            return ScanResult(
+                True,
+                _experiment(profile.prior, grid, atoms),
+                Fraction(value, score.scale) - base,
+            )
     return ScanResult(False)
 
 
@@ -215,13 +269,6 @@ def best_response_scan(
 class RevelationScanResult:
     only_fully_revealing: bool
     profile: Optional[StrategyProfile] = None
-
-
-def _support_masks(e: Experiment) -> tuple[int, ...]:
-    """Each atom's support as a bitmask over the states."""
-    return tuple(
-        sum(1 << l for l, p in enumerate(b.probs) if p) for b, _ in e.atoms
-    )
 
 
 def _reveals_fully(masks: Sequence[tuple[int, ...]]) -> bool:
@@ -246,7 +293,9 @@ def full_revelation_scan(
     supports, and each sender's payoff, her own experiment's and every
     deviation's alike, is an integer score against her pullback of the
     opponents' joint (``_Scores``), one per (sender, opponents) for the
-    whole scan.
+    whole scan.  A lone opponent's joint is her grid strategy, so its
+    likelihood rows come straight from her atoms (``_LikelihoodRows``);
+    only two opponents or more are folded by ``product``.
 
     A sender can always deviate to full revelation, on the grid or off it:
     the joint then reveals the state whatever the others play, and pays her
@@ -260,19 +309,37 @@ def full_revelation_scan(
     equilibrium it does return survives every grid deviation and full
     revelation.  An empty grid is no evidence: it raises PreconditionFailed.
     """
-    if not (strategies := enumerate_grid_strategies(prior, grid)):
+    if not (strategies := list(_grid_strategies(prior, grid))):
         raise PreconditionFailed("no grid experiment is Bayes-plausible for the prior")
     m = g.n_senders
     if len(strategies) ** m > grid.cap:
         raise EnumerationTooLarge(
             f"{len(strategies)}^{m} profiles exceed cap {grid.cap}"
         )
-    masks = [_support_masks(e) for e in strategies]
-    atoms = [_grid_atoms(e, grid) for e in strategies]
+    masks = [
+        tuple(sum(1 << l for l, v in enumerate(k) if v) for k, _ in atoms)
+        for atoms in strategies
+    ]
     revealed = [_full_revelation_payoff(u, prior) for u in g.utilities]
-    # profiles and opponents are tuples of indices into strategies; a lone
-    # sender's opponents, (), reveal nothing
-    joints: dict[tuple[int, ...], Experiment] = {(): uninformative(prior)}
+    rows = _LikelihoodRows(prior, grid)
+    experiments: dict[int, Experiment] = {}
+
+    def experiment(j: int) -> Experiment:
+        e = experiments.get(j)
+        if e is None:
+            e = experiments[j] = _experiment(prior, grid, strategies[j])
+        return e
+
+    def joint_rows(others: tuple[int, ...]):
+        # a lone sender's opponents, (), reveal nothing
+        if len(others) == 1:
+            return rows(strategies[others[0]])
+        if not others:
+            return uninformative(prior).likelihood_rows
+        return product([experiment(j) for j in others]).likelihood_rows
+
+    # profiles and opponents are tuples of indices into strategies
+    joints: dict[tuple[int, ...], tuple] = {}
     # per (sender, opponents): her scores, and the least score that pays
     # her at least full revelation
     pulled: dict[tuple[int, tuple[int, ...]], tuple[_Scores, int]] = {}
@@ -286,24 +353,22 @@ def full_revelation_scan(
             if pair is None:
                 against = joints.get(others)
                 if against is None:
-                    against = joints[others] = product(
-                        [strategies[j] for j in others]
-                    )
-                score = _Scores(Pullback(g.utilities[i], against), grid)
+                    against = joints[others] = joint_rows(others)
+                score = _Scores(Pullback.of_rows(g.utilities[i], *against), grid)
                 pair = pulled[(i, others)] = (
                     score, math.ceil(revealed[i] * score.scale)
                 )
             score, least = pair
-            base = score(atoms[own])
+            base = score(strategies[own])
             if base < least:
                 break
             scored.append((score, base))
         else:
             if not any(
-                score(a) > base for score, base in scored for a in atoms
+                score(a) > base for score, base in scored for a in strategies
             ):
                 return RevelationScanResult(
-                    False, StrategyProfile(tuple(strategies[j] for j in combo))
+                    False, StrategyProfile(tuple(experiment(j) for j in combo))
                 )
     return RevelationScanResult(True)
 

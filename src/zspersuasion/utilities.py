@@ -12,7 +12,11 @@ A conditional payoff is computed one way, by ``Pullback``: against a fixed
 opponents' joint, it pulls a utility's guards and forms back through each
 of the joint's atoms to integer rows in the interim counts, so the
 conditional payoff at any interim belief is one integer dot product per
-atom that has more than one piece left there, over one denominator.
+atom that has more than one piece left there, over one denominator.  The
+rows an atom pulls back depend only on the utility and the atom's
+likelihood row, so each utility keeps them per row from first use (the
+pulled-back guards once per guard sequence), and a pullback only scales
+them by its atoms' masses.
 The zero-sum check is exact: it is decided on the common refinement of the
 utilities' first-match cells (``geometry.overlay_regions``, kept by the
 game), never by sampling beliefs, and the decomposition into those cells
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add, eq, ge, gt, le, lt, mul
+from operator import eq, ge, gt, le, lt, mul
 from typing import Optional, Sequence, Union
 
 from .affine import AffineForm, Constraint
@@ -45,18 +49,39 @@ class Piece:
 
 
 class _Decomposition:
-    """The first-match cells of one guard sequence, swept on first use.  A
-    sweep that raises NoPieceMatches keeps nothing."""
+    """The first-match cells of one guard sequence, swept on first use, and
+    the guards pulled back through each likelihood row, also from first use.
+    A sweep that raises NoPieceMatches keeps nothing."""
 
     def __init__(self, n: int, guards: tuple[tuple[Constraint, ...], ...]):
         self.n = n
         self.guards = guards
         self.cells: Optional[list[tuple[int, tuple[Constraint, ...]]]] = None
+        self.pulled: dict[tuple[int, ...], tuple[bool, tuple]] = {}
 
     def get(self) -> list[tuple[int, tuple[Constraint, ...]]]:
         if self.cells is None:
             self.cells = first_match_cells(self.n, self.guards)
         return self.cells
+
+    def pulled_back(self, z: tuple[int, ...]) -> tuple[bool, tuple]:
+        """Whether an atom with likelihood row z lies on a face, and the
+        pieces that can match at it, in order, as (piece index, guard as
+        ``_pulled_back_guard`` gives it), up to the first piece whose guard
+        always holds there."""
+        out = self.pulled.get(z)
+        if out is None:
+            support = [l for l, zl in enumerate(z) if zl]
+            kept = []
+            for j, guard in enumerate(self.guards):
+                pulled = _pulled_back_guard(guard, z, support)
+                if pulled is None:
+                    continue
+                kept.append((j, pulled))
+                if not pulled:  # always matches: later pieces never do
+                    break
+            out = self.pulled[z] = (len(support) < len(z), tuple(kept))
+        return out
 
 
 @dataclass(frozen=True)
@@ -66,13 +91,15 @@ class PiecewiseAffineUtility:
     Piece order is meaningful: the first piece whose guard holds at a belief
     determines the value there, which pins down boundary values exactly.
 
-    The first-match cells depend on the guards alone, so a utility keeps
-    them once decomposed and shares them with every utility made from it by
+    The first-match cells, and the guards pulled back through each
+    likelihood row, depend on the guards alone, so a utility keeps them
+    from first use and shares them with every utility made from it by
     ``shifted`` and with every utility of a ``GamePayoffs`` that has the
     same guard sequence.  They live as long as those utilities do, which
     is one command, since every command loads its scenario afresh.  Its
-    edge restrictions and vertex values depend on the forms too, so each
-    utility keeps its own, also from first use.
+    edge restrictions, vertex values and pulled-back rows (``pulled_back``)
+    depend on the forms too, so each utility keeps its own, also from
+    first use.
     """
 
     pieces: tuple[Piece, ...]
@@ -80,6 +107,9 @@ class PiecewiseAffineUtility:
         init=False, repr=False, compare=False
     )
     _edges: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _pulled: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -149,6 +179,24 @@ class PiecewiseAffineUtility:
         if f is None:
             f = self._edges[(l, k)] = edge_restriction(self, l, k)
         return f
+
+    @cached_property
+    def form_scale(self) -> int:
+        """Lam, the lcm of the pieces' form scales: every form over Lam is
+        an integer row (C_p, A_p)."""
+        return math.lcm(*(p.form.integer_row[0] for p in self.pieces))
+
+    def pulled_back(self, z: tuple[int, ...]) -> tuple[bool, tuple]:
+        """The pieces left at an atom with likelihood row z, before the
+        atom's mass factor: whether the atom lies on a face, and per piece
+        that can match there, its pulled-back guard, as the decomposition
+        keeps it for every utility with these guards, and the row
+        G0_l = z_l (C_p + A_pl) of its form over ``form_scale``.  Computed
+        on first use (``_pull_back``) and kept as long as the utility."""
+        out = self._pulled.get(z)
+        if out is None:
+            out = self._pulled[z] = _pull_back(self, z)
+        return out
 
     def first_match_cells(self) -> list[tuple[int, tuple[Constraint, ...]]]:
         """``geometry.first_match_cells`` of the guards, swept once."""
@@ -411,42 +459,47 @@ class Pullback:
 
     p the first piece matching at w_j, over the atoms with T_j > 0.  A guard
     with integer row (a, c) is signed there by k . H_jg, H_jgl = Z_jl (c + a_l).
-    G and H live on the atom's support and are computed once per (atom,
-    piece).  A guard whose test k . H_jg op 0 comes out the same wherever
-    the atom has positive probability, as the signs of H_jg on the support
-    show, is decided once: it is dropped, or its piece is.  An atom whose
-    first remaining piece then always matches, as every one-state atom
-    does, adds k . G_jp at every k and is folded into one vector V, which is
-    zero under ``normalize_payoffs`` for one-state atoms.  ``payoff(k)`` is
+    H and G_jp / M_j depend only on the utility and Z_j, so the utility
+    keeps them per likelihood row (``PiecewiseAffineUtility.pulled_back``),
+    and a pullback scales each kept G by its atom's M_j.  A guard whose test
+    k . H_jg op 0 comes out the same wherever the atom has positive
+    probability, as the signs of H_jg on the support show, is decided once:
+    it is dropped, or its piece is.  An atom whose first remaining piece
+    then always matches, as every one-state atom does, adds k . G_jp at
+    every k and is folded into one vector V, which is zero under
+    ``normalize_payoffs`` for one-state atoms.  ``payoff(k)`` is
     ``Fraction(numerator(k), denominator * K)``.  This is the only place the
     program computes a conditional payoff.
     """
 
     def __init__(self, u: PiecewiseAffineUtility, others: Experiment):
-        e, rows = others.likelihood_rows
-        forms = [p.form.integer_row for p in u.pieces]
-        scale = math.lcm(*(lam for lam, _, _ in forms))
-        self.denominator = e * scale
-        n = u.n_states
-        vertex = [0] * n
+        self._pull(u, *others.likelihood_rows)
+
+    @classmethod
+    def of_rows(
+        cls,
+        u: PiecewiseAffineUtility,
+        e: int,
+        rows: Sequence[tuple[tuple[int, ...], int]],
+    ) -> "Pullback":
+        """The pullback against a joint given by its likelihood rows
+        (Z_j, M_j) over E, as ``Experiment.likelihood_rows`` gives them."""
+        out = cls.__new__(cls)
+        out._pull(u, e, rows)
+        return out
+
+    def _pull(self, u: PiecewiseAffineUtility, e: int, rows) -> None:
+        self.denominator = e * u.form_scale
+        vertex = [0] * u.n_states
         atoms = []
         for z, m in rows:
-            support = [l for l in range(n) if z[l]]
-            pieces = []
-            for p, (lam, a, c) in zip(u.pieces, forms):
-                guard = _pulled_back_guard(p.guard, z, support)
-                if guard is None:
-                    continue
-                f = m * (scale // lam)
-                pieces.append(
-                    (guard, tuple(f * zl * (c + al) for zl, al in zip(z, a)))
-                )
-                if not guard:  # always matches: later pieces never do
-                    break
-            if pieces and not pieces[0][0]:
-                vertex = list(map(add, vertex, pieces[0][1]))
+            face, kept = u.pulled_back(z)
+            if kept and not kept[0][0]:
+                vertex = [v + m * gl for v, gl in zip(vertex, kept[0][1])]
             else:
-                atoms.append((z, len(support) < n, tuple(pieces)))
+                atoms.append((z, face, tuple(
+                    (guard, tuple(m * gl for gl in g)) for guard, g in kept
+                )))
         self.vertex = tuple(vertex) if any(vertex) else None
         self.atoms = tuple(atoms)
 
@@ -477,6 +530,19 @@ class Pullback:
             else:
                 raise NoPieceMatches.at(ray_belief(tuple(map(mul, k, z))))
         return total
+
+
+def _pull_back(
+    u: PiecewiseAffineUtility, z: tuple[int, ...]
+) -> tuple[bool, tuple]:
+    """``PiecewiseAffineUtility.pulled_back`` at likelihood row z, computed."""
+    face, guards = u._decomposition.pulled_back(z)
+    pieces = []
+    for j, guard in guards:
+        lam, a, c = u.pieces[j].form.integer_row
+        f = u.form_scale // lam
+        pieces.append((guard, tuple(f * zl * (c + al) for zl, al in zip(z, a))))
+    return face, tuple(pieces)
 
 
 def _pulled_back_guard(

@@ -28,6 +28,15 @@ first-match region per utility, one emptiness test per tuple, which
 Both must cover every belief once with the same summed form, and both must
 reject a coverage gap.
 
+``grid_strategies`` is the grid enumeration that searched every support
+of up to ``max_support`` grid beliefs and tested each mass split for
+Bayes-plausibility, building an ``Experiment`` for each plausible one,
+which ``oracle._grid_strategies`` replaced with integer atoms whose last
+atom is solved from the others.  Both must list the same experiments in
+the same order, and raise the same errors.  ``support_masks`` is an
+experiment's atom supports as bitmasks, which the oracle now reads from
+the integer atoms.
+
 ``grid_beliefs``, ``expected_utility`` and ``max_total_surplus`` have no
 caller in the program: the grid of beliefs as ``Belief`` objects, a
 sender's ex-ante payoff from the full joint experiment, and the exact
@@ -63,7 +72,11 @@ from zspersuasion.equilibrium import (
     _exploit,
     _minimal_theta,
 )
-from zspersuasion.exceptions import InvariantViolation, NoPieceMatches
+from zspersuasion.exceptions import (
+    EnumerationTooLarge,
+    InvariantViolation,
+    NoPieceMatches,
+)
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -72,7 +85,12 @@ from zspersuasion.experiments import (
     product,
 )
 from zspersuasion.geometry import cell_is_nonempty, closure_vertices, overlay_regions
-from zspersuasion.oracle import grid_counts
+from zspersuasion.oracle import (
+    GridSpec,
+    _mass_splits,
+    enumeration_bound,
+    grid_counts,
+)
 from zspersuasion.utilities import (
     EdgeFunction,
     GamePayoffs,
@@ -393,6 +411,52 @@ def overlay_product(
         if cell_is_nonempty(n, cell):
             out.append((cell, sum((form for _, form in combo), AffineForm.zero(n))))
     return out
+
+
+def grid_strategies(prior: Belief, grid: GridSpec) -> list[Experiment]:
+    """Every Bayes-plausible experiment with grid-belief support and
+    grid-resolution masses, in deterministic lexicographic order, each
+    (support, mass split) tested in integers: sum c*k = prior_l*r*R in
+    every state l."""
+    if enumeration_bound(prior.n_states, grid) > grid.cap:
+        raise EnumerationTooLarge(
+            f"grid enumeration bound exceeds cap {grid.cap}"
+        )
+    big_r = grid.belief_resolution
+    r = grid.mass_resolution
+    scaled = [p * r * big_r for p in prior.probs]
+    if any(t.denominator != 1 for t in scaled):
+        return []
+    targets = [t.numerator for t in scaled]
+    beliefs = [
+        (ray_belief(k), k) for k in grid_counts(prior.n_states, big_r, grid.cap)
+    ]
+    out = []
+    for size in range(1, grid.max_support + 1):
+        for support in itertools.combinations(beliefs, size):
+            for split in _mass_splits(r, size):
+                if any(
+                    sum(c * k[l] for c, (_, k) in zip(split, support)) != t
+                    for l, t in enumerate(targets)
+                ):
+                    continue
+                out.append(
+                    Experiment(
+                        prior,
+                        tuple(
+                            (b, Fraction(c, r))
+                            for c, (b, _) in zip(split, support)
+                        ),
+                    )
+                )
+    return out
+
+
+def support_masks(e: Experiment) -> tuple[int, ...]:
+    """Each atom's support as a bitmask over the states."""
+    return tuple(
+        sum(1 << l for l, p in enumerate(b.probs) if p) for b, _ in e.atoms
+    )
 
 
 def grid_beliefs(

@@ -1,16 +1,26 @@
 """The oracle's scans without a joint product per profile: full revelation
 read from atom supports, payoffs scored in integers against one pullback
-per (sender, opponents), and the grid enumeration's integer plausibility
-test, each against the slower computation it replaces: the reference scans
-sum ``Fraction`` conditional payoffs over the posteriors
-(``reference.conditional_payoff_against``)."""
+per (sender, opponents), and the grid enumeration on integer atoms with
+each support's last atom solved, each against the slower computation it
+replaces: the reference scans sum ``Fraction`` conditional payoffs over the
+posteriors (``reference.conditional_payoff_against``), and the reference
+enumeration searches every support (``reference.grid_strategies``).  Each
+likelihood row is pulled back once per utility and command."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from zspersuasion import oracle, utilities
 
 from zspersuasion.actions import induced_game
 from zspersuasion.beliefs import Belief, degenerate, ray
+from zspersuasion.cli import main
+from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
     Experiment,
     StrategyProfile,
@@ -22,17 +32,25 @@ from zspersuasion.oracle import (
     GridSpec,
     RevelationScanResult,
     ScanResult,
+    _LikelihoodRows,
+    _experiment,
+    _grid_strategies,
     _reveals_fully,
-    _support_masks,
     best_response_scan,
     enumerate_grid_strategies,
+    enumeration_bound,
     full_revelation_scan,
 )
-from zspersuasion.utilities import GamePayoffs, normalize_payoffs
+from zspersuasion.utilities import GamePayoffs, Pullback, normalize_payoffs
 
-from conftest import random_binary_game, random_experiment, random_prior
+from conftest import (
+    FIXTURES,
+    random_binary_game,
+    random_experiment,
+    random_prior,
+)
 import reference
-from reference import expected_utility, grid_beliefs
+from reference import expected_utility, grid_beliefs, support_masks
 from test_actions import random_action_game
 from test_posterior_engine import random_face_experiment, random_utility
 
@@ -167,6 +185,26 @@ class TestFullRevelationScan:
         assert min(verdicts.values()) >= 20, verdicts
         assert len(shapes) == 6, shapes
 
+    def test_only_two_opponents_or_more_are_folded(self, monkeypatch):
+        """A lone opponent's likelihood rows come from her integer atoms;
+        ``product`` folds only the opponents of a three-sender game."""
+        folded = []
+        fold = oracle.product
+
+        def counted(experiments):
+            folded.append(len(experiments))
+            return fold(experiments)
+
+        monkeypatch.setattr(oracle, "product", counted)
+        rng = random.Random(3030)
+        for m in (1, 2, 3):
+            g = random_scan_game(rng, 2, m)
+            grid = random_scan_grid(rng, 2, m)
+            full_revelation_scan(g, grid_prior(rng, 2, grid), grid)
+            assert all(count >= 2 for count in folded)
+            assert bool(folded) == (m == 3), (m, folded)
+            folded.clear()
+
     def test_support_test_agrees_with_the_product(self):
         rng = random.Random(77)
         outcomes = {True: 0, False: 0}
@@ -183,7 +221,7 @@ class TestFullRevelationScan:
                 not b.has_full_support() for e in combo for b, _ in e.atoms
             )
             expected = product(combo).is_fully_revealing()
-            assert _reveals_fully([_support_masks(e) for e in combo]) == expected
+            assert _reveals_fully([support_masks(e) for e in combo]) == expected
             outcomes[expected] += 1
         assert min(outcomes.values()) >= 100, outcomes
         assert face_atoms >= 500
@@ -285,3 +323,167 @@ class TestGridEnumeration:
             elif expected:
                 sizes["nonempty"] += 1
         assert min(sizes.values()) >= 20, sizes
+
+
+class TestIntegerGridStrategies:
+    """The enumeration on integer atoms, with each support's last atom
+    solved from the prior, against the loop that searched every support
+    and tested every mass split (``reference.grid_strategies``)."""
+
+    LIMIT = 15_000  # the largest enumeration bound the reference searches
+
+    def test_same_list_as_the_searched_last_atom(self):
+        rng = random.Random(97531)
+        seen = {"on_grid": 0, "off_grid": 0, "nonempty": 0}
+        shapes, resolutions = set(), set()
+        while seen["on_grid"] + seen["off_grid"] < 300:
+            n = rng.randint(2, 4)
+            grid = GridSpec(
+                rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+            )
+            if enumeration_bound(n, grid) > self.LIMIT:
+                continue
+            resolution = grid.belief_resolution * grid.mass_resolution
+            pick = rng.random()
+            if pick < 0.5 and resolution >= n:
+                prior = grid_prior(rng, n, grid)
+            elif pick < 0.75:
+                prior = random_prior(n, rng)
+            else:
+                prior = interior_grid_belief(
+                    rng, n, max(n, resolution + rng.randint(1, 3))
+                )
+            expected = reference.grid_strategies(prior, grid)
+            assert enumerate_grid_strategies(prior, grid) == expected
+            on_grid = all((p * resolution).denominator == 1 for p in prior.probs)
+            seen["on_grid" if on_grid else "off_grid"] += 1
+            seen["nonempty"] += bool(expected)
+            shapes.add((n, grid.max_support))
+            resolutions.add((grid.belief_resolution, grid.mass_resolution))
+        assert min(seen.values()) >= 50, seen
+        assert len(shapes) == 9, shapes
+        assert {b for b, _ in resolutions} == set(range(1, 7))
+        assert {r for _, r in resolutions} == set(range(1, 7))
+
+    def test_the_cap_is_checked_before_the_off_grid_prior(self):
+        rng = random.Random(8642)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            grid = GridSpec(
+                rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+            )
+            bound = enumeration_bound(n, grid)
+            # a denominator that is a prime above R r puts it off the grid
+            resolution = grid.belief_resolution * grid.mass_resolution
+            total = next(
+                t for t in itertools.count(max(n, resolution) + 1)
+                if all(t % d for d in range(2, t))
+            )
+            cuts = sorted(rng.sample(range(1, total), n - 1))
+            prior = Belief(tuple(
+                Fraction(b - a, total)
+                for a, b in zip((0, *cuts), (*cuts, total))
+            ))
+            capped = GridSpec(
+                grid.belief_resolution, grid.mass_resolution,
+                grid.max_support, cap=bound - 1,
+            )
+            for enumerate_ in (reference.grid_strategies, enumerate_grid_strategies):
+                with pytest.raises(EnumerationTooLarge):
+                    enumerate_(prior, capped)
+
+    def test_integer_rows_are_the_experiments_likelihood_rows(self):
+        rng = random.Random(1123)
+        cases = [
+            (Belief((Fraction(1, 3),) * 3), GridSpec(4, 3, 3)),
+            (Belief((Fraction(1, 3),) * 3), GridSpec(6, 4, 3)),
+            (Belief((Fraction(1, 2), Fraction(1, 2))), GridSpec(5, 4, 3)),
+            (Belief((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+             GridSpec(6, 4, 3)),
+            (Belief((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),
+             GridSpec(8, 6, 3)),
+            (Belief((Fraction(3, 10), Fraction(7, 10))), GridSpec(5, 6, 3)),
+            (Belief((Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
+                     Fraction(1, 4))), GridSpec(4, 4, 3)),
+        ]
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            grid = GridSpec(rng.randint(2, 4), rng.randint(2, 4), 3)
+            cases.append((grid_prior(rng, n, grid), grid))
+        checked = 0
+        for prior, grid in cases:
+            rows = _LikelihoodRows(prior, grid)
+            for atoms in _grid_strategies(prior, grid):
+                e = _experiment(prior, grid, atoms)
+                assert rows(atoms) == e.likelihood_rows
+                checked += 1
+        assert checked >= 500, checked
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+class TestPullBacksPerCommand:
+    """A utility pulls each likelihood row back once and keeps it, and the
+    guards pulled back through a row are kept once per guard sequence; a
+    new command, which loads its utilities afresh, pulls back again."""
+
+    @staticmethod
+    def count(monkeypatch):
+        pulled, guards, built = [], [], []
+        pull_back = utilities._pull_back
+        pull_guard = utilities._pulled_back_guard
+        pull = Pullback._pull
+
+        def counted_pull_back(u, z):
+            pulled.append((id(u), z))
+            return pull_back(u, z)
+
+        def counted_guard(guard, z, support):
+            guards.append((id(guard), z))
+            return pull_guard(guard, z, support)
+
+        def counted_pull(self, u, e, rows):
+            built.append(len(rows))
+            return pull(self, u, e, rows)
+
+        monkeypatch.setattr(utilities, "_pull_back", counted_pull_back)
+        monkeypatch.setattr(utilities, "_pulled_back_guard", counted_guard)
+        monkeypatch.setattr(Pullback, "_pull", counted_pull)
+        return pulled, guards, built
+
+    def test_each_utility_and_row_once_per_command(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        manifest = workloads.write_round(
+            workloads.build_round("oracle-scan", 0), tmp_path
+        )
+        pulled, guards, built = self.count(monkeypatch)
+        rows = pulls = 0
+        for case in manifest:
+            assert main(case["argv"]) == 0
+            capsys.readouterr()
+            assert pulled and len(set(pulled)) == len(pulled)
+            assert len(set(guards)) == len(guards)
+            rows += sum(built)
+            pulls += len(pulled)
+            for record in (pulled, guards, built):
+                record.clear()
+        # the same rows recur across the (sender, opponents) pairs
+        assert pulls < rows / 2, (pulls, rows)
+
+    def test_a_second_command_pulls_back_again(self, monkeypatch, capsys):
+        argv = ["oracle", "scan", str(FIXTURES / "figure1.json"),
+                "--belief-res", "5", "--mass-res", "4", "--max-support", "3"]
+        pulled, guards, built = self.count(monkeypatch)
+        counts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            capsys.readouterr()
+            counts.append((len(pulled), len(guards), len(built)))
+            for record in (pulled, guards, built):
+                record.clear()
+        assert counts[0] == counts[1]
+        assert min(counts[0]) > 0, counts

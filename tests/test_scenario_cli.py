@@ -251,6 +251,30 @@ class TestCli:
         assert code == 2
         assert json.loads(err)["error"] == "NotPoolable"
 
+    @pytest.mark.parametrize("argv, raw", [
+        (("construct", FIG1, "--pool", "0"), "0"),
+        (("construct", str(FIXTURES / "example_b51.json"), "--pool", "1,1"),
+         "1,1"),
+        (("exploit", FIG1, "--profile", "both_uninformative", "--set", "0"),
+         "0"),
+        (("exploit", FIG1, "--profile", "both_uninformative", "--set", ""),
+         ""),
+    ])
+    def test_a_set_of_fewer_than_two_states_is_bad_input(
+        self, capsys, argv, raw
+    ):
+        """A one-state "pool" used to print a fully revealing profile
+        labelled pooling, and a one-state exploit set exited 2 as if no
+        sender were positive on its face."""
+        code, out, err = self.run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ScenarioError",
+            "message": f"bad state set {raw!r}: a pooled set needs two "
+                       "distinct states",
+        }
+
     def test_malformed_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
