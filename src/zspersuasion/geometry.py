@@ -16,13 +16,18 @@ maximum of an affine form over a cell's closure, and the exploit's
 lexicographic ratio target, read off closure vertices.
 
 The disjoint first-match decompositions of piecewise utilities, and their
-overlays, need only the emptiness test.  The sweep (``first_match_cells``)
+overlays, need only the emptiness test.  The sweep (``_sweep_cells``)
 keeps a cell whole when a guard misses it, and complements only the guard
 constraints that the cell does not already imply (LP redundancy removal),
 so the convex region of each piece is cut into as few cells as its
-predecessors require.  The cells depend on the guards alone: a utility
-keeps its decomposition, and utilities with one guard sequence share it.
-An overlay refines one sweep's cells by the next guard sequence's sweep.
+predecessors require.  An argmax guard sequence, where piece a's guard says
+that a maximizes some affine forms R_0 = 0, ..., R_{A-1} (the argmax guards
+of an action game), needs no sweep: piece a's first-match cell is its
+guard with the constraints against every earlier piece made strict, one
+convex cell and one emptiness test per piece.  The cells depend on the
+guards alone: a utility keeps its decomposition, and utilities with one
+guard sequence share it.  An overlay refines one decomposition's cells by
+the next guard sequence's.
 """
 
 from __future__ import annotations
@@ -460,27 +465,55 @@ def _kept_guard(
     return tuple(kept)
 
 
-def first_match_cells(
+def _is_argmax(guards: Sequence[Sequence[Constraint]]) -> bool:
+    """Whether the guards say "piece a maximizes R" for affine forms R_c:
+    A >= 2 guards of A - 1 weak constraints each, guard a's j-th against
+    the j-th piece c != a in increasing order, with form d_{c,a} equal to
+    R_c - R_a exactly (constant included), where R_0 = 0 and R_c is
+    d_{c,0}, guard 0's constraint against c."""
+    count = len(guards)
+    if count < 2 or any(
+        len(guard) != count - 1 or any(c.op != "<=" for c in guard)
+        for guard in guards
+    ):
+        return False
+    # compared on the integer rows (lam, lam * coeffs, lam * const) that the
+    # forms keep: d = R_c - R_a exactly when, entry by entry,
+    # d * lam_c * lam_a == (R_c * lam_a - R_a * lam_c) * lam_d
+    rows = [(1, (0,) * (guards[0][0].expr.n_states + 1))] + [
+        (lam, (*coeffs, const))
+        for lam, coeffs, const in (c.integer_row for c in guards[0])
+    ]
+    for a in range(1, count):
+        lam_a, r_a = rows[a]
+        others = (c for c in range(count) if c != a)
+        for c, constraint in zip(others, guards[a]):
+            lam_c, r_c = rows[c]
+            lam_d, coeffs, const = constraint.integer_row
+            if any(
+                x * lam_c * lam_a != (y * lam_a - z * lam_c) * lam_d
+                for x, y, z in zip((*coeffs, const), r_c, r_a)
+            ):
+                return False
+    return True
+
+
+def _sweep_cells(
     n: int,
     guards: Sequence[Sequence[Constraint]],
     start: tuple[Constraint, ...] = (),
 ) -> list[tuple[int, tuple[Constraint, ...]]]:
-    """Disjoint decomposition of the nonempty cell ``start`` (by default
-    the simplex) by first-match guards, which also checks that they cover it.
-
-    Returns (piece index, cell) pairs: nonempty, pairwise disjoint cells,
-    each the part of ``start`` where that piece's guard is the first to
-    hold.  The sweep carries the cells that no guard has matched yet, from
-    ``[start]``.  A cell that misses a guard passes to the next one
-    unchanged.  Otherwise the guard is cut to the constraints the cell
-    does not imply (``_kept_guard``), the cell plus the kept guard is the
-    piece's cell, and the complement cells of the kept guard carry on.
-    The complement cell of a kept inequality contains the nonempty set
-    that kept it, so only the two sides of a kept equality are tested.  A
-    cell left after the last guard raises NoPieceMatches at a point of the
-    first; more than ``SWEEP_CAP`` cells held at once (output cells plus
-    the remainder, carried or to be matched) raise EnumerationTooLarge.
-    """
+    """``first_match_cells`` of any guard sequence, by the sweep: it
+    carries the cells that no guard has matched yet, from ``[start]``.  A
+    cell that misses a guard passes to the next one unchanged.  Otherwise
+    the guard is cut to the constraints the cell does not imply
+    (``_kept_guard``), the cell plus the kept guard is the piece's cell,
+    and the complement cells of the kept guard carry on.  The complement
+    cell of a kept inequality contains the nonempty set that kept it, so
+    only the two sides of a kept equality are tested.  A cell left after
+    the last guard raises NoPieceMatches at a point of the first; more
+    than ``SWEEP_CAP`` cells held at once (output cells plus the
+    remainder, carried or to be matched) raise EnumerationTooLarge."""
     cells: list[tuple[int, tuple[Constraint, ...]]] = []
     remainder: list[tuple[Constraint, ...]] = [start]
     for k, guard in enumerate(guards):
@@ -503,6 +536,42 @@ def first_match_cells(
         remainder = next_remainder
     if remainder:
         raise NoPieceMatches.at(strictly_feasible_point(n, remainder[0]))
+    return cells
+
+
+def first_match_cells(
+    n: int,
+    guards: Sequence[Sequence[Constraint]],
+    start: tuple[Constraint, ...] = (),
+) -> list[tuple[int, tuple[Constraint, ...]]]:
+    """Disjoint decomposition of the nonempty cell ``start`` (by default
+    the simplex) by first-match guards, which also checks that they cover it.
+
+    Returns (piece index, cell) pairs in piece order: nonempty, pairwise
+    disjoint cells, each the part of ``start`` where that piece's guard is
+    the first to hold.  An argmax guard sequence (``_is_argmax``: piece a's
+    guard is R_c - R_a <= 0 for every c != a) has them in closed form.
+    Where a is weakly best, an earlier c is not weakly best exactly when
+    R_c < R_a, so piece a's cell is ``start`` plus its guard with the
+    constraints against every c < a made strict: one convex cell, kept when
+    its one emptiness test finds a point.  Some piece maximizes R at every
+    belief, so these cells cover ``start``.  Any other guard sequence is
+    swept (``_sweep_cells``).  More than ``SWEEP_CAP`` cells raise
+    EnumerationTooLarge either way.
+    """
+    if not _is_argmax(guards):
+        return _sweep_cells(n, guards, start)
+    cells: list[tuple[int, tuple[Constraint, ...]]] = []
+    for a, guard in enumerate(guards):
+        cell = start + tuple(
+            Constraint(c.expr, "<") if j < a else c for j, c in enumerate(guard)
+        )
+        if cell_is_nonempty(n, cell):
+            cells.append((a, cell))
+            if len(cells) > SWEEP_CAP:
+                raise EnumerationTooLarge(
+                    f"first-match sweep holds {len(cells)} cells, over sweep cap {SWEEP_CAP}"
+                )
     return cells
 
 

@@ -38,10 +38,21 @@ def frac_to_str(v: Fraction) -> str:
 def frac_from_str(s: Any) -> Fraction:
     if isinstance(s, float):
         raise ScenarioError(f"floats are not allowed in scenario files: {s!r}")
+    # a JSON boolean is a Python int, and no rational
+    if isinstance(s, bool):
+        raise ScenarioError(f"booleans are not allowed in scenario files: {s!r}")
     try:
         return as_fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad rational {s!r}: {exc}") from exc
+
+
+def _array(data: Any, what: str) -> list:
+    """data, which must be a JSON array: a string would read as an array
+    of its characters."""
+    if not isinstance(data, list):
+        raise ScenarioError(f"{what} must be an array, got {data!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +132,7 @@ def form_to_json(f: AffineForm) -> dict:
 def form_from_json(data: Any, n_states: int) -> AffineForm:
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ScenarioError(f"affine form needs 'coeffs': {data!r}")
-    coeffs = tuple(frac_from_str(c) for c in data["coeffs"])
+    coeffs = tuple(frac_from_str(c) for c in _array(data["coeffs"], "'coeffs'"))
     if len(coeffs) != n_states:
         raise ScenarioError(
             f"form has {len(coeffs)} coefficients for {n_states} states"
@@ -164,7 +175,8 @@ def utility_from_json(data: Any, n_states: int) -> PiecewiseAffineUtility:
         if not isinstance(raw, dict) or "form" not in raw:
             raise ScenarioError(f"piece needs a 'form': {raw!r}")
         guard = tuple(
-            constraint_from_json(c, n_states) for c in raw.get("guard", [])
+            constraint_from_json(c, n_states)
+            for c in _array(raw.get("guard", []), "'guard'")
         )
         pieces.append(Piece(guard, form_from_json(raw["form"], n_states)))
     try:
@@ -177,16 +189,22 @@ def action_game_from_json(data: Any) -> ActionGame:
     if not isinstance(data, dict):
         raise ScenarioError("action_game must be an object")
     try:
-        actions = tuple(data["actions"])
+        actions = tuple(_array(data["actions"], "'actions'"))
         receiver = tuple(
-            tuple(frac_from_str(v) for v in row) for row in data["receiver"]
+            tuple(frac_from_str(v) for v in _array(row, "a receiver row"))
+            for row in _array(data["receiver"], "'receiver'")
         )
         senders = tuple(
-            tuple(tuple(frac_from_str(v) for v in row) for row in table)
-            for table in data["senders"]
+            tuple(
+                tuple(frac_from_str(v) for v in _array(row, "a sender row"))
+                for row in _array(table, "a sender table")
+            )
+            for table in _array(data["senders"], "'senders'")
         )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"malformed action_game: {exc}") from exc
+    except KeyError as exc:
+        raise ScenarioError(f"malformed action_game: missing {exc}") from exc
+    if not all(isinstance(name, str) for name in actions):
+        raise ScenarioError(f"action names must be strings, got {list(actions)!r}")
     try:
         return ActionGame(actions, receiver, senders)
     except ValueError as exc:

@@ -49,9 +49,9 @@ class Piece:
 
 
 class _Decomposition:
-    """The first-match cells of one guard sequence, swept on first use, and
-    the guards pulled back through each likelihood row, also from first use.
-    A sweep that raises NoPieceMatches keeps nothing."""
+    """The first-match cells of one guard sequence, computed on first use,
+    and the guards pulled back through each likelihood row, also from first
+    use.  A decomposition that raises NoPieceMatches keeps nothing."""
 
     def __init__(self, n: int, guards: tuple[tuple[Constraint, ...], ...]):
         self.n = n
@@ -199,7 +199,7 @@ class PiecewiseAffineUtility:
         return out
 
     def first_match_cells(self) -> list[tuple[int, tuple[Constraint, ...]]]:
-        """``geometry.first_match_cells`` of the guards, swept once."""
+        """``geometry.first_match_cells`` of the guards, computed once."""
         return self._decomposition.get()
 
     def regions(self) -> list[tuple[tuple[Constraint, ...], AffineForm]]:

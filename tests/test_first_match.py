@@ -445,7 +445,8 @@ class TestOverlayAgainstProduct:
 
 class TestSweepCap:
     """The first-match sweep stops at ``SWEEP_CAP`` cells held, output
-    cells plus remainder, with EnumerationTooLarge, which the CLI reports
+    cells plus remainder, and the closed form of argmax guards past
+    ``SWEEP_CAP`` cells, with EnumerationTooLarge, which the CLI reports
     with exit 3."""
 
     def test_cap_bounds_the_cells(self, monkeypatch):
@@ -454,6 +455,23 @@ class TestSweepCap:
         cells = geometry.first_match_cells(3, guards)
         assert len(cells) > 1
         # the last cell matched is held with every earlier one
+        monkeypatch.setattr(geometry, "SWEEP_CAP", len(cells) - 1)
+        with pytest.raises(EnumerationTooLarge, match="over sweep cap"):
+            geometry.first_match_cells(3, guards)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 10 * len(cells))
+        assert geometry.first_match_cells(3, guards) == cells
+
+    def test_cap_bounds_the_swept_cells(self, monkeypatch):
+        """The same contract for guards that are not an argmax, which are
+        swept: the action game's above with the last guard's first
+        constraint made strict (where it is tight, action 0 is best too)."""
+        ag = random_action_game(random.Random(3), 3, 4, 3)
+        guards = [p.guard for p in induced_game(ag).utilities[0].pieces]
+        last = guards[-1]
+        guards[-1] = (Constraint(last[0].expr, "<"), *last[1:])
+        assert not geometry._is_argmax(guards)
+        cells = geometry.first_match_cells(3, guards)
+        assert len(cells) > 1
         monkeypatch.setattr(geometry, "SWEEP_CAP", len(cells) - 1)
         with pytest.raises(EnumerationTooLarge, match="over sweep cap"):
             geometry.first_match_cells(3, guards)

@@ -68,6 +68,14 @@ class TestSerialization:
         with pytest.raises(ScenarioError):
             belief_from_json([0.5, 0.5])
 
+    def test_booleans_rejected(self):
+        """JSON true and false are the Python ints 1 and 0, and no rationals."""
+        for value in (True, False):
+            with pytest.raises(ScenarioError, match="booleans are not allowed"):
+                frac_from_str(value)
+        with pytest.raises(ScenarioError):
+            belief_from_json([True, False])
+
     def test_belief_round_trip(self):
         b = belief(["1/6", "1/3", "1/2"])
         assert belief_from_json(belief_to_json(b)) == b
@@ -434,6 +442,82 @@ class TestCli:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
         code, out, err = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ScenarioError", "message": message}
+
+    @pytest.mark.parametrize(
+        "fixture, command, edit, message",
+        [
+            (
+                "figure1", "validate",
+                lambda d: d["payoffs"][0]["pieces"][0]["form"].update(coeffs="01"),
+                "'coeffs' must be an array, got '01'",
+            ),
+            (
+                "figure1", "validate",
+                lambda d: d["payoffs"][0]["pieces"][0].update(guard=""),
+                "'guard' must be an array, got ''",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].update(receiver=["10", "01"]),
+                "a receiver row must be an array, got '10'",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].update(senders=["1-1", "-11"]),
+                "a sender table must be an array, got '1-1'",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"]["senders"][0].__setitem__(0, "1-1"),
+                "a sender row must be an array, got '1-1'",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].update(actions="ab"),
+                "'actions' must be an array, got 'ab'",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].update(actions=[0, 1]),
+                "action names must be strings, got [0, 1]",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].pop("actions"),
+                "malformed action_game: missing 'actions'",
+            ),
+            (
+                "figure1", "validate",
+                lambda d: d["payoffs"][0]["pieces"][0]["form"].update(coeffs=[True, False]),
+                "booleans are not allowed in scenario files: True",
+            ),
+            (
+                "matching_action_game", "induce",
+                lambda d: d["action_game"].update(receiver=[[True, False], [False, True]]),
+                "booleans are not allowed in scenario files: True",
+            ),
+        ],
+        ids=[
+            "coeffs_string", "guard_string", "receiver_row_strings",
+            "sender_table_strings", "sender_row_string", "actions_string",
+            "action_names_not_strings", "actions_missing", "coeffs_booleans",
+            "receiver_booleans",
+        ],
+    )
+    def test_strings_and_booleans_of_the_wrong_shape_are_bad_input(
+        self, capsys, tmp_path, fixture, command, edit, message
+    ):
+        """A JSON string where an array belongs, or a boolean where a
+        rational belongs.  Each used to load and exit 0: a string as the
+        array of its characters, true and false as 1 and 0."""
+        data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+        edit(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = self.run(capsys, command, str(path))
         assert code == 1
         assert out == ""
         assert json.loads(err) == {"error": "ScenarioError", "message": message}
