@@ -158,10 +158,10 @@ def minimal_subsets(g: GamePayoffs) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PooledSets:
-    """All state subsets (size >= 2) that the profile keeps unrevealed with
-    positive probability, plus the inclusion-maximal ones."""
+    """The inclusion-maximal state subsets (size >= 2) that the profile
+    keeps unrevealed with positive probability; every subset of one of
+    them of size >= 2 is pooled too."""
 
-    sets: tuple[tuple[int, ...], ...]
     maximal: tuple[tuple[int, ...], ...]
 
 
@@ -174,14 +174,7 @@ def detect_pooled_sets(joint: Experiment) -> PooledSets:
         s for s in supports
         if len(s) >= 2 and not any(s < other for other in supports)
     ]
-    all_sets = {
-        subset
-        for s in supports
-        for size in range(2, len(s) + 1)
-        for subset in itertools.combinations(sorted(s), size)
-    }
     return PooledSets(
-        tuple(sorted(all_sets, key=lambda s: (len(s), s))),
         tuple(sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))),
     )
 

@@ -3,11 +3,10 @@
 Subcommands load a scenario file, run one analysis or construction, and
 print deterministic JSON (sorted keys, canonical "p/q" rationals) on
 standard output.  Failures print machine-readable error JSON on standard
-error: exit 1 for malformed input, 2 for precondition failures, 3 for
-exceeded search/enumeration budgets, 4 for internal invariant failures (an
+error: exit 1 for malformed input, 2 for precondition failures, 3 for an
+exceeded cell or enumeration cap, 4 for internal invariant failures (an
 exploit certificate that fails its exact recomputation, an unbounded linear
-program, a lexicographic target that is not unique): a fault in the
-program, not in the input.
+program): a fault in the program, not in the input.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .analysis import (
     strict_surplus_sufficiency,
 )
 from .equilibrium import (
-    DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERIFY_GRID,
     ExploitCertificate,
     construct_fully_revealing,
@@ -44,7 +42,6 @@ from .exceptions import (
     NotPoolable,
     PreconditionFailed,
     ScenarioError,
-    SearchBudgetExceeded,
     UndefinedPosterior,
 )
 from .experiments import StrategyProfile, product
@@ -67,7 +64,7 @@ from .utilities import check_zero_sum, normalize_payoffs
 
 EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
-EXIT_BUDGET = 3
+EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 _PRECONDITION_ERRORS = (
@@ -77,7 +74,6 @@ _PRECONDITION_ERRORS = (
     NoPieceMatches,
     UndefinedPosterior,
 )
-_BUDGET_ERRORS = (SearchBudgetExceeded, EnumerationTooLarge)
 
 
 def _emit(data) -> None:
@@ -245,13 +241,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_exploit(args) -> int:
-    if args.budget < 0:
-        raise ValueError("the search budget must be >= 0")
     scenario = load_scenario(args.scenario)
     profile = _resolve_profile(scenario, args.profile)
     g = normalize_payoffs(scenario.payoffs)
     omega = _parse_state_set(args.set)
-    cert = synthesize_exploit(g, profile, omega, budget=args.budget)
+    cert = synthesize_exploit(g, profile, omega)
     _emit(_certificate_json(cert))
     return 0
 
@@ -415,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--profile", required=True, help="name or JSON path")
     p.add_argument("--set", required=True, metavar="SET", help="pooled states")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=_cmd_exploit)
 
     p = sub.add_parser("verify", help="screen a profile for equilibrium")
@@ -459,8 +452,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _BUDGET_ERRORS as exc:
-        return _fail(exc, EXIT_BUDGET)
+    except EnumerationTooLarge as exc:
+        return _fail(exc, EXIT_CAP)
     except _PRECONDITION_ERRORS as exc:
         return _fail(exc, EXIT_PRECONDITION)
     except InvariantViolation as exc:

@@ -6,12 +6,14 @@ exactly verified profitable deviations against profiles that pool a face
 where someone has an advantage; and screens candidate profiles for the
 equilibrium conditions.
 
-An exploit picks a target posterior on the pooled face (the end of a
-positive run on an edge, a vertex, or a lexicographic ratio maximum) and
-one aim (``_aim``) solves for the interim belief that puts the lowest
-pooled atom's posterior there.  Each candidate, the aimed one and any
-budgeted perturbation of it, passes one certify step (``_certify``) that
-recomputes its payoff exactly.
+An exploit against a profile that pools an edge aims one interim belief so
+that the lowest pooled atom's posterior lands at the end of a positive run
+on the edge (``_aim``).  On a larger face, or when that candidate earns
+nothing, the search is exact: the sender's conditional payoff against the
+profile's joint is linear on each cell of its ``utilities.Pullback``, so one
+emptiness test per cell finds an interim belief that pays, or proves that
+none on the face does (``_positive_point``).  Every candidate passes one
+certify step (``_certify``) that recomputes its payoff exactly.
 
 ``verify_profile`` screens every grid belief for a profitable deviation
 through each sender's ``utilities.Pullback``: the sign of one integer per
@@ -24,28 +26,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, degenerate, ray_belief, state_set
-from .exceptions import (
-    InvariantViolation,
-    NotPoolable,
-    PreconditionFailed,
-    SearchBudgetExceeded,
-)
+from .exceptions import InvariantViolation, NotPoolable, PreconditionFailed
 from .experiments import (
     Experiment,
     StrategyProfile,
     fully_revealing,
     product,
 )
-from .geometry import (
-    cell_is_nonempty,
-    closure_vertices,
-    strictly_feasible_point,
-    subsimplex_constraints,
-)
+from .geometry import strictly_feasible_point, subsimplex_constraints
 from .analysis import (
     _edge_belief,
     _require_normalized,
@@ -61,7 +53,6 @@ from .utilities import (
     conditional_payoff_against,
 )
 
-DEFAULT_SEARCH_BUDGET = 64
 DEFAULT_VERIFY_GRID = 8
 
 
@@ -201,54 +192,6 @@ def _advantaged(u: PiecewiseAffineUtility, theta: tuple[int, ...]):
             yield strict, point
 
 
-def _lexicographic_target(
-    n: int, cells: list[tuple[Constraint, ...]], states: tuple[int, ...]
-) -> Belief:
-    """Lexicographic successive-ratio maximum over a union of closed cells
-    whose points all have full support on ``states``.
-
-    Maximizes the ratio of mass on states[k] to mass on later states, level
-    by level from the bottom pair upward; each level's maximizer set is cut
-    out by one more linear equality, and the final set is a single belief.
-    """
-    kk = len(states)
-    current = list(cells)
-    for k in range(kk - 2, -1, -1):
-        best: Optional[Fraction] = None
-        for cell in current:
-            for v in closure_vertices(n, cell):
-                num = v[states[k]]
-                den = sum((v[states[m]] for m in range(k + 1, kk)), Fraction(0))
-                if den == 0:
-                    raise InvariantViolation(
-                        "ratio target undefined: advantage closure touches "
-                        "a proper face"
-                    )
-                r = num / den
-                best = r if best is None or r > best else best
-        if best is None:
-            raise InvariantViolation("advantage closure has no vertex")
-        # cut down to the argmax set: mass_k - best * tail_mass == 0
-        coeffs = [Fraction(0)] * n
-        coeffs[states[k]] = Fraction(1)
-        for m in range(k + 1, kk):
-            coeffs[states[m]] = -best
-        eq = Constraint(AffineForm(Fraction(0), tuple(coeffs)), "==")
-        current = [
-            cell + (eq,)
-            for cell in current
-            if cell_is_nonempty(n, cell + (eq,))
-        ]
-    points = {
-        v for cell in current for v in closure_vertices(n, cell)
-    }
-    if len(points) != 1:
-        raise InvariantViolation(
-            f"lexicographic ratio maximizer is not unique: {sorted(points)}"
-        )
-    return Belief(next(iter(points)))
-
-
 def _aim(
     prior: Belief,
     z_atoms: list[Belief],
@@ -263,8 +206,7 @@ def _aim(
     pair upward: against it, an interim belief on the ``states`` face moves
     the posterior least toward the earlier states.  The lowest atoms agree
     on every ratio, so x puts each of their posteriors at ``target``, which
-    must be supported on ``states``.  This is the one solve for the edge
-    target, a vertex and the lexicographic ratio maximum alike.
+    must be supported on ``states``.
     """
     last = states[-1]
 
@@ -332,20 +274,18 @@ def synthesize_exploit(
     g: GamePayoffs,
     profile: StrategyProfile,
     omega: Sequence[int],
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ExploitCertificate:
     """A verified profitable deviation against a profile that pools omega.
 
-    Reduces omega to a minimal advantaged subset theta and aims one
-    interim belief so that the lowest pooled atom's posterior lands on a
-    target: the end of the longest positive run on the edge when theta is
-    a pair, else the lexicographic ratio maximum over the closure of the
-    advantage set on the smallest face it touches.  When that target sits
-    on the advantage set's boundary, up to ``budget`` candidates slide
-    toward strictly advantaged points with geometrically shrinking steps.
-    Every certificate is exactly verified; if no candidate earns a profit,
-    raises SearchBudgetExceeded instead of returning an unverified result.
-    A profile without one experiment per sender is a ValueError.
+    Reduces omega to a minimal advantaged subset theta.  When theta is a
+    pair, one interim belief aims the lowest pooled atom's posterior at the
+    end of the longest positive run on the edge.  Otherwise, or when that
+    candidate earns nothing, ``_positive_point`` searches the theta face
+    exactly.  Every certificate is exactly verified.  A profile that does
+    not pool omega, or with no sender positive on its face, or with no
+    interim belief on the theta face that pays any sender, is
+    PreconditionFailed; a profile without one experiment per sender is a
+    ValueError.
     """
     _require_one_experiment_per_sender(g, profile)
     joint = product(profile.experiments)
@@ -357,7 +297,13 @@ def synthesize_exploit(
         raise PreconditionFailed(
             f"no sender's utility is positive on the face over {omega}"
         )
-    return _exploit(g, profile, joint, omega, theta, budget)
+    cert = _exploit(g, profile, joint, omega, theta)
+    if cert is None:
+        raise PreconditionFailed(
+            f"no sender gains by adding mass at any interim belief on the "
+            f"face over {theta}"
+        )
+    return cert
 
 
 def _exploit(
@@ -366,36 +312,41 @@ def _exploit(
     joint: Experiment,
     omega: tuple[int, ...],
     theta: tuple[int, ...],
-    budget: int,
-) -> ExploitCertificate:
-    """The first certified candidate against the profile's joint experiment
-    ``joint``, which pools omega; theta is omega's minimal advantaged
-    subset."""
-    z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
+) -> Optional[ExploitCertificate]:
+    """The certificate against the profile's joint experiment ``joint``,
+    which pools omega, theta being omega's minimal advantaged subset: the
+    edge candidate first when theta is a pair, else the exact search's.
+    None when no sender earns anything at any interim belief on the theta
+    face."""
     if len(theta) == 2:
-        candidates = _edge_candidates(g, profile.prior, theta, z_atoms)
-        failure = f"edge exploit on {theta} failed exact verification"
-    else:
-        candidates = _general_candidates(
-            g, profile.prior, theta, z_atoms, budget
+        z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
+        cert = _certify(
+            g, profile, joint, omega, theta,
+            *_edge_candidate(g, profile.prior, theta, z_atoms),
         )
-        failure = f"no verified exploit within {budget} candidates for {theta}"
-    for sender, x_bar in candidates:
-        cert = _certify(g, profile, joint, omega, theta, sender, x_bar)
         if cert is not None:
             return cert
-    raise SearchBudgetExceeded(failure)
+    found = _positive_point(g, joint, theta)
+    if found is None:
+        return None
+    cert = _certify(g, profile, joint, omega, theta, *found)
+    if cert is None:
+        raise InvariantViolation(
+            f"sender {found[0]} earns nothing at {found[1]}, a point of a "
+            f"cell where its conditional payoff is positive"
+        )
+    return cert
 
 
-def _edge_candidates(
+def _edge_candidate(
     g: GamePayoffs,
     prior: Belief,
     theta: tuple[int, ...],
     z_atoms: list[Belief],
-) -> list[tuple[int, Belief]]:
-    """The one edge candidate: the sender positive furthest toward theta[1]
-    on the edge, and the interim belief aiming the lowest posterior at the
-    end of her positive run."""
+) -> tuple[int, Belief]:
+    """The sender positive furthest toward theta[1] on the edge, and the
+    interim belief aiming the lowest posterior at the end of its positive
+    run."""
     l, k = theta
     fns = [u.on_edge(l, k) for u in g.utilities]
     sups = [_positive_sup(f) for f in fns]
@@ -411,107 +362,29 @@ def _edge_candidates(
         r = a if f(a) > 0 else (a + r_prime) / 2
     target = _edge_belief(prior.n_states, l, k, r)
     x_bar, _ = _aim(prior, z_atoms, (k, l), target)
-    return [(sender, x_bar)]
+    return sender, x_bar
 
 
-def _general_candidates(
-    g: GamePayoffs,
-    prior: Belief,
-    theta: tuple[int, ...],
-    z_atoms: list[Belief],
-    budget: int,
-) -> Iterator[tuple[int, Belief]]:
-    """Candidates on a face of three or more states: the direct hit, then
-    at most ``budget`` perturbations of it."""
+def _positive_point(
+    g: GamePayoffs, joint: Experiment, theta: tuple[int, ...]
+) -> Optional[tuple[int, Belief]]:
+    """The first sender, in order, with an interim belief on the theta face
+    where its conditional payoff against ``joint`` is positive, and the
+    belief; None when there is none.  The payoff's numerator is k . G on
+    each cell of ``Pullback.cells`` from the face, so a cell holds such a
+    belief exactly when it has a point with G . x > 0: one emptiness test
+    per cell, none where G is nowhere positive on the face."""
     n = g.n_states
-    pos_cells = [
-        (i, strict, point)
-        for i, u in enumerate(g.utilities)
-        for strict, point in _advantaged(u, theta)
-    ]
-    closed_cells = [tuple(c.weakened() for c in cell) for _, cell, _ in pos_cells]
-
-    # smallest sub-face of theta whose face the advantage closure touches
-    carrier = theta
-    for size in range(1, len(theta)):
-        hit = None
-        for sub in itertools.combinations(theta, size):
-            subface = tuple(subsimplex_constraints(n, sub))
-            if any(
-                cell_is_nonempty(n, cell + subface) for cell in closed_cells
-            ):
-                hit = sub
-                break
-        if hit is not None:
-            carrier = hit
-            break
-
-    if len(carrier) == 1:
-        beta_bar = degenerate(n, carrier[0])
-    else:
-        carrier_face = tuple(subsimplex_constraints(n, carrier))
-        cells = [
-            cell + carrier_face
-            for cell in closed_cells
-            if cell_is_nonempty(n, cell + carrier_face)
-        ]
-        beta_bar = _lexicographic_target(n, cells, carrier)
-    x_star, lowest = _aim(prior, z_atoms, carrier, beta_bar)
-
-    # direct hit: the target posterior itself is strictly advantaged
-    if carrier == theta:
-        sender = next(
-            (i for i, u in enumerate(g.utilities) if u(beta_bar) > 0), None
-        )
-        if sender is not None:
-            yield sender, x_star
-
-    # boundary target: slide toward a strictly advantaged interior point
-    # with geometrically shrinking steps.  cells whose closure contains the
-    # target give candidates that stay strictly advantaged for every step
-    # size.
-    preferred = [
-        pc
-        for pc, closed in zip(pos_cells, closed_cells)
-        if all(c.holds(beta_bar) for c in closed)
-    ]
-    ordered = preferred + [pc for pc in pos_cells if pc not in preferred]
-    interior = Belief(
-        tuple(
-            Fraction(1, len(theta)) if m in theta else Fraction(0)
-            for m in range(n)
-        )
-    )
-
-    def perturbations() -> Iterator[tuple[int, Belief]]:
-        for t in itertools.count(1):
-            step = Fraction(1, 2**t)
-            for _, _, w_pt in ordered:
-                beta_prime = Belief(
-                    tuple(
-                        (1 - step) * a + step * b
-                        for a, b in zip(beta_bar.probs, w_pt)
-                    )
-                )
-                sender = next(
-                    (j for j, u in enumerate(g.utilities) if u(beta_prime) > 0),
-                    None,
-                )
-                if sender is not None:
-                    yield sender, _solve_x_from_posterior(
-                        prior, beta_prime, lowest[0]
-                    )
-            # alternate family: pull the interim belief itself off the face
-            x_mix = Belief(
-                tuple(
-                    (1 - step) * a + step * b
-                    for a, b in zip(x_star.probs, interior.probs)
-                )
-            )
-            for sender in range(g.n_senders):
-                yield sender, x_mix
-
-    yield from itertools.islice(perturbations(), max(budget, 0))
+    face = tuple(subsimplex_constraints(n, theta))
+    for sender, u in enumerate(g.utilities):
+        for cell, row in Pullback(u, joint).cells(face):
+            if all(row[l] <= 0 for l in theta):
+                continue
+            gain = Constraint(AffineForm(Fraction(0), row), ">")
+            point = strictly_feasible_point(n, cell + (gain,))
+            if point is not None:
+                return sender, Belief(point)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +423,9 @@ def verify_profile(
 ) -> VerificationResult:
     """Screens a profile for the two equilibrium conditions: every sender's
     expected payoff is zero, and no sender gains by conditionally adding
-    mass at any belief — checked at every grid belief and at the exploited
-    belief of every maximal pooled face.
+    mass at any belief — checked at every grid belief, and exactly on the
+    face of every maximal pooled set's minimal advantaged subset
+    (``_exploit``), which is passed over when no belief there pays.
 
     A passing profile "looks like" an equilibrium at this scrutiny; a
     failing one comes back with a concrete profitable deviation.  Each
@@ -602,9 +476,9 @@ def verify_profile(
         theta = _minimal_theta(g, pooled)
         if theta is None:
             continue
-        cert = _exploit(
-            g, profile, joint, pooled, theta, DEFAULT_SEARCH_BUDGET
-        )
+        cert = _exploit(g, profile, joint, pooled, theta)
+        if cert is None:
+            continue
         return VerificationResult(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )

@@ -29,13 +29,9 @@ class PreconditionFailed(ValueError):
     """Input profile does not satisfy the operation's precondition."""
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Exploit search exhausted its perturbation budget without producing an
-    exactly verified certificate."""
-
-
 class EnumerationTooLarge(RuntimeError):
-    """Grid enumeration would exceed the configured cap."""
+    """An enumeration of grid points, product tuples or cells would exceed
+    its cap."""
 
 
 class InvariantViolation(ValueError):

@@ -11,9 +11,9 @@ a Fraction only for the point where it stops.  That point is a point of
 the cell, which is the cell's strictly feasible point and the witness when
 a form does not vanish on a cell or a cell holds a belief other than the
 simplex vertices.  Vertices, enumerated by Gaussian elimination over
-active sets, are computed only where vertices themselves are needed: the
-maximum of an affine form over a cell's closure, and the exploit's
-lexicographic ratio target, read off closure vertices.
+active sets (``polytope_vertices``, ``closure_vertices``), are no longer
+asked for by any command; the tests and the benchmark's tracer still name
+them.
 
 The disjoint first-match decompositions of piecewise utilities, and their
 overlays, need only the emptiness test.  The sweep (``_sweep_cells``)
@@ -42,8 +42,9 @@ from .exceptions import EnumerationTooLarge, InvariantViolation, NoPieceMatches
 
 Point = tuple[Fraction, ...]
 
-# most cells ``first_match_cells`` holds, output cells plus remainder, and
-# most refined cells ``overlay_regions`` holds
+# most cells ``first_match_cells`` holds, output cells plus remainder, most
+# refined cells ``overlay_regions`` holds, and most cells a pullback yields
+# (``utilities.Pullback.cells``)
 SWEEP_CAP = 10_000
 
 # A linear equation coeffs . beta + const = 0

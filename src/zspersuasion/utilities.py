@@ -16,7 +16,9 @@ atom that has more than one piece left there, over one denominator.  The
 rows an atom pulls back depend only on the utility and the atom's
 likelihood row, so each utility keeps them per row from first use (the
 pulled-back guards once per guard sequence), and a pullback only scales
-them by its atoms' masses.
+them by its atoms' masses.  The payoff is linear on each cell of the
+refinement by every atom's pulled-back guards (``Pullback.cells``), where
+``exploit`` decides exactly whether some interim belief pays.
 The zero-sum check is exact: it is decided on the common refinement of the
 utilities' first-match cells (``geometry.overlay_regions``, kept by the
 game), never by sampling beliefs, and the decomposition into those cells
@@ -29,14 +31,14 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import eq, ge, gt, le, lt, mul
-from typing import Optional, Sequence, Union
+from operator import add, eq, ge, gt, le, lt, mul
+from typing import Iterator, Optional, Sequence, Union
 
 from .affine import AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
-from .exceptions import NoPieceMatches
+from .exceptions import EnumerationTooLarge, NoPieceMatches
 from .experiments import Experiment, StrategyProfile
-from .geometry import first_match_cells, nonzero_point, overlay_regions
+from .geometry import SWEEP_CAP, first_match_cells, nonzero_point, overlay_regions
 
 
 @dataclass(frozen=True)
@@ -444,6 +446,7 @@ def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
 
 
 _SIGN_TESTS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
+_SIGN_OPS = {test: op for op, test in _SIGN_TESTS.items()}
 
 
 class Pullback:
@@ -489,6 +492,7 @@ class Pullback:
         return out
 
     def _pull(self, u: PiecewiseAffineUtility, e: int, rows) -> None:
+        self.n = u.n_states
         self.denominator = e * u.form_scale
         vertex = [0] * u.n_states
         atoms = []
@@ -507,6 +511,51 @@ class Pullback:
     def is_zero(self) -> bool:
         """Whether the payoff is 0 at every interim belief."""
         return self.vertex is None and not self.atoms
+
+    def cells(
+        self, start: tuple[Constraint, ...]
+    ) -> Iterator[tuple[tuple[Constraint, ...], tuple[int, ...]]]:
+        """The pieces of the numerator on the nonempty cell ``start``, as
+        (cell, G) with ``numerator(k) == k . G`` wherever k / K lies in the
+        cell.  The cells refine ``start`` by each atom's pulled-back guards
+        (k . H op 0) in turn, with ``geometry.first_match_cells``, depth
+        first, and G sums V and the row of the piece each atom matches.  An
+        atom on a face gets a leading piece k . Z_j == 0 with row 0, where
+        ``numerator`` skips it.  More than ``SWEEP_CAP`` cells raise
+        EnumerationTooLarge, and a posterior that no piece covers raises
+        NoPieceMatches."""
+        zero = (0,) * self.n
+        levels = []
+        for z, face, pieces in self.atoms:
+            guards = [
+                tuple(
+                    Constraint(AffineForm(Fraction(0), h), _SIGN_OPS[test])
+                    for test, h in guard
+                )
+                for guard, _ in pieces
+            ]
+            rows = [g for _, g in pieces]
+            if face:
+                guards.insert(0, (Constraint(AffineForm(Fraction(0), z), "=="),))
+                rows.insert(0, zero)
+            levels.append((guards, rows))
+        stack = [(0, start, self.vertex or zero)]
+        count = 0
+        while stack:
+            j, cell, row = stack.pop()
+            if j == len(levels):
+                count += 1
+                if count > SWEEP_CAP:
+                    raise EnumerationTooLarge(
+                        f"pullback holds {count} cells, over sweep cap {SWEEP_CAP}"
+                    )
+                yield cell, row
+                continue
+            guards, rows = levels[j]
+            stack.extend(reversed([
+                (j + 1, sub, tuple(map(add, row, rows[p])))
+                for p, sub in first_match_cells(self.n, guards, cell)
+            ]))
 
     def payoff(self, k: Sequence[int]) -> Fraction:
         """The conditional payoff at x = k / sum(k)."""

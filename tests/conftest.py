@@ -1,6 +1,6 @@
 """Shared builders: the uniform belief, constant utilities, the worked
-two-state game, random zero-sum game generators, and random
-Bayes-plausible experiments."""
+two-state game, random zero-sum game generators (piecewise and action
+games), and random Bayes-plausible experiments."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, belief
 from zspersuasion.experiments import Experiment
@@ -119,6 +120,34 @@ def random_ternary_game(rng: random.Random) -> GamePayoffs:
     )
     u0 = PiecewiseAffineUtility(pieces)
     return normalize_payoffs(GamePayoffs((u0, negate_utility(u0))))
+
+
+def random_action_game(
+    rng: random.Random, n: int, a: int, m: int = 2
+) -> ActionGame:
+    """A zero-sum action game with m senders, the last one paid minus the
+    others.  The receiver's and the first m - 1 senders' tables hold
+    distinct entries at each state (drawn without repetition and scaled by
+    the state's own positive rational), so none of them is indifferent at
+    a state; with m >= 3 the senders' tables are drawn again until the
+    last one's are distinct too."""
+
+    def table():
+        columns = [
+            [Fraction(v, d) for v in rng.sample(range(-20, 21), a)]
+            for d in (rng.randint(1, 4) for _ in range(n))
+        ]
+        return tuple(tuple(columns[l][b] for l in range(n)) for b in range(a))
+
+    while True:
+        tables = [table() for _ in range(m - 1)]
+        last = tuple(
+            tuple(-sum(t[b][l] for t in tables) for l in range(n))
+            for b in range(a)
+        )
+        if all(len({row[l] for row in last}) == a for l in range(n)):
+            break
+    return ActionGame(tuple(f"a{b}" for b in range(a)), table(), (*tables, last))
 
 
 def random_experiment(

@@ -22,6 +22,12 @@ grid belief that way, which ``equilibrium.verify_profile`` replaced with
 the integer rows of ``utilities.Pullback``.  Both must return the same
 values and results and raise the same errors.
 
+``heuristic_exploit`` is the exploit search on faces of three or more
+states that ``equilibrium._positive_point`` replaced: a lexicographic
+ratio target read off closure vertices (``lexicographic_target``), then up
+to a budget of candidates that slide toward advantaged points in halving
+steps.  Wherever it certifies, the exact search must certify too.
+
 ``overlay_product`` is the overlay as the nonempty intersections of one
 first-match region per utility, one emptiness test per tuple, which
 ``geometry.overlay_regions`` replaced with a sweep refined cell by cell.
@@ -64,13 +70,18 @@ from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.analysis import detect_pooled_sets
 from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief
 from zspersuasion.equilibrium import (
-    DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERIFY_GRID,
+    ExploitCertificate,
     VerificationResult,
+    _advantaged,
+    _aim,
+    _certify,
     _deviation_experiment,
+    _edge_candidate,
     _epsilon_for,
     _exploit,
     _minimal_theta,
+    _solve_x_from_posterior,
 )
 from zspersuasion.exceptions import (
     EnumerationTooLarge,
@@ -84,7 +95,12 @@ from zspersuasion.experiments import (
     fully_revealing,
     product,
 )
-from zspersuasion.geometry import cell_is_nonempty, closure_vertices, overlay_regions
+from zspersuasion.geometry import (
+    cell_is_nonempty,
+    closure_vertices,
+    overlay_regions,
+    subsimplex_constraints,
+)
 from zspersuasion.oracle import (
     GridSpec,
     _mass_splits,
@@ -388,13 +404,183 @@ def verify_profile(
         theta = _minimal_theta(g, pooled)
         if theta is None:
             continue
-        cert = _exploit(
-            g, profile, joint, pooled, theta, DEFAULT_SEARCH_BUDGET
-        )
+        cert = _exploit(g, profile, joint, pooled, theta)
+        if cert is None:
+            continue
         return VerificationResult(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )
     return VerificationResult(True, expected)
+
+
+def lexicographic_target(
+    n: int, cells: list[tuple[Constraint, ...]], states: tuple[int, ...]
+) -> Belief:
+    """Lexicographic successive-ratio maximum over a union of closed cells
+    whose points all have full support on ``states``.
+
+    Maximizes the ratio of mass on states[k] to mass on later states, level
+    by level from the bottom pair upward; each level's maximizer set is cut
+    out by one more linear equality, and the final set is a single belief.
+    """
+    kk = len(states)
+    current = list(cells)
+    for k in range(kk - 2, -1, -1):
+        best: Optional[Fraction] = None
+        for cell in current:
+            for v in closure_vertices(n, cell):
+                num = v[states[k]]
+                den = sum((v[states[m]] for m in range(k + 1, kk)), Fraction(0))
+                if den == 0:
+                    raise InvariantViolation(
+                        "ratio target undefined: advantage closure touches "
+                        "a proper face"
+                    )
+                r = num / den
+                best = r if best is None or r > best else best
+        if best is None:
+            raise InvariantViolation("advantage closure has no vertex")
+        # cut down to the argmax set: mass_k - best * tail_mass == 0
+        coeffs = [Fraction(0)] * n
+        coeffs[states[k]] = Fraction(1)
+        for m in range(k + 1, kk):
+            coeffs[states[m]] = -best
+        eq = Constraint(AffineForm(Fraction(0), tuple(coeffs)), "==")
+        current = [
+            cell + (eq,)
+            for cell in current
+            if cell_is_nonempty(n, cell + (eq,))
+        ]
+    points = {
+        v for cell in current for v in closure_vertices(n, cell)
+    }
+    if len(points) != 1:
+        raise InvariantViolation(
+            f"lexicographic ratio maximizer is not unique: {sorted(points)}"
+        )
+    return Belief(next(iter(points)))
+
+
+def heuristic_candidates(
+    g: GamePayoffs,
+    prior: Belief,
+    theta: tuple[int, ...],
+    z_atoms: list[Belief],
+    budget: int,
+):
+    """Candidates (sender, x) on a face of three or more states: the
+    direct hit on the target, then at most ``budget`` perturbations of it."""
+    n = g.n_states
+    pos_cells = [
+        (i, strict, point)
+        for i, u in enumerate(g.utilities)
+        for strict, point in _advantaged(u, theta)
+    ]
+    closed_cells = [tuple(c.weakened() for c in cell) for _, cell, _ in pos_cells]
+
+    # smallest sub-face of theta whose face the advantage closure touches
+    carrier = theta
+    for size in range(1, len(theta)):
+        hit = None
+        for sub in itertools.combinations(theta, size):
+            subface = tuple(subsimplex_constraints(n, sub))
+            if any(
+                cell_is_nonempty(n, cell + subface) for cell in closed_cells
+            ):
+                hit = sub
+                break
+        if hit is not None:
+            carrier = hit
+            break
+
+    if len(carrier) == 1:
+        beta_bar = degenerate(n, carrier[0])
+    else:
+        carrier_face = tuple(subsimplex_constraints(n, carrier))
+        cells = [
+            cell + carrier_face
+            for cell in closed_cells
+            if cell_is_nonempty(n, cell + carrier_face)
+        ]
+        beta_bar = lexicographic_target(n, cells, carrier)
+    x_star, lowest = _aim(prior, z_atoms, carrier, beta_bar)
+
+    # direct hit: the target posterior itself is strictly advantaged
+    if carrier == theta:
+        sender = next(
+            (i for i, u in enumerate(g.utilities) if u(beta_bar) > 0), None
+        )
+        if sender is not None:
+            yield sender, x_star
+
+    # boundary target: slide toward a strictly advantaged interior point
+    # with geometrically shrinking steps
+    preferred = [
+        pc
+        for pc, closed in zip(pos_cells, closed_cells)
+        if all(c.holds(beta_bar) for c in closed)
+    ]
+    ordered = preferred + [pc for pc in pos_cells if pc not in preferred]
+    interior = Belief(
+        tuple(
+            Fraction(1, len(theta)) if m in theta else Fraction(0)
+            for m in range(n)
+        )
+    )
+
+    def perturbations():
+        for t in itertools.count(1):
+            step = Fraction(1, 2**t)
+            for _, _, w_pt in ordered:
+                beta_prime = Belief(
+                    tuple(
+                        (1 - step) * a + step * b
+                        for a, b in zip(beta_bar.probs, w_pt)
+                    )
+                )
+                sender = next(
+                    (j for j, u in enumerate(g.utilities) if u(beta_prime) > 0),
+                    None,
+                )
+                if sender is not None:
+                    yield sender, _solve_x_from_posterior(
+                        prior, beta_prime, lowest[0]
+                    )
+            # alternate family: pull the interim belief itself off the face
+            x_mix = Belief(
+                tuple(
+                    (1 - step) * a + step * b
+                    for a, b in zip(x_star.probs, interior.probs)
+                )
+            )
+            for sender in range(g.n_senders):
+                yield sender, x_mix
+
+    yield from itertools.islice(perturbations(), max(budget, 0))
+
+
+def heuristic_exploit(
+    g: GamePayoffs,
+    profile: StrategyProfile,
+    omega: tuple[int, ...],
+    budget: int = 64,
+) -> Optional[ExploitCertificate]:
+    """The first certified candidate of the heuristic search against a
+    profile that pools omega, or None where it found none within
+    ``budget`` candidates (exit 3 at the time).  omega must have a minimal
+    advantaged subset."""
+    joint = product(profile.experiments)
+    theta = _minimal_theta(g, omega)
+    z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
+    if len(theta) == 2:
+        candidates = [_edge_candidate(g, profile.prior, theta, z_atoms)]
+    else:
+        candidates = heuristic_candidates(g, profile.prior, theta, z_atoms, budget)
+    for sender, x_bar in candidates:
+        cert = _certify(g, profile, joint, omega, theta, sender, x_bar)
+        if cert is not None:
+            return cert
+    return None
 
 
 def overlay_product(

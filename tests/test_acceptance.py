@@ -42,6 +42,7 @@ from conftest import (
     negate_utility,
     random_binary_game,
     random_experiment,
+    random_action_game,
     random_prior,
     random_ternary_game,
     uniform,
@@ -55,7 +56,6 @@ from reference import (
     raw_posterior,
     to_signal_structure,
 )
-from test_actions import random_action_game
 
 
 HALF = belief(["1/2", "1/2"])

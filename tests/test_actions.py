@@ -19,7 +19,7 @@ from zspersuasion.geometry import (
 from zspersuasion.scenario import load_scenario
 from zspersuasion.utilities import check_zero_sum, normalize_payoffs
 
-from conftest import FIXTURES, uniform
+from conftest import FIXTURES, random_action_game, uniform
 from reference import (
     best_action,
     classify_action_game,
@@ -31,35 +31,6 @@ from reference import (
 
 def matching_game() -> ActionGame:
     return load_scenario(str(FIXTURES / "matching_action_game.json")).action_game
-
-
-def random_action_game(
-    rng: random.Random, n: int, a: int, m: int = 2
-) -> ActionGame:
-    """Random generic zero-sum action game with m senders, the last one
-    paid minus the others (resampled until generic)."""
-    while True:
-        receiver = tuple(
-            tuple(Fraction(rng.randint(-20, 20)) for _ in range(n))
-            for _ in range(a)
-        )
-        tables = [
-            tuple(
-                tuple(Fraction(rng.randint(-20, 20)) for _ in range(n))
-                for _ in range(a)
-            )
-            for _ in range(m - 1)
-        ]
-        last = tuple(
-            tuple(-sum(t[b][l] for t in tables) for l in range(n))
-            for b in range(a)
-        )
-        try:
-            return ActionGame(
-                tuple(f"a{j}" for j in range(a)), receiver, (*tables, last)
-            )
-        except InvariantViolation:
-            continue
 
 
 class TestInvariants:
@@ -84,6 +55,20 @@ class TestInvariants:
                     ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(-1))),
                 ),
             )
+
+
+class TestRandomActionGame:
+    def test_large_games_come_at_once(self):
+        """Each state's entries are drawn without repetition, so a
+        two-sender game needs no resampling, and a three-sender one only
+        while the last sender ties.  Resampling whole games until nothing
+        tied took 2,595 draws at 5 states, 8 actions and two senders, and
+        ran past a minute with three."""
+        rng = random.Random(1)
+        for m in (2, 3):
+            for a in (5, 8):
+                ag = random_action_game(rng, 5, a, m)
+                assert (ag.n_states, ag.n_actions, ag.n_senders) == (5, a, m)
 
 
 class TestBestAction:

@@ -16,31 +16,12 @@ from zspersuasion.geometry import cell_is_nonempty, complement_cells
 from zspersuasion.scenario import scenario_from_json, utility_to_json
 from zspersuasion.utilities import normalize_payoffs
 
+from conftest import random_action_game
 from test_first_match import GridMasks, count_lps, pieces_by_belief
 
 
-def generic_action_game(rng, n, a):
-    """A two-sender zero-sum action game whose receiver and sender tables
-    hold distinct entries at each state (each state's scaled by its own
-    positive rational), so that no agent is indifferent at a state."""
-
-    def table():
-        columns = [
-            [Fraction(v, d) for v in rng.sample(range(-20, 21), a)]
-            for d in (rng.randint(1, 4) for _ in range(n))
-        ]
-        return tuple(tuple(columns[l][b] for l in range(n)) for b in range(a))
-
-    sender = table()
-    return ActionGame(
-        tuple(f"a{b}" for b in range(a)),
-        table(),
-        (sender, tuple(tuple(-v for v in row) for row in sender)),
-    )
-
-
 def argmax_guards(rng, n, a):
-    u = induced_game(generic_action_game(rng, n, a)).utilities[0]
+    u = induced_game(random_action_game(rng, n, a)).utilities[0]
     return [p.guard for p in u.pieces]
 
 
@@ -69,7 +50,7 @@ class TestAgainstTheSweep:
         seen = set()
         for _ in range(100):
             n, a = rng.randint(2, 5), rng.randint(2, 6)
-            g = induced_game(generic_action_game(rng, n, a))
+            g = induced_game(random_action_game(rng, n, a))
             normalized = rng.random() < 0.5
             u = (normalize_payoffs(g) if normalized else g).utilities[0]
             guards = [p.guard for p in u.pieces]
@@ -167,7 +148,7 @@ class TestFallThrough:
         """A utility written out in argmax form reads back as new guard
         objects from strings, and is still decomposed in closed form."""
         rng = random.Random(5)
-        u = induced_game(generic_action_game(rng, 4, 5)).utilities[0]
+        u = induced_game(random_action_game(rng, 4, 5)).utilities[0]
         written = utility_to_json(u)
         scenario = scenario_from_json(json.loads(json.dumps({
             "states": 4,

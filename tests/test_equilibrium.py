@@ -33,7 +33,6 @@ from zspersuasion.utilities import (
 
 from conftest import FIXTURES, constant_utility, negate_utility, uniform
 from reference import expected_utility
-from test_lexicographic_exploit import record_lexicographic_targets
 
 
 HALF = belief(["1/2", "1/2"])
@@ -154,16 +153,14 @@ class TestGeneralExploit:
         assert len(cert.theta) == 2
         assert cert.payoff > 0
 
-    def test_vertex_carrier(self, monkeypatch):
-        """Sender 0 is positive on the whole interior, so the closure of her
-        advantaged set touches vertex 0: the exploit aims at that vertex and
-        slides into the interior without a lexicographic target."""
-        targets = record_lexicographic_targets(monkeypatch)
+    def test_interior_advantage(self):
+        """Sender 0 is positive only strictly inside the simplex, where
+        beta_0 + beta_1 + 2 beta_2 > 1: the exact search finds an interim
+        belief there."""
         g = interior_bump_game()
         prior = belief(["1/6", "1/3", "1/2"])
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
         cert = synthesize_exploit(g, profile, (0, 1, 2))
-        assert targets == []
         assert cert.theta == (0, 1, 2)
         assert cert.sender == 0
         assert cert.payoff > 0

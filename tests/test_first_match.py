@@ -36,9 +36,8 @@ from zspersuasion.utilities import (
 )
 
 import reference
-from conftest import FIXTURES
+from conftest import FIXTURES, random_action_game
 from reference import grid_beliefs
-from test_actions import random_action_game
 
 
 def reference_piece_regions(pieces):
@@ -334,23 +333,26 @@ class TestOverlayCap:
     def test_cap_bounds_the_refined_cells(self, tmp_path, monkeypatch):
         _, us = mixed_guard_scenario(tmp_path, 3)
         cells = list(overlay_regions(us))
-        assert len(cells) == 6
-        monkeypatch.setattr(geometry, "SWEEP_CAP", 6)
+        count = len(cells)
+        # more than either utility's own cells, which the cap lets through
+        assert count > max(len(u.first_match_cells()) for u in us)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", count)
         assert list(overlay_regions(us)) == cells
-        monkeypatch.setattr(geometry, "SWEEP_CAP", 5)
-        with pytest.raises(EnumerationTooLarge, match="overlay holds 6 cells"):
+        monkeypatch.setattr(geometry, "SWEEP_CAP", count - 1)
+        with pytest.raises(EnumerationTooLarge, match=f"overlay holds {count} cells"):
             next(overlay_regions(us))
 
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_cli_exits_3_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
-        path, _ = mixed_guard_scenario(tmp_path, 3)
-        monkeypatch.setattr(geometry, "SWEEP_CAP", 5)
+        path, us = mixed_guard_scenario(tmp_path, 3)
+        count = len(list(overlay_regions(us)))
+        monkeypatch.setattr(geometry, "SWEEP_CAP", count - 1)
         assert main([command, str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "EnumerationTooLarge"
-        assert "overlay holds 6 cells" in error["message"]
+        assert f"overlay holds {count} cells" in error["message"]
 
 
 def count_overlays(monkeypatch):

@@ -24,7 +24,7 @@ from zspersuasion.utilities import (
 )
 
 import reference
-from test_actions import random_action_game
+from conftest import random_action_game
 from test_first_match import random_form, random_utility
 
 RESOLUTION = {2: 12, 3: 8, 4: 6}

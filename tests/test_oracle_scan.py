@@ -45,13 +45,13 @@ from zspersuasion.utilities import GamePayoffs, Pullback, normalize_payoffs
 
 from conftest import (
     FIXTURES,
+    random_action_game,
     random_binary_game,
     random_experiment,
     random_prior,
 )
 import reference
 from reference import expected_utility, grid_beliefs, support_masks
-from test_actions import random_action_game
 from test_posterior_engine import random_face_experiment, random_utility
 
 

@@ -30,8 +30,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import FIXTURES, random_prior
-from test_actions import random_action_game
+from conftest import FIXTURES, random_action_game, random_prior
 
 
 def reference_payoff(u, others: Experiment, x: Belief) -> Fraction:

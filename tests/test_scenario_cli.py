@@ -328,13 +328,10 @@ class TestCli:
           "--max-support", "3", "--cap", "-1"), "cap must be >= 1"),
         (("oracle", "scan", FIG1, "--belief-res", "5", "--mass-res", "4",
           "--max-support", "3", "--cap", "0"), "cap must be >= 1"),
-        (("exploit", FIG1, "--profile", "both_uninformative", "--set", "0,1",
-          "--budget", "-5"), "budget must be >= 0"),
     ])
     def test_negative_bounds_are_bad_input(self, capsys, argv, message):
         """An enumeration cap below 1 used to exit 3 as if the grid had
-        exceeded it, and a negative exploit budget used to print a
-        certificate: both are malformed input (exit 1)."""
+        exceeded it: it is malformed input (exit 1)."""
         code, out, err = self.run(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -13,8 +13,7 @@ from zspersuasion.actions import induced_game
 from zspersuasion.scenario import scenario_from_json
 from zspersuasion.utilities import PiecewiseAffineUtility, normalize_payoffs
 
-from conftest import FIXTURES
-from test_actions import random_action_game
+from conftest import FIXTURES, random_action_game
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -31,11 +31,11 @@ from zspersuasion.utilities import (
 )
 
 import reference
-from conftest import random_experiment, random_prior
-from test_actions import random_action_game
+from conftest import random_action_game, random_experiment, random_prior
 from test_first_match import random_utility
 from test_integer_bayes import some_prior
 from test_integer_first_match import hand_built_utility
+from test_lexicographic_exploit import GAMES, PROFILES, game_and_profiles
 from test_posterior_engine import random_face_experiment
 
 RESOLUTION = {2: 12, 3: 8, 4: 5, 5: 4}
@@ -224,9 +224,27 @@ def grid_witness(g: GamePayoffs, profile: StrategyProfile, grid: int):
 
 class TestVerifyProfile:
     def test_same_result_as_the_memo_loop(self):
+        """Seeded games and profiles, and the profiles of the lexicographic
+        family at grid 2, whose deviation is the exploit of the pooled set;
+        every branch of the screen is met."""
         rng = random.Random(20261104)
         seen = {"ok": 0, "expected": 0, "first_belief": 0,
                 "later_belief": 0, "exploit": 0}
+
+        def check(g, profile, grid):
+            got = outcome(verify_profile, g, profile, grid)
+            assert got == outcome(reference.verify_profile, g, profile, grid)
+            if isinstance(got, tuple):
+                return  # the same error; gaps are met in the test below
+            if got.ok:
+                seen["ok"] += 1
+            elif min(got.expected_utilities) < 0:
+                seen["expected"] += 1
+            else:
+                j = grid_witness(g, profile, grid)
+                seen["exploit" if j is None else
+                     "first_belief" if j == 0 else "later_belief"] += 1
+
         for _ in range(150):
             n = rng.randint(2, 5)
             m = rng.randint(1, 3)
@@ -244,19 +262,11 @@ class TestVerifyProfile:
                 profile = construct_fully_revealing(prior, m)
             else:
                 profile = pooled_profile(prior, rng, m)
-            grid = rng.randint(2, RESOLUTION[n])
-            got = outcome(verify_profile, g, profile, grid)
-            assert got == outcome(reference.verify_profile, g, profile, grid)
-            if isinstance(got, tuple):
-                continue  # the same error; gaps are met in the test below
-            if got.ok:
-                seen["ok"] += 1
-            elif min(got.expected_utilities) < 0:
-                seen["expected"] += 1
-            else:
-                j = grid_witness(g, profile, grid)
-                seen["exploit" if j is None else
-                     "first_belief" if j == 0 else "later_belief"] += 1
+            check(g, profile, rng.randint(2, RESOLUTION[n]))
+        for n, q in GAMES:
+            g, profiles = game_and_profiles(n, q)
+            for name in PROFILES:
+                check(g, profiles[name], 2)
         assert min(seen.values()) >= 4, seen
 
     def test_the_gap_is_met_where_the_memo_loop_meets_it(self):
