@@ -6,14 +6,12 @@ exactly verified profitable deviations against profiles that pool a face
 where someone has an advantage; and screens candidate profiles for the
 equilibrium conditions.
 
-An exploit against a profile that pools an edge aims one interim belief so
-that the lowest pooled atom's posterior lands at the end of a positive run
-on the edge (``_aim``).  On a larger face, or when that candidate earns
-nothing, the search is exact: the sender's conditional payoff against the
-profile's joint is linear on each cell of its ``utilities.Pullback``, so one
-emptiness test per cell finds an interim belief that pays, or proves that
-none on the face does (``_positive_point``).  Every candidate passes one
-certify step (``_certify``) that recomputes its payoff exactly.
+An exploit searches the minimal advantaged face exactly, an edge as any
+larger face: the sender's conditional payoff against the profile's joint
+is linear on each cell of its ``utilities.Pullback``, so one emptiness test
+per cell finds an interim belief that pays, or proves that none on the face
+does (``_positive_point``).  The point found passes one certify step
+(``_certify``) that recomputes its payoff exactly.
 
 ``verify_profile`` screens every grid belief for a profitable deviation
 through each sender's ``utilities.Pullback``: the sign of one integer per
@@ -39,14 +37,12 @@ from .experiments import (
 )
 from .geometry import strictly_feasible_point, subsimplex_constraints
 from .analysis import (
-    _edge_belief,
     _require_normalized,
     detect_pooled_sets,
     is_zero_on_subsimplex,
 )
 from .oracle import grid_counts
 from .utilities import (
-    EdgeFunction,
     GamePayoffs,
     PiecewiseAffineUtility,
     Pullback,
@@ -119,28 +115,6 @@ class ExploitCertificate:
     payoff: Fraction
 
 
-def _positive_sup(f: EdgeFunction) -> Optional[Fraction]:
-    """sup of {t : f(t) > 0}, or None when f is never positive."""
-    candidates = [t for t, v in zip(f.breakpoints, f.point_values) if v > 0]
-    for (c, s), a, b in zip(f.interval_forms, f.breakpoints, f.breakpoints[1:]):
-        va, vb = c + s * a, c + s * b
-        if vb > 0:
-            candidates.append(b)
-        elif va > 0:
-            candidates.append(-c / s)  # root; positive on (a, root)
-    return max(candidates) if candidates else None
-
-
-def _positive_run_before(f: EdgeFunction, s: Fraction) -> Fraction:
-    """Some a < s with f > 0 on the whole open interval (a, s), where f is
-    positive just left of s: the breakpoint before s when the form of the
-    interval ending at s is positive there, else that form's root."""
-    j = max(i for i, t in enumerate(f.breakpoints) if t < s)
-    a = f.breakpoints[j]
-    c, sl = f.interval_forms[j]
-    return a if c + sl * a > 0 else -c / sl
-
-
 def _epsilon_for(prior: Belief, x_bar: Belief) -> Fraction:
     bounds = [Fraction(1)]
     for l in range(prior.n_states):
@@ -171,9 +145,17 @@ def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int
 
 def _positive_on_face(u: PiecewiseAffineUtility, theta: tuple[int, ...]) -> bool:
     """Whether u is positive somewhere on the face over theta: on an edge
-    by its exact restriction, else on one of its ``_advantaged`` cells."""
+    by its exact restriction, at a breakpoint or on an open interval whose
+    form is positive at one of its ends, else on one of its ``_advantaged``
+    cells."""
     if len(theta) == 2:
-        return _positive_sup(u.on_edge(*theta)) is not None
+        f = u.on_edge(*theta)
+        return any(v > 0 for v in f.point_values) or any(
+            c + s * a > 0 or c + s * b > 0
+            for (c, s), a, b in zip(
+                f.interval_forms, f.breakpoints, f.breakpoints[1:]
+            )
+        )
     return any(_advantaged(u, theta))
 
 
@@ -190,50 +172,6 @@ def _advantaged(u: PiecewiseAffineUtility, theta: tuple[int, ...]):
         point = strictly_feasible_point(n, strict)
         if point is not None:
             yield strict, point
-
-
-def _aim(
-    prior: Belief,
-    z_atoms: list[Belief],
-    states: tuple[int, ...],
-    target: Belief,
-) -> tuple[Belief, list[Belief]]:
-    """The interim belief whose posterior against the lowest atoms is
-    ``target``, and those atoms in ``z_atoms`` order.
-
-    An atom is lower when its likelihood ratios (y_l/π_l)/(y_last/π_last)
-    over ``states`` are lexicographically smaller, compared from the bottom
-    pair upward: against it, an interim belief on the ``states`` face moves
-    the posterior least toward the earlier states.  The lowest atoms agree
-    on every ratio, so x puts each of their posteriors at ``target``, which
-    must be supported on ``states``.
-    """
-    last = states[-1]
-
-    def ratios(y: Belief) -> tuple[Fraction, ...]:
-        tail = y[last] / prior[last]
-        return tuple(y[l] / prior[l] / tail for l in reversed(states[:-1]))
-
-    keys = [ratios(y) for y in z_atoms]
-    low = min(keys)
-    lowest = [y for y, key in zip(z_atoms, keys) if key == low]
-    return _solve_x_from_posterior(prior, target, lowest[0]), lowest
-
-
-def _solve_x_from_posterior(
-    prior: Belief, target: Belief, y: Belief
-) -> Belief:
-    """The interim belief x with posterior(x, y) == target; requires y to be
-    positive wherever target is."""
-    n = prior.n_states
-    weights = []
-    for l in range(n):
-        if target[l] == 0:
-            weights.append(Fraction(0))
-        else:
-            weights.append(target[l] * prior[l] / y[l])
-    total = sum(weights)
-    return Belief(tuple(w / total for w in weights))
 
 
 def _certify(
@@ -277,11 +215,11 @@ def synthesize_exploit(
 ) -> ExploitCertificate:
     """A verified profitable deviation against a profile that pools omega.
 
-    Reduces omega to a minimal advantaged subset theta.  When theta is a
-    pair, one interim belief aims the lowest pooled atom's posterior at the
-    end of the longest positive run on the edge.  Otherwise, or when that
-    candidate earns nothing, ``_positive_point`` searches the theta face
-    exactly.  Every certificate is exactly verified.  A profile that does
+    Reduces omega to a minimal advantaged subset theta, and
+    ``_positive_point`` searches the theta face exactly for an interim
+    belief that pays some sender.  Every certificate is exactly verified.
+    A pullback with more than ``utilities.SWEEP_CAP`` cells on the face is
+    EnumerationTooLarge.  A profile that does
     not pool omega, or with no sender positive on its face, or with no
     interim belief on the theta face that pays any sender, is
     PreconditionFailed; a profile without one experiment per sender is a
@@ -313,19 +251,10 @@ def _exploit(
     omega: tuple[int, ...],
     theta: tuple[int, ...],
 ) -> Optional[ExploitCertificate]:
-    """The certificate against the profile's joint experiment ``joint``,
-    which pools omega, theta being omega's minimal advantaged subset: the
-    edge candidate first when theta is a pair, else the exact search's.
-    None when no sender earns anything at any interim belief on the theta
-    face."""
-    if len(theta) == 2:
-        z_atoms = [b for b, _ in joint.atoms if set(theta) <= b.support]
-        cert = _certify(
-            g, profile, joint, omega, theta,
-            *_edge_candidate(g, profile.prior, theta, z_atoms),
-        )
-        if cert is not None:
-            return cert
+    """The certificate at the exact search's point against the profile's
+    joint experiment ``joint``, which pools omega, theta being omega's
+    minimal advantaged subset.  None when no sender earns anything at any
+    interim belief on the theta face."""
     found = _positive_point(g, joint, theta)
     if found is None:
         return None
@@ -336,33 +265,6 @@ def _exploit(
             f"cell where its conditional payoff is positive"
         )
     return cert
-
-
-def _edge_candidate(
-    g: GamePayoffs,
-    prior: Belief,
-    theta: tuple[int, ...],
-    z_atoms: list[Belief],
-) -> tuple[int, Belief]:
-    """The sender positive furthest toward theta[1] on the edge, and the
-    interim belief aiming the lowest posterior at the end of its positive
-    run."""
-    l, k = theta
-    fns = [u.on_edge(l, k) for u in g.utilities]
-    sups = [_positive_sup(f) for f in fns]
-    r_prime = max(s for s in sups if s is not None)
-    sender = next((i for i, f in enumerate(fns) if f(r_prime) > 0), None)
-    r = r_prime
-    if sender is None:
-        # the sup is not attained, so it ends a positive run of the first
-        # sender whose sup it is; include the run's start when possible
-        sender = sups.index(r_prime)
-        f = fns[sender]
-        a = _positive_run_before(f, r_prime)
-        r = a if f(a) > 0 else (a + r_prime) / 2
-    target = _edge_belief(prior.n_states, l, k, r)
-    x_bar, _ = _aim(prior, z_atoms, (k, l), target)
-    return sender, x_bar
 
 
 def _positive_point(

@@ -22,11 +22,14 @@ grid belief that way, which ``equilibrium.verify_profile`` replaced with
 the integer rows of ``utilities.Pullback``.  Both must return the same
 values and results and raise the same errors.
 
-``heuristic_exploit`` is the exploit search on faces of three or more
-states that ``equilibrium._positive_point`` replaced: a lexicographic
-ratio target read off closure vertices (``lexicographic_target``), then up
-to a budget of candidates that slide toward advantaged points in halving
-steps.  Wherever it certifies, the exact search must certify too.
+``heuristic_exploit`` is the exploit search that
+``equilibrium._positive_point`` replaced.  On an edge it made one
+candidate (``_edge_candidate``): the interim belief that puts the
+posterior of the lowest pooled atom at the end of a positive run
+(``_aim``).  On faces of three or more states it read a lexicographic
+ratio target off closure vertices (``lexicographic_target``), then tried
+up to a budget of candidates that slide toward advantaged points in
+halving steps.  Wherever it certifies, the exact search must certify too.
 
 ``overlay_product`` is the overlay as the nonempty intersections of one
 first-match region per utility, one emptiness test per tuple, which
@@ -67,21 +70,18 @@ from typing import Optional, Sequence, Union
 
 from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.analysis import detect_pooled_sets
+from zspersuasion.analysis import _edge_belief, detect_pooled_sets
 from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief
 from zspersuasion.equilibrium import (
     DEFAULT_VERIFY_GRID,
     ExploitCertificate,
     VerificationResult,
     _advantaged,
-    _aim,
     _certify,
     _deviation_experiment,
-    _edge_candidate,
     _epsilon_for,
     _exploit,
     _minimal_theta,
-    _solve_x_from_posterior,
 )
 from zspersuasion.exceptions import (
     EnumerationTooLarge,
@@ -411,6 +411,99 @@ def verify_profile(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )
     return VerificationResult(True, expected)
+
+
+def _positive_sup(f: EdgeFunction) -> Optional[Fraction]:
+    """sup of {t : f(t) > 0}, or None when f is never positive."""
+    candidates = [t for t, v in zip(f.breakpoints, f.point_values) if v > 0]
+    for (c, s), a, b in zip(f.interval_forms, f.breakpoints, f.breakpoints[1:]):
+        va, vb = c + s * a, c + s * b
+        if vb > 0:
+            candidates.append(b)
+        elif va > 0:
+            candidates.append(-c / s)  # root; positive on (a, root)
+    return max(candidates) if candidates else None
+
+
+def _positive_run_before(f: EdgeFunction, s: Fraction) -> Fraction:
+    """Some a < s with f > 0 on the whole open interval (a, s), where f is
+    positive just left of s: the breakpoint before s when the form of the
+    interval ending at s is positive there, else that form's root."""
+    j = max(i for i, t in enumerate(f.breakpoints) if t < s)
+    a = f.breakpoints[j]
+    c, sl = f.interval_forms[j]
+    return a if c + sl * a > 0 else -c / sl
+
+
+def _aim(
+    prior: Belief,
+    z_atoms: list[Belief],
+    states: tuple[int, ...],
+    target: Belief,
+) -> tuple[Belief, list[Belief]]:
+    """The interim belief whose posterior against the lowest atoms is
+    ``target``, and those atoms in ``z_atoms`` order.
+
+    An atom is lower when its likelihood ratios (y_l/π_l)/(y_last/π_last)
+    over ``states`` are lexicographically smaller, compared from the bottom
+    pair upward: against it, an interim belief on the ``states`` face moves
+    the posterior least toward the earlier states.  The lowest atoms agree
+    on every ratio, so x puts each of their posteriors at ``target``, which
+    must be supported on ``states``.
+    """
+    last = states[-1]
+
+    def ratios(y: Belief) -> tuple[Fraction, ...]:
+        tail = y[last] / prior[last]
+        return tuple(y[l] / prior[l] / tail for l in reversed(states[:-1]))
+
+    keys = [ratios(y) for y in z_atoms]
+    low = min(keys)
+    lowest = [y for y, key in zip(z_atoms, keys) if key == low]
+    return _solve_x_from_posterior(prior, target, lowest[0]), lowest
+
+
+def _solve_x_from_posterior(
+    prior: Belief, target: Belief, y: Belief
+) -> Belief:
+    """The interim belief x with posterior(x, y) == target; requires y to be
+    positive wherever target is."""
+    n = prior.n_states
+    weights = []
+    for l in range(n):
+        if target[l] == 0:
+            weights.append(Fraction(0))
+        else:
+            weights.append(target[l] * prior[l] / y[l])
+    total = sum(weights)
+    return Belief(tuple(w / total for w in weights))
+
+
+def _edge_candidate(
+    g: GamePayoffs,
+    prior: Belief,
+    theta: tuple[int, ...],
+    z_atoms: list[Belief],
+) -> tuple[int, Belief]:
+    """The sender positive furthest toward theta[1] on the edge, and the
+    interim belief aiming the lowest posterior at the end of its positive
+    run."""
+    l, k = theta
+    fns = [u.on_edge(l, k) for u in g.utilities]
+    sups = [_positive_sup(f) for f in fns]
+    r_prime = max(s for s in sups if s is not None)
+    sender = next((i for i, f in enumerate(fns) if f(r_prime) > 0), None)
+    r = r_prime
+    if sender is None:
+        # the sup is not attained, so it ends a positive run of the first
+        # sender whose sup it is; include the run's start when possible
+        sender = sups.index(r_prime)
+        f = fns[sender]
+        a = _positive_run_before(f, r_prime)
+        r = a if f(a) > 0 else (a + r_prime) / 2
+    target = _edge_belief(prior.n_states, l, k, r)
+    x_bar, _ = _aim(prior, z_atoms, (k, l), target)
+    return sender, x_bar
 
 
 def lexicographic_target(

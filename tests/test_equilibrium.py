@@ -11,6 +11,7 @@ from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import belief
 from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
+    _certify,
     construct_fully_revealing,
     construct_pooling_equilibrium,
     synthesize_exploit,
@@ -32,7 +33,7 @@ from zspersuasion.utilities import (
 )
 
 from conftest import FIXTURES, constant_utility, negate_utility, uniform
-from reference import expected_utility
+from reference import _edge_candidate, expected_utility
 
 
 HALF = belief(["1/2", "1/2"])
@@ -103,9 +104,9 @@ class TestBinaryExploit:
         profile = StrategyProfile((uninformative(HALF), uninformative(HALF)))
         cert = synthesize_exploit(figure_game, profile, (0, 1))
         assert cert.sender == 0
-        assert cert.x_bar == belief(["2/5", "3/5"])
-        assert cert.epsilon == Fraction(5, 12)
-        assert cert.payoff == Fraction(1, 6)
+        assert cert.x_bar == belief(["1/2", "1/2"])
+        assert cert.epsilon == Fraction(1, 2)
+        assert cert.payoff == Fraction(1, 4)
         assert cert.deviation.mean() == cert.deviation.prior
         # playing the deviation on top of the whole profile earns the payoff
         extended = product(profile.experiments + (cert.deviation,))
@@ -113,6 +114,23 @@ class TestBinaryExploit:
             m * figure_game.utilities[0](b) for b, m in extended.atoms
         )
         assert got == cert.payoff
+
+    def test_edge_candidate_certificate(self, figure_game):
+        """The edge candidate that the exact search replaced aims the
+        pooled posterior at the end of sender 0's positive run, and still
+        certifies."""
+        profile = StrategyProfile((uninformative(HALF), uninformative(HALF)))
+        joint = product(profile.experiments)
+        sender, x_bar = _edge_candidate(
+            figure_game, HALF, (0, 1), [b for b, _ in joint.atoms]
+        )
+        cert = _certify(
+            figure_game, profile, joint, (0, 1), (0, 1), sender, x_bar
+        )
+        assert cert.sender == 0
+        assert cert.x_bar == belief(["2/5", "3/5"])
+        assert cert.epsilon == Fraction(5, 12)
+        assert cert.payoff == Fraction(1, 6)
 
     def test_requires_pooled_face(self, figure_game):
         revealing = StrategyProfile(

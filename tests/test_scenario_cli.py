@@ -243,9 +243,9 @@ class TestCli:
         )
         assert code == 0
         cert = json.loads(out)
-        assert cert["x_bar"] == ["2/5", "3/5"]
-        assert cert["epsilon"] == "5/12"
-        assert cert["payoff"] == "1/6"
+        assert cert["x_bar"] == ["1/2", "1/2"]
+        assert cert["epsilon"] == "1/2"
+        assert cert["payoff"] == "1/4"
 
     def test_construct_fully_revealing_round_trip(self, capsys):
         code, out, _ = self.run(capsys, "construct", FIG1, "--fully-revealing")

@@ -5,7 +5,9 @@ test checks the program against it.  Each name in ``UNREACHED`` is exempt
 for its reason.  So is each name in ``TRACER_ONLY``, which only the
 benchmark's tracer (``bench/tracing.py``) reaches: it wraps them by name,
 and a traced run fails when one is gone.  That set is kept exact, so dead
-code that the tracer holds is on record and cannot grow unseen."""
+code that the tracer holds is on record and cannot grow unseen.  Every
+module-level import is read in its module, so code that moves out leaves no
+import behind."""
 
 import ast
 from pathlib import Path
@@ -81,3 +83,24 @@ def test_the_tracer_holds_exactly_the_names_listed():
 
 def test_every_exemption_is_still_needed():
     assert set(UNREACHED) <= set(unnamed())
+
+
+def unread_imports() -> list[str]:
+    """module.name of every name bound by a module-level import (other than
+    ``from __future__``) that its module never reads."""
+    out = []
+    for module, tree in TREES.items():
+        read = names_in(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        out.append(f"{module}.{bound}")
+    return out
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
