@@ -2,12 +2,11 @@
 
 Decides whether utilities vanish on sub-simplices, which state subsets can be
 pooled in some equilibrium, whether every equilibrium fully reveals the
-state, which subsets are minimal carriers of advantage, which subsets a
-given profile pools, the edge-slope sufficient condition for the
-infinite-signal case, and the strict-surplus sufficient condition for
-non-zero-sum games.  Every verdict is exact: a sign question on a cell is
-one or two emptiness tests of the geometry layer, whose point is the
-witness.
+state, which subsets are minimal carriers of advantage, the edge-slope
+sufficient condition for the infinite-signal case, and the strict-surplus
+sufficient condition for non-zero-sum games.  Every verdict is exact: a
+sign question on a cell is one or two emptiness tests of the geometry
+layer, whose point is the witness.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Optional, Sequence
 
 from .beliefs import Belief, state_set
 from .exceptions import InvariantViolation, NotNormalized
-from .experiments import Experiment
 from .geometry import nondegenerate_point, nonzero_point, subsimplex_constraints
 from .affine import Constraint
 from .utilities import GamePayoffs, PiecewiseAffineUtility
@@ -154,29 +152,6 @@ def minimal_subsets(g: GamePayoffs) -> list[tuple[int, ...]]:
             if any(not is_zero_on_subsimplex(u, omega).zero for u in g.utilities):
                 found.append(omega)
     return found
-
-
-@dataclass(frozen=True)
-class PooledSets:
-    """The inclusion-maximal state subsets (size >= 2) that the profile
-    keeps unrevealed with positive probability; every subset of one of
-    them of size >= 2 is pooled too."""
-
-    maximal: tuple[tuple[int, ...], ...]
-
-
-def detect_pooled_sets(joint: Experiment) -> PooledSets:
-    """A subset is pooled when some posterior atom of a profile's joint
-    experiment (``experiments.product``) puts positive probability on all
-    its states at once."""
-    supports = {frozenset(b.support) for b, _ in joint.atoms}
-    maximal = [
-        s for s in supports
-        if len(s) >= 2 and not any(s < other for other in supports)
-    ]
-    return PooledSets(
-        tuple(sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))),
-    )
 
 
 @dataclass(frozen=True)

@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, metavar="SET", help="pooled states")
     p.set_defaults(func=_cmd_exploit)
 
-    p = sub.add_parser("verify", help="screen a profile for equilibrium")
+    p = sub.add_parser("verify", help="decide whether a profile is an equilibrium")
     p.add_argument("scenario")
     p.add_argument("--profile", required=True, help="name or JSON path")
     p.add_argument("--grid", type=int, default=DEFAULT_VERIFY_GRID)

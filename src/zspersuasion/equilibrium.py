@@ -3,20 +3,21 @@
 Builds the trivial fully revealing equilibrium and the pooling equilibrium
 that exists when every sender's utility vanishes on a face; synthesizes
 exactly verified profitable deviations against profiles that pool a face
-where someone has an advantage; and screens candidate profiles for the
-equilibrium conditions.
+where someone has an advantage; and decides whether a profile is an
+equilibrium.
 
-An exploit searches the minimal advantaged face exactly, an edge as any
-larger face: the sender's conditional payoff against the profile's joint
-is linear on each cell of its ``utilities.Pullback``, so one emptiness test
-per cell finds an interim belief that pays, or proves that none on the face
-does (``_positive_point``).  The point found passes one certify step
-(``_certify``) that recomputes its payoff exactly.
+One search finds every deviation (``_positive_point``): a sender's
+conditional payoff against a joint experiment is linear on each cell of its
+``utilities.Pullback``, so one emptiness test per cell finds an interim
+belief on a face that pays, or proves that none does.  An exploit searches
+the minimal advantaged face against the profile's joint, an edge as any
+larger face, and the point found passes one certify step (``_certify``)
+that recomputes its payoff exactly.
 
-``verify_profile`` screens every grid belief for a profitable deviation
-through each sender's ``utilities.Pullback``: the sign of one integer per
-sender and belief, in integers throughout, and a ``Fraction`` only for the
-gain of the deviation it reports.
+``verify_profile`` searches the whole simplex against each sender's
+opponents, after a screen of every grid belief by the sign of one integer
+per sender and belief; a ``Fraction`` is built only for the gain of the
+deviation it reports.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .affine import AffineForm, Constraint
-from .beliefs import Belief, degenerate, ray_belief, state_set
+from .beliefs import Belief, degenerate, ray, ray_belief, state_set
 from .exceptions import InvariantViolation, NotPoolable, PreconditionFailed
 from .experiments import (
     Experiment,
@@ -36,11 +37,7 @@ from .experiments import (
     product,
 )
 from .geometry import strictly_feasible_point, subsimplex_constraints
-from .analysis import (
-    _require_normalized,
-    detect_pooled_sets,
-    is_zero_on_subsimplex,
-)
+from .analysis import _require_normalized, is_zero_on_subsimplex
 from .oracle import grid_counts
 from .utilities import (
     GamePayoffs,
@@ -235,29 +232,14 @@ def synthesize_exploit(
         raise PreconditionFailed(
             f"no sender's utility is positive on the face over {omega}"
         )
-    cert = _exploit(g, profile, joint, omega, theta)
-    if cert is None:
+    found = _positive_point(
+        ((i, Pullback(u, joint)) for i, u in enumerate(g.utilities)), theta
+    )
+    if found is None:
         raise PreconditionFailed(
             f"no sender gains by adding mass at any interim belief on the "
             f"face over {theta}"
         )
-    return cert
-
-
-def _exploit(
-    g: GamePayoffs,
-    profile: StrategyProfile,
-    joint: Experiment,
-    omega: tuple[int, ...],
-    theta: tuple[int, ...],
-) -> Optional[ExploitCertificate]:
-    """The certificate at the exact search's point against the profile's
-    joint experiment ``joint``, which pools omega, theta being omega's
-    minimal advantaged subset.  None when no sender earns anything at any
-    interim belief on the theta face."""
-    found = _positive_point(g, joint, theta)
-    if found is None:
-        return None
     cert = _certify(g, profile, joint, omega, theta, *found)
     if cert is None:
         raise InvariantViolation(
@@ -268,22 +250,22 @@ def _exploit(
 
 
 def _positive_point(
-    g: GamePayoffs, joint: Experiment, theta: tuple[int, ...]
+    pullbacks: Iterable[tuple[int, Pullback]], theta: Sequence[int]
 ) -> Optional[tuple[int, Belief]]:
-    """The first sender, in order, with an interim belief on the theta face
-    where its conditional payoff against ``joint`` is positive, and the
-    belief; None when there is none.  The payoff's numerator is k . G on
-    each cell of ``Pullback.cells`` from the face, so a cell holds such a
-    belief exactly when it has a point with G . x > 0: one emptiness test
-    per cell, none where G is nowhere positive on the face."""
-    n = g.n_states
-    face = tuple(subsimplex_constraints(n, theta))
-    for sender, u in enumerate(g.utilities):
-        for cell, row in Pullback(u, joint).cells(face):
+    """The first sender, in order, whose pullback is positive at an interim
+    belief on the theta face, and the belief; None when there is none.  The
+    payoff's numerator is k . G on each cell of ``Pullback.cells`` from the
+    face, so a cell holds such a belief exactly when it has a point with
+    G . x > 0: one emptiness test per cell, none where G is nowhere positive
+    on the face.  ``pullbacks`` may be lazy; the search stops at the first
+    sender it finds."""
+    for sender, p in pullbacks:
+        face = tuple(subsimplex_constraints(p.n, theta))
+        for cell, row in p.cells(face):
             if all(row[l] <= 0 for l in theta):
                 continue
             gain = Constraint(AffineForm(Fraction(0), row), ">")
-            point = strictly_feasible_point(n, cell + (gain,))
+            point = strictly_feasible_point(p.n, cell + (gain,))
             if point is not None:
                 return sender, Belief(point)
     return None
@@ -295,11 +277,11 @@ def _positive_point(
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """ok means no violation was found at the requested scrutiny: expected
-    payoffs are exactly zero, conditional payoffs are nonpositive on the
-    whole deviation grid, and every maximal pooled face survived exploit
-    synthesis.  expected_utilities holds every sender's ex-ante payoff under
-    the profile."""
+    """ok means the profile is an equilibrium: every sender's expected
+    payoff is exactly zero and no interim belief gives any sender a positive
+    conditional payoff against the others.  Otherwise sender, deviation and
+    gain name one profitable deviation.  expected_utilities holds every
+    sender's ex-ante payoff under the profile."""
 
     ok: bool
     expected_utilities: tuple[Fraction, ...]
@@ -323,24 +305,28 @@ def verify_profile(
     profile: StrategyProfile,
     deviation_grid: int = DEFAULT_VERIFY_GRID,
 ) -> VerificationResult:
-    """Screens a profile for the two equilibrium conditions: every sender's
-    expected payoff is zero, and no sender gains by conditionally adding
-    mass at any belief — checked at every grid belief, and exactly on the
-    face of every maximal pooled set's minimal advantaged subset
-    (``_exploit``), which is passed over when no belief there pays.
+    """Decides whether a profile of normalized payoffs is an equilibrium.
 
-    A passing profile "looks like" an equilibrium at this scrutiny; a
-    failing one comes back with a concrete profitable deviation.  Each
-    sender's conditional payoff against the joint of the others is pulled
-    back once (``utilities.Pullback``) to integer rows in the grid counts,
-    so each grid belief is screened by the sign of one integer per sender,
-    and a ``Fraction`` is built only for the gain of the first deviation
-    found.  Senders whose pullback is zero are skipped, and the grid counts
-    are generated one at a time, none when every pullback is zero.  The
-    grid is checked (resolution >= 1, size under the enumeration cap) and
-    the profile must have one experiment per sender (ValueError), before
-    anything else.
+    A sender with a negative expected payoff gains by revealing everything.
+    With every payoff zero, a sender gains exactly when some interim belief
+    gives it a positive conditional payoff against the joint of the others:
+    mass at that belief and the rest on the states pays it that payoff times
+    the mass.  Each sender's conditional payoff is pulled back once
+    (``utilities.Pullback``), and its sign is screened at every grid belief
+    first, by one integer per sender; when no grid belief pays,
+    ``_positive_point`` searches the whole simplex on the pullback's cells.
+    Senders whose pullback is zero are skipped, and the grid counts are
+    generated one at a time, none when every pullback is zero.
+
+    Raw payoffs are NotNormalized, before anything else.  The grid is checked
+    (resolution >= 1, size under the enumeration cap) and the profile must
+    have one experiment per sender (ValueError).  A sender with a positive
+    expected payoff is PreconditionFailed, since a deviation's payoff is
+    then not its gain; in a zero-sum game another sender is negative, and
+    is reported first.  More than ``utilities.SWEEP_CAP`` cells in a
+    pullback are EnumerationTooLarge.
     """
+    _require_normalized(g.utilities)
     grid = grid_counts(g.n_states, deviation_grid)
     _require_one_experiment_per_sender(g, profile)
     prior = profile.prior
@@ -355,33 +341,32 @@ def verify_profile(
             return VerificationResult(
                 False, expected, i, fully_revealing(prior), -ui
             )
+    for i, ui in enumerate(expected):
+        if ui > 0:
+            raise PreconditionFailed(
+                f"sender {i} already earns {ui}; verify decides deviations "
+                f"only where every sender earns 0"
+            )
     pullbacks = [
         Pullback(u, profile.opponents(i)) for i, u in enumerate(g.utilities)
     ]
     screened = [(i, p) for i, p in enumerate(pullbacks) if not p.is_zero]
-    for k in grid if screened else ():
-        if deviation_grid in k:  # degenerate
-            continue
-        for i, p in screened:
-            num = p.numerator(k)
-            if num > 0:
-                x = ray_belief(k)
-                eps = _epsilon_for(prior, x)
-                return VerificationResult(
-                    False,
-                    expected,
-                    i,
-                    _deviation_experiment(prior, x, eps),
-                    eps * Fraction(num, p.denominator * deviation_grid),
-                )
-    for pooled in detect_pooled_sets(joint).maximal:
-        theta = _minimal_theta(g, pooled)
-        if theta is None:
-            continue
-        cert = _exploit(g, profile, joint, pooled, theta)
-        if cert is None:
-            continue
-        return VerificationResult(
-            False, expected, cert.sender, cert.deviation, cert.payoff
-        )
-    return VerificationResult(True, expected)
+    on_grid = (
+        (i, ray_belief(k))
+        for k in (grid if screened else ())
+        if deviation_grid not in k  # degenerate
+        for i, p in screened
+        if p.numerator(k) > 0
+    )
+    found = next(on_grid, None) or _positive_point(screened, range(g.n_states))
+    if found is None:
+        return VerificationResult(True, expected)
+    i, x = found
+    eps = _epsilon_for(prior, x)
+    return VerificationResult(
+        False,
+        expected,
+        i,
+        _deviation_experiment(prior, x, eps),
+        eps * pullbacks[i].payoff(ray(x)),
+    )

@@ -19,8 +19,11 @@ with ``memoized`` keeping a utility's values by posterior ray, which
 in the oracle's scans and in exploit certificates.  ``verify_profile`` is
 the profile screen that evaluated each sender's conditional payoff at every
 grid belief that way, which ``equilibrium.verify_profile`` replaced with
-the integer rows of ``utilities.Pullback``.  Both must return the same
-values and results and raise the same errors.
+the integer rows of ``utilities.Pullback``, and then tried the exploit of
+each maximal pooled set (``maximal_pooled_sets``), which
+``equilibrium.verify_profile`` replaced with one exact search of the whole
+simplex.  Both must return the same values, and the same result wherever
+the grid finds a deviation.
 
 ``heuristic_exploit`` is the exploit search that
 ``equilibrium._positive_point`` replaced.  On an edge it made one
@@ -70,7 +73,7 @@ from typing import Optional, Sequence, Union
 
 from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.analysis import _edge_belief, detect_pooled_sets
+from zspersuasion.analysis import _edge_belief
 from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief
 from zspersuasion.equilibrium import (
     DEFAULT_VERIFY_GRID,
@@ -80,13 +83,14 @@ from zspersuasion.equilibrium import (
     _certify,
     _deviation_experiment,
     _epsilon_for,
-    _exploit,
     _minimal_theta,
+    synthesize_exploit,
 )
 from zspersuasion.exceptions import (
     EnumerationTooLarge,
     InvariantViolation,
     NoPieceMatches,
+    PreconditionFailed,
 )
 from zspersuasion.experiments import (
     Experiment,
@@ -400,17 +404,27 @@ def verify_profile(
                     _deviation_experiment(prior, x, eps),
                     eps * w,
                 )
-    for pooled in detect_pooled_sets(joint).maximal:
-        theta = _minimal_theta(g, pooled)
-        if theta is None:
-            continue
-        cert = _exploit(g, profile, joint, pooled, theta)
-        if cert is None:
-            continue
+    for pooled in maximal_pooled_sets(joint):
+        try:
+            cert = synthesize_exploit(g, profile, pooled)
+        except PreconditionFailed:
+            continue  # no sender positive on the face, or none paid there
         return VerificationResult(
             False, expected, cert.sender, cert.deviation, cert.payoff
         )
     return VerificationResult(True, expected)
+
+
+def maximal_pooled_sets(joint: Experiment) -> list[tuple[int, ...]]:
+    """The inclusion-maximal state subsets (size >= 2) that some posterior
+    atom of a joint experiment puts positive probability on, by size, then
+    lexicographically."""
+    supports = {frozenset(b.support) for b, _ in joint.atoms}
+    maximal = [
+        s for s in supports
+        if len(s) >= 2 and not any(s < other for other in supports)
+    ]
+    return sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))
 
 
 def _positive_sup(f: EdgeFunction) -> Optional[Fraction]:

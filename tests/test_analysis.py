@@ -11,20 +11,11 @@ from zspersuasion.analysis import (
     classify_full_revelation,
     classify_pooling,
     condition1_report,
-    detect_pooled_sets,
     is_zero_on_subsimplex,
     minimal_subsets,
     strict_surplus_sufficiency,
 )
-from zspersuasion.beliefs import belief
 from zspersuasion.exceptions import InvariantViolation, NotNormalized
-from zspersuasion.experiments import (
-    Experiment,
-    StrategyProfile,
-    fully_revealing,
-    product,
-    uninformative,
-)
 from zspersuasion.scenario import load_scenario
 from zspersuasion.utilities import (
     GamePayoffs,
@@ -213,36 +204,6 @@ class TestMinimalSubsets:
     def test_all_zero(self):
         g = GamePayoffs((constant_utility(3), constant_utility(3)))
         assert minimal_subsets(g) == []
-
-
-class TestDetectPooledSets:
-    def test_uninformative_pools_everything(self):
-        prior = belief(["1/6", "1/3", "1/2"])
-        profile = StrategyProfile((uninformative(prior), uninformative(prior)))
-        pooled = detect_pooled_sets(product(profile))
-        assert pooled.maximal == ((0, 1, 2),)
-        assert {0, 1} <= set(pooled.maximal[0])
-
-    def test_fully_revealing_pools_nothing(self):
-        prior = belief(["1/2", "1/2"])
-        profile = StrategyProfile(
-            (fully_revealing(prior), uninformative(prior))
-        )
-        pooled = detect_pooled_sets(product(profile))
-        assert pooled.maximal == ()
-
-    def test_partial_pooling(self):
-        prior = belief(["1/6", "1/3", "1/2"])
-        e = Experiment(
-            prior,
-            (
-                (belief(["1", "0", "0"]), Fraction(1, 6)),
-                (belief(["0", "2/5", "3/5"]), Fraction(5, 6)),
-            ),
-        )
-        profile = StrategyProfile((e, uninformative(prior)))
-        pooled = detect_pooled_sets(product(profile))
-        assert pooled.maximal == ((1, 2),)
 
 
 class TestCondition1:

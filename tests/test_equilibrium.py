@@ -1,15 +1,11 @@
 """Equilibrium construction, exploit synthesis, and profile verification."""
 
-import contextlib
-import io
 from fractions import Fraction
 
 import pytest
 
-from zspersuasion import equilibrium
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import belief
-from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
     _certify,
     construct_fully_revealing,
@@ -17,7 +13,7 @@ from zspersuasion.equilibrium import (
     synthesize_exploit,
     verify_profile,
 )
-from zspersuasion.exceptions import NotPoolable, PreconditionFailed
+from zspersuasion.exceptions import NotNormalized, NotPoolable, PreconditionFailed
 from zspersuasion.experiments import (
     StrategyProfile,
     fully_revealing,
@@ -214,21 +210,6 @@ class TestVerifyProfile:
         assert result.sender == 0
         assert result.gain > 0
 
-    def test_minimal_theta_once_per_pooled_set(self, monkeypatch):
-        calls = []
-        minimal_theta = equilibrium._minimal_theta
-
-        def counted(g, omega):
-            calls.append(omega)
-            return minimal_theta(g, omega)
-
-        monkeypatch.setattr(equilibrium, "_minimal_theta", counted)
-        argv = ["verify", str(FIXTURES / "example_b51.json"),
-                "--profile", "both_uninformative", "--grid", "5"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        assert calls == [(0, 1, 2)]
-
     def test_catches_negative_payoff_profile(self):
         g = interior_bump_game()
         prior = uniform(3)
@@ -237,3 +218,28 @@ class TestVerifyProfile:
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
         result = verify_profile(g, profile)
         assert not result.ok
+
+    def test_a_sender_that_already_earns_fails_the_precondition(self):
+        """One sender with u = min(beta0, beta1) earns 1/2 under the
+        uninformative profile, its optimum.  The grid belief (1/2, 1/2)
+        pays 1/2 conditionally, but mass 1/2 there earns only 1/4."""
+        def form(c0, c1):
+            return AffineForm(Fraction(0), (Fraction(c0), Fraction(c1)))
+
+        u = PiecewiseAffineUtility((
+            Piece((Constraint(form(1, -1), "<="),), form(1, 0)),
+            Piece((), form(0, 1)),
+        ))
+        profile = StrategyProfile((uninformative(HALF),))
+        with pytest.raises(PreconditionFailed, match="sender 0 already earns 1/2"):
+            verify_profile(GamePayoffs((u,)), profile, 2)
+
+    def test_raw_payoffs_are_rejected_first(self):
+        one = PiecewiseAffineUtility(
+            (Piece((), AffineForm(Fraction(1), (Fraction(0),) * 2)),)
+        )
+        raw = GamePayoffs((one, negate_utility(one)))
+        profile = construct_fully_revealing(HALF, 2)
+        for grid in (5, 0):
+            with pytest.raises(NotNormalized):
+                verify_profile(raw, profile, grid)

@@ -857,7 +857,7 @@ class TestNoPositiveSender:
     """Games that are not zero-sum, where sender 0 is nonzero on the pooled
     face but nobody is positive there and sender 1 is 0: no sender can
     exploit the pooled set, so ``exploit`` fails its precondition and
-    ``verify`` lets the set stand."""
+    ``verify`` accepts the profile: no interim belief pays either sender."""
 
     @staticmethod
     def scenario(tmp_path, n, prior, sender_0) -> str:

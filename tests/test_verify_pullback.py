@@ -2,14 +2,22 @@
 they replace: equal values at every grid belief to the ``Fraction`` sum over
 the posteriors of ``reference.conditional_payoff_against``, the same
 ``NoPieceMatches`` at the same atom, and the same ``VerificationResult`` as
-the memo loop of ``reference.verify_profile``."""
+the memo loop of ``reference.verify_profile`` wherever its grid finds a
+deviation.  Where no grid belief pays, the exact search of the whole
+simplex finds the deviations the memo loop missed, each recomputed by raw
+Bayes."""
 
+import json
 import random
 from fractions import Fraction
 
+import pytest
+
+from zspersuasion import utilities
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, degenerate, ray_belief
+from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
     construct_fully_revealing,
     verify_profile,
@@ -22,6 +30,7 @@ from zspersuasion.experiments import (
     uninformative,
 )
 from zspersuasion.oracle import grid_counts
+from zspersuasion.scenario import scenario_from_json
 from zspersuasion.utilities import (
     GamePayoffs,
     Piece,
@@ -35,7 +44,12 @@ from conftest import random_action_game, random_experiment, random_prior
 from test_first_match import random_utility
 from test_integer_bayes import some_prior
 from test_integer_first_match import hand_built_utility
-from test_lexicographic_exploit import GAMES, PROFILES, game_and_profiles
+from test_lexicographic_exploit import (
+    GAMES,
+    PROFILES,
+    game_and_profiles,
+    raw_bayes_value,
+)
 from test_posterior_engine import random_face_experiment
 
 RESOLUTION = {2: 12, 3: 8, 4: 5, 5: 4}
@@ -222,57 +236,97 @@ def grid_witness(g: GamePayoffs, profile: StrategyProfile, grid: int):
     return None
 
 
+def seeded_cases():
+    """Seeded games and profiles, each with a grid, then the profiles of
+    the lexicographic family at grid 2."""
+    rng = random.Random(20261104)
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        m = rng.randint(1, 3)
+        prior = random_prior(n, rng)
+        if m > 1 and rng.random() < 0.7:
+            g = normalize_payoffs(
+                induced_game(random_action_game(rng, n, rng.randint(2, 4), m))
+            )
+        else:
+            g = GamePayoffs(tuple(random_utility(rng, n) for _ in range(m)))
+            g = outcome(normalize_payoffs, g)
+            if isinstance(g, tuple):
+                continue
+        if rng.random() < 0.2:
+            profile = construct_fully_revealing(prior, m)
+        else:
+            profile = pooled_profile(prior, rng, m)
+        yield g, profile, rng.randint(2, RESOLUTION[n])
+    for n, q in GAMES:
+        g, profiles = game_and_profiles(n, q)
+        for name in PROFILES:
+            yield g, profiles[name], 2
+
+
 class TestVerifyProfile:
     def test_same_result_as_the_memo_loop(self):
-        """Seeded games and profiles, and the profiles of the lexicographic
-        family at grid 2, whose deviation is the exploit of the pooled set;
-        every branch of the screen is met."""
-        rng = random.Random(20261104)
-        seen = {"ok": 0, "expected": 0, "first_belief": 0,
-                "later_belief": 0, "exploit": 0}
-
-        def check(g, profile, grid):
+        """Where a sender's payoff is negative or a grid belief pays, the
+        result is the memo loop's.  A sender that already earns is a failed
+        precondition.  Where the memo loop exploited a pooled set there is
+        a deviation too, and where it accepted, the exact search may still
+        find one off the grid.  Every branch is met."""
+        seen = dict.fromkeys((
+            "ok", "expected", "earning", "first_belief", "later_belief",
+            "exploit", "off_grid",
+        ), 0)
+        for g, profile, grid in seeded_cases():
             got = outcome(verify_profile, g, profile, grid)
-            assert got == outcome(reference.verify_profile, g, profile, grid)
-            if isinstance(got, tuple):
-                return  # the same error; gaps are met in the test below
-            if got.ok:
-                seen["ok"] += 1
-            elif min(got.expected_utilities) < 0:
+            want = reference.verify_profile(g, profile, grid)
+            expected = want.expected_utilities
+            if min(expected) < 0:
+                assert got == want
                 seen["expected"] += 1
+                continue
+            if max(expected) > 0:
+                assert got[0] == "PreconditionFailed", got
+                seen["earning"] += 1
+                continue
+            j = grid_witness(g, profile, grid)
+            if j is not None:
+                assert got == want
+                seen["first_belief" if j == 0 else "later_belief"] += 1
+            elif not want.ok:
+                assert not got.ok
+                seen["exploit"] += 1
             else:
-                j = grid_witness(g, profile, grid)
-                seen["exploit" if j is None else
-                     "first_belief" if j == 0 else "later_belief"] += 1
-
-        for _ in range(150):
-            n = rng.randint(2, 5)
-            m = rng.randint(1, 3)
-            prior = random_prior(n, rng)
-            if m > 1 and rng.random() < 0.7:
-                g = normalize_payoffs(
-                    induced_game(random_action_game(rng, n, rng.randint(2, 4), m))
-                )
-            else:
-                g = GamePayoffs(tuple(random_utility(rng, n) for _ in range(m)))
-                g = outcome(normalize_payoffs, g)
-                if isinstance(g, tuple):
-                    continue
-            if rng.random() < 0.2:
-                profile = construct_fully_revealing(prior, m)
-            else:
-                profile = pooled_profile(prior, rng, m)
-            check(g, profile, rng.randint(2, RESOLUTION[n]))
-        for n, q in GAMES:
-            g, profiles = game_and_profiles(n, q)
-            for name in PROFILES:
-                check(g, profiles[name], 2)
+                seen["ok" if got.ok else "off_grid"] += 1
         assert min(seen.values()) >= 4, seen
+
+    def test_every_deviation_pays_its_gain_by_raw_bayes(self):
+        """The sender playing the returned deviation in place of its own
+        experiment earns the gain over its expected payoff, by Bayes' rule
+        on signal tables and first-match evaluation in ``Fraction``."""
+        checked = 0
+        for g, profile, grid in seeded_cases():
+            result = outcome(verify_profile, g, profile, grid)
+            if isinstance(result, tuple):
+                assert result[0] == "PreconditionFailed", result
+                continue
+            if result.ok:
+                continue
+            i = result.sender
+            u = g.utilities[i]
+            others = profile.experiments[:i] + profile.experiments[i + 1:]
+            value = raw_bayes_value(
+                lambda b: reference.evaluate(u, b),
+                profile.prior,
+                others + (result.deviation,),
+            )
+            assert value - result.expected_utilities[i] == result.gain > 0
+            checked += 1
+        assert checked >= 50
 
     def test_the_gap_is_met_where_the_memo_loop_meets_it(self):
         """The centroid gap against opponents that reach it at different
-        grid beliefs: the same message, or the same result when the grid
-        never reaches it."""
+        beliefs: the same message where a grid belief reaches it, a gap
+        wherever the memo loop met one, and otherwise the memo loop's
+        result or a gap met off the grid."""
         u = centroid_gap_utility()
         zero = PiecewiseAffineUtility((Piece((), AffineForm.zero(3)),))
         rng = random.Random(20261105)
@@ -283,6 +337,79 @@ class TestVerifyProfile:
             profile = pooled_profile(prior, rng, 2)
             grid = rng.randint(2, 9)
             got = outcome(verify_profile, g, profile, grid)
-            assert got == outcome(reference.verify_profile, g, profile, grid)
-            raised += isinstance(got, tuple) and got[0] == "NoPieceMatches"
+            want = outcome(reference.verify_profile, g, profile, grid)
+            if isinstance(outcome(grid_witness, g, profile, grid), tuple):
+                assert got == want
+            if got != want or isinstance(want, tuple):
+                assert isinstance(got, tuple), got
+                assert got[0] == "NoPieceMatches"
+                raised += 1
         assert raised >= 5
+
+
+def off_grid_scenario() -> dict:
+    """Three states, a uniform prior.  Sender 0 earns 1 on the open piece
+    41/100 < beta0 < 42/100 of edge (0, 2) and 0 elsewhere, sender 1 the
+    negation; the profile's joint reveals the state.  No belief of grid 5
+    or 8 pays sender 0, but x = (83/400, 1/2, 117/400) pays it 1/2."""
+    def cons(coeffs, const, op):
+        return {"coeffs": coeffs, "const": const, "op": op}
+
+    zero = {"coeffs": ["0", "0", "0"], "const": "0"}
+    return {
+        "states": 3,
+        "prior": ["1/3", "1/3", "1/3"],
+        "senders": 2,
+        "assert_zero_sum_structural": True,
+        "payoffs": [{"pieces": [
+            {"guard": [
+                cons(["0", "1", "0"], "0", "=="),
+                cons(["1", "0", "0"], "-41/100", ">"),
+                cons(["1", "0", "0"], "-42/100", "<"),
+            ], "form": {"coeffs": ["0", "0", "0"], "const": "1"}},
+            {"guard": [], "form": zero},
+        ]}],
+        "profiles": {"eq": [
+            {"atoms": [{"belief": ["1", "0", "0"], "mass": "1/3"},
+                       {"belief": ["0", "1/2", "1/2"], "mass": "2/3"}]},
+            {"atoms": [{"belief": ["0", "1", "0"], "mass": "1/3"},
+                       {"belief": ["1/2", "0", "1/2"], "mass": "2/3"}]},
+        ]},
+    }
+
+
+class TestOffGridDeviation:
+    @pytest.fixture
+    def path(self, tmp_path) -> str:
+        path = tmp_path / "off_grid.json"
+        path.write_text(json.dumps(off_grid_scenario()))
+        return str(path)
+
+    @pytest.mark.parametrize("grid", [5, 8])
+    def test_found_between_the_grid_beliefs(self, grid, path, capsys):
+        """The memo loop accepts the profile; the exact search finds the
+        deviation, and it pays its gain by raw Bayes."""
+        scenario = scenario_from_json(off_grid_scenario())
+        g = normalize_payoffs(scenario.payoffs)
+        profile = scenario.profile("eq")
+        assert reference.verify_profile(g, profile, grid).ok
+        assert grid_witness(g, profile, grid) is None
+        result = verify_profile(g, profile, grid)
+        assert (result.ok, result.sender, result.gain) == (
+            False, 0, Fraction(25, 88)
+        )
+        u = g.utilities[0]
+        value = raw_bayes_value(
+            u, profile.prior, (profile.experiments[1], result.deviation)
+        )
+        assert value == result.gain
+        assert main(["verify", path, "--profile", "eq", "--grid", str(grid)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"], out["gain"]) == ("ProfitableDeviation", "25/88")
+
+    def test_a_pullback_over_the_sweep_cap_exits_3(self, path, capsys, monkeypatch):
+        monkeypatch.setattr(utilities, "SWEEP_CAP", 0)
+        assert main(["verify", path, "--profile", "eq", "--grid", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "EnumerationTooLarge"
