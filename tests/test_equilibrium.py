@@ -1,11 +1,15 @@
 """Equilibrium construction, exploit synthesis, and profile verification."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from zspersuasion import equilibrium
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import belief
+from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
     _certify,
     construct_fully_revealing,
@@ -209,6 +213,28 @@ class TestVerifyProfile:
         assert not result.ok
         assert result.sender == 0
         assert result.gain > 0
+
+    def test_minimal_theta_once_per_pooled_set(self, monkeypatch):
+        """exploit reduces the pooled set it is given to a minimal theta
+        once; verify searches the whole simplex and reduces none."""
+        calls = []
+        minimal_theta = equilibrium._minimal_theta
+
+        def counted(g, omega):
+            calls.append(omega)
+            return minimal_theta(g, omega)
+
+        monkeypatch.setattr(equilibrium, "_minimal_theta", counted)
+        path = str(FIXTURES / "example_b51.json")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["verify", path, "--profile", "both_uninformative",
+                         "--grid", "5"]) == 0
+        assert '"deviation"' in out.getvalue()
+        assert calls == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["exploit", path, "--profile", "both_uninformative",
+                         "--set", "0,1,2"]) == 0
+        assert calls == [(0, 1, 2)]
 
     def test_catches_negative_payoff_profile(self):
         g = interior_bump_game()

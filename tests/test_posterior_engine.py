@@ -12,6 +12,7 @@ from zspersuasion import equilibrium, experiments
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, combine
+from zspersuasion.cli import main
 from zspersuasion.equilibrium import construct_fully_revealing, verify_profile
 from zspersuasion.experiments import (
     Experiment,
@@ -29,7 +30,7 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import random_action_game, random_prior
+from conftest import FIXTURES, random_action_game, random_prior
 
 
 def reference_payoff(u, others: Experiment, x: Belief) -> Fraction:
@@ -241,3 +242,21 @@ class TestVerifyWork:
         assert [p.is_zero for p in pullbacks] == [False, True, True]
         assert len(pullbacks[0].atoms) == 1
         assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
+
+    def test_full_joint_built_once_when_exploiting(self, monkeypatch, capsys):
+        """The exact search reuses the opponents' joints verify pulled back,
+        and the gain is the pullback's payoff at the belief: one full joint,
+        for the expected utilities, and one joint per opponent, with no
+        extended joint to recompute the deviation."""
+        products = count_products(monkeypatch)
+        code = main([
+            "verify", str(FIXTURES / "example_b51.json"),
+            "--profile", "both_uninformative", "--grid", "5",
+        ])
+        assert code == 0
+        assert '"deviation"' in capsys.readouterr().out
+        sizes = [
+            len(p.experiments if isinstance(p, StrategyProfile) else tuple(p))
+            for p in products
+        ]
+        assert sorted(sizes) == [1, 1, 2]

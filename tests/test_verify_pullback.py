@@ -16,7 +16,7 @@ import pytest
 from zspersuasion import utilities
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.beliefs import Belief, degenerate, ray_belief
+from zspersuasion.beliefs import Belief, belief, degenerate, ray_belief
 from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
     construct_fully_revealing,
@@ -262,6 +262,36 @@ def seeded_cases():
         g, profiles = game_and_profiles(n, q)
         for name in PROFILES:
             yield g, profiles[name], 2
+
+
+class TestDetectPooledSets:
+    """The maximal pooled sets the memo loop of ``reference.verify_profile``
+    hands to the exploit: the state sets, of two or more, that some atom of
+    the joint puts positive probability on, maximal under inclusion."""
+
+    def test_uninformative_pools_everything(self):
+        prior = belief(["1/6", "1/3", "1/2"])
+        profile = StrategyProfile((uninformative(prior), uninformative(prior)))
+        assert reference.maximal_pooled_sets(product(profile)) == [(0, 1, 2)]
+
+    def test_fully_revealing_pools_nothing(self):
+        prior = belief(["1/2", "1/2"])
+        profile = StrategyProfile(
+            (fully_revealing(prior), uninformative(prior))
+        )
+        assert reference.maximal_pooled_sets(product(profile)) == []
+
+    def test_partial_pooling(self):
+        prior = belief(["1/6", "1/3", "1/2"])
+        e = Experiment(
+            prior,
+            (
+                (belief(["1", "0", "0"]), Fraction(1, 6)),
+                (belief(["0", "2/5", "3/5"]), Fraction(5, 6)),
+            ),
+        )
+        profile = StrategyProfile((e, uninformative(prior)))
+        assert reference.maximal_pooled_sets(product(profile)) == [(1, 2)]
 
 
 class TestVerifyProfile:
