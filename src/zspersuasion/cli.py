@@ -121,7 +121,6 @@ def _certificate_json(cert: ExploitCertificate) -> dict:
         "omega": list(cert.omega),
         "payoff": frac_to_str(cert.payoff),
         "sender": cert.sender,
-        "theta": list(cert.theta),
         "verdict": "ProfitableDeviation",
         "x_bar": belief_to_json(cert.x_bar),
     }

@@ -10,9 +10,8 @@ One search finds every deviation (``_positive_point``): a sender's
 conditional payoff against a joint experiment is linear on each cell of its
 ``utilities.Pullback``, so one emptiness test per cell finds an interim
 belief on a face that pays, or proves that none does.  An exploit searches
-the minimal advantaged face against the profile's joint, an edge as any
-larger face, and the point found passes one certify step (``_certify``)
-that recomputes its payoff exactly.
+the pooled face itself against the profile's joint, an edge as any larger
+face, and recomputes the payoff of the point found exactly.
 
 ``verify_profile`` searches the whole simplex against each sender's
 opponents, after a screen of every grid belief by the sign of one integer
@@ -22,7 +21,6 @@ deviation it reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -41,7 +39,6 @@ from .analysis import _require_normalized, is_zero_on_subsimplex
 from .oracle import grid_counts
 from .utilities import (
     GamePayoffs,
-    PiecewiseAffineUtility,
     Pullback,
     conditional_payoff_against,
 )
@@ -105,7 +102,6 @@ class ExploitCertificate:
 
     sender: int
     omega: tuple[int, ...]
-    theta: tuple[int, ...]
     x_bar: Belief
     epsilon: Fraction
     deviation: Experiment
@@ -128,68 +124,53 @@ def _deviation_experiment(prior: Belief, x_bar: Belief, eps: Fraction) -> Experi
     return Experiment(prior, tuple(atoms))
 
 
-def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Smallest (then lexicographically first) subset of omega on whose face
-    some sender's normalized utility is positive, or None.  In a zero-sum
-    game somebody is positive wherever somebody is nonzero."""
-    _require_normalized(g.utilities)
-    for size in range(2, len(omega) + 1):
-        for theta in itertools.combinations(omega, size):
-            if any(_positive_on_face(u, theta) for u in g.utilities):
-                return theta
-    return None
-
-
-def _positive_on_face(u: PiecewiseAffineUtility, theta: tuple[int, ...]) -> bool:
-    """Whether u is positive somewhere on the face over theta: on an edge
-    by its exact restriction, at a breakpoint or on an open interval whose
-    form is positive at one of its ends, else on one of its ``_advantaged``
-    cells."""
-    if len(theta) == 2:
-        f = u.on_edge(*theta)
-        return any(v > 0 for v in f.point_values) or any(
-            c + s * a > 0 or c + s * b > 0
-            for (c, s), a, b in zip(
-                f.interval_forms, f.breakpoints, f.breakpoints[1:]
-            )
-        )
-    return any(_advantaged(u, theta))
-
-
-def _advantaged(u: PiecewiseAffineUtility, theta: tuple[int, ...]):
-    """u's first-match cells cut to u > 0 and to the theta face, each with a
-    point; strict cells, each nonempty.  A form positive at no vertex of the
-    face is positive nowhere on it and costs no LP."""
-    n = u.n_states
-    face = tuple(subsimplex_constraints(n, theta))
-    for cell, form in u.regions():
-        if all(form.const + form.coeffs[l] <= 0 for l in theta):
-            continue
-        strict = cell + (Constraint(-form, "<"),) + face
-        point = strictly_feasible_point(n, strict)
-        if point is not None:
-            yield strict, point
-
-
-def _certify(
+def synthesize_exploit(
     g: GamePayoffs,
     profile: StrategyProfile,
-    joint: Experiment,
-    omega: tuple[int, ...],
-    theta: tuple[int, ...],
-    sender: int,
-    x_bar: Belief,
-) -> Optional[ExploitCertificate]:
-    """The certificate for ``sender`` adding mass at ``x_bar``, or None when
-    that earns nothing against ``joint``, the profile's joint experiment.
+    omega: Sequence[int],
+) -> ExploitCertificate:
+    """A verified profitable deviation against a profile that pools omega.
 
-    The payoff is recomputed from scratch with the deviation played on top
-    of the full original profile; a mismatch is an InvariantViolation.
+    ``_positive_point`` searches the face over omega exactly for an interim
+    belief that pays some sender.  Every posterior of a belief on the face
+    stays on it, so where no sender is positive on the face none is found.
+    The certificate's payoff is recomputed from scratch with the deviation
+    played on top of the full original profile; a mismatch is an
+    InvariantViolation.
+
+    Raw payoffs are NotNormalized, before anything else.  A utility that
+    leaves part of the simplex uncovered is NoPieceMatches, wherever the
+    gap lies, and a pullback with more than ``utilities.SWEEP_CAP`` cells
+    on the face is EnumerationTooLarge.  A profile that does not pool
+    omega, or with no interim belief on its face that pays any sender, is
+    PreconditionFailed; a profile without one experiment per sender is a
+    ValueError.
     """
+    _require_normalized(g.utilities)
+    _require_one_experiment_per_sender(g, profile)
+    joint = product(profile.experiments)
+    omega = state_set(omega, g.n_states)
+    if not any(set(omega) <= b.support for b, _ in joint.atoms):
+        raise PreconditionFailed(f"profile does not pool {omega}")
+    for u in g.utilities:
+        u.first_match_cells()  # coverage: a gap raises NoPieceMatches
+    found = _positive_point(
+        ((i, Pullback(u, joint)) for i, u in enumerate(g.utilities)), omega
+    )
+    if found is None:
+        raise PreconditionFailed(
+            f"no sender gains by adding mass at any interim belief on the "
+            f"face over {omega}: no sender's conditional payoff is positive "
+            f"there"
+        )
+    sender, x_bar = found
     u = g.utilities[sender]
     w = conditional_payoff_against(u, joint, x_bar)
     if w <= 0:
-        return None
+        raise InvariantViolation(
+            f"sender {sender} earns nothing at {x_bar}, a point of a cell "
+            f"where its conditional payoff is positive"
+        )
     prior = profile.prior
     eps = _epsilon_for(prior, x_bar)
     deviation = _deviation_experiment(prior, x_bar, eps)
@@ -200,69 +181,23 @@ def _certify(
         raise InvariantViolation(
             f"certificate payoff {payoff} failed recomputation ({recomputed})"
         )
-    return ExploitCertificate(
-        sender, omega, theta, x_bar, eps, deviation, payoff
-    )
-
-
-def synthesize_exploit(
-    g: GamePayoffs,
-    profile: StrategyProfile,
-    omega: Sequence[int],
-) -> ExploitCertificate:
-    """A verified profitable deviation against a profile that pools omega.
-
-    Reduces omega to a minimal advantaged subset theta, and
-    ``_positive_point`` searches the theta face exactly for an interim
-    belief that pays some sender.  Every certificate is exactly verified.
-    A pullback with more than ``utilities.SWEEP_CAP`` cells on the face is
-    EnumerationTooLarge.  A profile that does
-    not pool omega, or with no sender positive on its face, or with no
-    interim belief on the theta face that pays any sender, is
-    PreconditionFailed; a profile without one experiment per sender is a
-    ValueError.
-    """
-    _require_one_experiment_per_sender(g, profile)
-    joint = product(profile.experiments)
-    omega = state_set(omega, g.n_states)
-    if not any(set(omega) <= b.support for b, _ in joint.atoms):
-        raise PreconditionFailed(f"profile does not pool {omega}")
-    theta = _minimal_theta(g, omega)
-    if theta is None:
-        raise PreconditionFailed(
-            f"no sender's utility is positive on the face over {omega}"
-        )
-    found = _positive_point(
-        ((i, Pullback(u, joint)) for i, u in enumerate(g.utilities)), theta
-    )
-    if found is None:
-        raise PreconditionFailed(
-            f"no sender gains by adding mass at any interim belief on the "
-            f"face over {theta}"
-        )
-    cert = _certify(g, profile, joint, omega, theta, *found)
-    if cert is None:
-        raise InvariantViolation(
-            f"sender {found[0]} earns nothing at {found[1]}, a point of a "
-            f"cell where its conditional payoff is positive"
-        )
-    return cert
+    return ExploitCertificate(sender, omega, x_bar, eps, deviation, payoff)
 
 
 def _positive_point(
-    pullbacks: Iterable[tuple[int, Pullback]], theta: Sequence[int]
+    pullbacks: Iterable[tuple[int, Pullback]], states: Sequence[int]
 ) -> Optional[tuple[int, Belief]]:
     """The first sender, in order, whose pullback is positive at an interim
-    belief on the theta face, and the belief; None when there is none.  The
-    payoff's numerator is k . G on each cell of ``Pullback.cells`` from the
-    face, so a cell holds such a belief exactly when it has a point with
-    G . x > 0: one emptiness test per cell, none where G is nowhere positive
-    on the face.  ``pullbacks`` may be lazy; the search stops at the first
-    sender it finds."""
+    belief on the face over ``states``, and the belief; None when there is
+    none.  The payoff's numerator is k . G on each cell of
+    ``Pullback.cells`` from the face, so a cell holds such a belief exactly
+    when it has a point with G . x > 0: one emptiness test per cell, none
+    where G is nowhere positive on the face.  ``pullbacks`` may be lazy;
+    the search stops at the first sender it finds."""
     for sender, p in pullbacks:
-        face = tuple(subsimplex_constraints(p.n, theta))
+        face = tuple(subsimplex_constraints(p.n, states))
         for cell, row in p.cells(face):
-            if all(row[l] <= 0 for l in theta):
+            if all(row[l] <= 0 for l in states):
                 continue
             gain = Constraint(AffineForm(Fraction(0), row), ">")
             point = strictly_feasible_point(p.n, cell + (gain,))

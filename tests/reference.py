@@ -20,13 +20,22 @@ in the oracle's scans and in exploit certificates.  ``verify_profile`` is
 the profile screen that evaluated each sender's conditional payoff at every
 grid belief that way, which ``equilibrium.verify_profile`` replaced with
 the integer rows of ``utilities.Pullback``, and then tried the exploit of
-each maximal pooled set (``maximal_pooled_sets``), which
+each maximal pooled set (``maximal_pooled_sets``, ``theta_exploit``), which
 ``equilibrium.verify_profile`` replaced with one exact search of the whole
 simplex.  Both must return the same values, and the same result wherever
 the grid finds a deviation.
 
+``theta_exploit`` is the exploit that ``equilibrium.synthesize_exploit``
+replaced with one search of the pooled face.  It walked the subsets of the
+pooled set omega, smallest first, for a minimal subset theta on whose face
+some sender is positive (``_minimal_theta``, ``_positive_on_face``,
+``_advantaged``), ran ``equilibrium._positive_point`` on the theta face
+and certified the point it found (``_certify``).  theta is a subset of
+omega, so wherever it certifies, the search of the omega face must certify
+too.
+
 ``heuristic_exploit`` is the exploit search that
-``equilibrium._positive_point`` replaced.  On an edge it made one
+``equilibrium._positive_point`` replaced, on the theta face.  On an edge it made one
 candidate (``_edge_candidate``): the interim belief that puts the
 posterior of the lowest pooled atom at the end of a positive run
 (``_aim``).  On faces of three or more states it read a lexicographic
@@ -73,18 +82,16 @@ from typing import Optional, Sequence, Union
 
 from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
-from zspersuasion.analysis import _edge_belief
-from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief
+from zspersuasion.analysis import _edge_belief, _require_normalized
+from zspersuasion.beliefs import Belief, degenerate, ray, ray_belief, state_set
 from zspersuasion.equilibrium import (
     DEFAULT_VERIFY_GRID,
     ExploitCertificate,
     VerificationResult,
-    _advantaged,
-    _certify,
     _deviation_experiment,
     _epsilon_for,
-    _minimal_theta,
-    synthesize_exploit,
+    _positive_point,
+    _require_one_experiment_per_sender,
 )
 from zspersuasion.exceptions import (
     EnumerationTooLarge,
@@ -103,6 +110,7 @@ from zspersuasion.geometry import (
     cell_is_nonempty,
     closure_vertices,
     overlay_regions,
+    strictly_feasible_point,
     subsimplex_constraints,
 )
 from zspersuasion.oracle import (
@@ -116,6 +124,7 @@ from zspersuasion.utilities import (
     GamePayoffs,
     Piece,
     PiecewiseAffineUtility,
+    Pullback,
     _merge_edge,
 )
 
@@ -406,7 +415,7 @@ def verify_profile(
                 )
     for pooled in maximal_pooled_sets(joint):
         try:
-            cert = synthesize_exploit(g, profile, pooled)
+            cert = theta_exploit(g, profile, pooled)
         except PreconditionFailed:
             continue  # no sender positive on the face, or none paid there
         return VerificationResult(
@@ -684,10 +693,121 @@ def heuristic_exploit(
     else:
         candidates = heuristic_candidates(g, profile.prior, theta, z_atoms, budget)
     for sender, x_bar in candidates:
-        cert = _certify(g, profile, joint, omega, theta, sender, x_bar)
+        cert = _certify(g, profile, joint, omega, sender, x_bar)
         if cert is not None:
             return cert
     return None
+
+
+def theta_exploit(
+    g: GamePayoffs,
+    profile: StrategyProfile,
+    omega: Sequence[int],
+) -> ExploitCertificate:
+    """The exploit on the face of the minimal advantaged subset theta of
+    omega: ``_minimal_theta`` walks the subsets of omega, and
+    ``equilibrium._positive_point`` searches the theta face.  Utilities are
+    decomposed only where the walk reaches a face of three or more states,
+    so a coverage gap elsewhere goes unseen."""
+    _require_one_experiment_per_sender(g, profile)
+    joint = product(profile.experiments)
+    omega = state_set(omega, g.n_states)
+    if not any(set(omega) <= b.support for b, _ in joint.atoms):
+        raise PreconditionFailed(f"profile does not pool {omega}")
+    theta = _minimal_theta(g, omega)
+    if theta is None:
+        raise PreconditionFailed(
+            f"no sender's utility is positive on the face over {omega}"
+        )
+    found = _positive_point(
+        ((i, Pullback(u, joint)) for i, u in enumerate(g.utilities)), theta
+    )
+    if found is None:
+        raise PreconditionFailed(
+            f"no sender gains by adding mass at any interim belief on the "
+            f"face over {theta}"
+        )
+    cert = _certify(g, profile, joint, omega, *found)
+    if cert is None:
+        raise InvariantViolation(
+            f"sender {found[0]} earns nothing at {found[1]}, a point of a "
+            f"cell where its conditional payoff is positive"
+        )
+    return cert
+
+
+def _minimal_theta(g: GamePayoffs, omega: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Smallest (then lexicographically first) subset of omega on whose face
+    some sender's normalized utility is positive, or None.  In a zero-sum
+    game somebody is positive wherever somebody is nonzero."""
+    _require_normalized(g.utilities)
+    for size in range(2, len(omega) + 1):
+        for theta in itertools.combinations(omega, size):
+            if any(_positive_on_face(u, theta) for u in g.utilities):
+                return theta
+    return None
+
+
+def _positive_on_face(u: PiecewiseAffineUtility, theta: tuple[int, ...]) -> bool:
+    """Whether u is positive somewhere on the face over theta: on an edge
+    by its exact restriction, at a breakpoint or on an open interval whose
+    form is positive at one of its ends, else on one of its ``_advantaged``
+    cells."""
+    if len(theta) == 2:
+        f = u.on_edge(*theta)
+        return any(v > 0 for v in f.point_values) or any(
+            c + s * a > 0 or c + s * b > 0
+            for (c, s), a, b in zip(
+                f.interval_forms, f.breakpoints, f.breakpoints[1:]
+            )
+        )
+    return any(_advantaged(u, theta))
+
+
+def _advantaged(u: PiecewiseAffineUtility, theta: tuple[int, ...]):
+    """u's first-match cells cut to u > 0 and to the theta face, each with a
+    point; strict cells, each nonempty.  A form positive at no vertex of the
+    face is positive nowhere on it and costs no LP."""
+    n = u.n_states
+    face = tuple(subsimplex_constraints(n, theta))
+    for cell, form in u.regions():
+        if all(form.const + form.coeffs[l] <= 0 for l in theta):
+            continue
+        strict = cell + (Constraint(-form, "<"),) + face
+        point = strictly_feasible_point(n, strict)
+        if point is not None:
+            yield strict, point
+
+
+def _certify(
+    g: GamePayoffs,
+    profile: StrategyProfile,
+    joint: Experiment,
+    omega: tuple[int, ...],
+    sender: int,
+    x_bar: Belief,
+) -> Optional[ExploitCertificate]:
+    """The certificate for ``sender`` adding mass at ``x_bar``, or None when
+    that earns nothing against ``joint``, the profile's joint experiment.
+
+    The payoff is recomputed from scratch with the deviation played on top
+    of the full original profile; a mismatch is an InvariantViolation.
+    """
+    u = g.utilities[sender]
+    w = conditional_payoff_against(u, joint, x_bar)
+    if w <= 0:
+        return None
+    prior = profile.prior
+    eps = _epsilon_for(prior, x_bar)
+    deviation = _deviation_experiment(prior, x_bar, eps)
+    payoff = eps * w
+    extended = product(profile.experiments + (deviation,))
+    recomputed = sum((m * u(b) for b, m in extended.atoms), Fraction(0))
+    if recomputed != payoff:
+        raise InvariantViolation(
+            f"certificate payoff {payoff} failed recomputation ({recomputed})"
+        )
+    return ExploitCertificate(sender, omega, x_bar, eps, deviation, payoff)
 
 
 def overlay_product(

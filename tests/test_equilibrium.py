@@ -1,17 +1,12 @@
 """Equilibrium construction, exploit synthesis, and profile verification."""
 
-import contextlib
-import io
 from fractions import Fraction
 
 import pytest
 
-from zspersuasion import equilibrium
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import belief
-from zspersuasion.cli import main
 from zspersuasion.equilibrium import (
-    _certify,
     construct_fully_revealing,
     construct_pooling_equilibrium,
     synthesize_exploit,
@@ -33,7 +28,7 @@ from zspersuasion.utilities import (
 )
 
 from conftest import FIXTURES, constant_utility, negate_utility, uniform
-from reference import _edge_candidate, expected_utility
+from reference import _certify, _edge_candidate, expected_utility
 
 
 HALF = belief(["1/2", "1/2"])
@@ -124,9 +119,7 @@ class TestBinaryExploit:
         sender, x_bar = _edge_candidate(
             figure_game, HALF, (0, 1), [b for b, _ in joint.atoms]
         )
-        cert = _certify(
-            figure_game, profile, joint, (0, 1), (0, 1), sender, x_bar
-        )
+        cert = _certify(figure_game, profile, joint, (0, 1), sender, x_bar)
         assert cert.sender == 0
         assert cert.x_bar == belief(["2/5", "3/5"])
         assert cert.epsilon == Fraction(5, 12)
@@ -144,6 +137,21 @@ class TestBinaryExploit:
         profile = StrategyProfile((uninformative(HALF), uninformative(HALF)))
         with pytest.raises(PreconditionFailed):
             synthesize_exploit(g, profile, (0, 1))
+
+    def test_raw_payoffs_are_rejected_first(self):
+        """Raw payoffs are NotNormalized before the profile is looked at:
+        one that pools, one that does not, and one of the wrong size."""
+        one = PiecewiseAffineUtility(
+            (Piece((), AffineForm(Fraction(1), (Fraction(0),) * 2)),)
+        )
+        raw = GamePayoffs((one, negate_utility(one)))
+        for profile in (
+            StrategyProfile((uninformative(HALF), uninformative(HALF))),
+            construct_fully_revealing(HALF, 2),
+            construct_fully_revealing(HALF, 3),
+        ):
+            with pytest.raises(NotNormalized):
+                synthesize_exploit(raw, profile, (0, 1))
 
     def test_partial_pooling_opponent(self, figure_game):
         # opponent reveals with probability 1/2 and stays quiet otherwise
@@ -163,13 +171,17 @@ class TestBinaryExploit:
 
 
 class TestGeneralExploit:
-    def test_b51_reduces_to_an_edge(self):
+    def test_b51_pays_on_an_edge(self):
+        """The search of the whole face finds a belief on the edge of {0, 1},
+        where sender 0 is positive."""
         g = b51_game()
         prior = belief(["1/6", "1/3", "1/2"])
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
         cert = synthesize_exploit(g, profile, (0, 1, 2))
-        assert len(cert.theta) == 2
-        assert cert.payoff > 0
+        assert cert.sender == 0
+        assert cert.x_bar == belief(["1/2", "1/2", "0"])
+        assert cert.payoff == Fraction(1, 6)
+        assert cert.omega == (0, 1, 2)
 
     def test_interior_advantage(self):
         """Sender 0 is positive only strictly inside the simplex, where
@@ -179,7 +191,7 @@ class TestGeneralExploit:
         prior = belief(["1/6", "1/3", "1/2"])
         profile = StrategyProfile((uninformative(prior), uninformative(prior)))
         cert = synthesize_exploit(g, profile, (0, 1, 2))
-        assert cert.theta == (0, 1, 2)
+        assert cert.x_bar.support == {0, 1, 2}
         assert cert.sender == 0
         assert cert.payoff > 0
         assert g.utilities[0](cert.x_bar) >= 0
@@ -213,28 +225,6 @@ class TestVerifyProfile:
         assert not result.ok
         assert result.sender == 0
         assert result.gain > 0
-
-    def test_minimal_theta_once_per_pooled_set(self, monkeypatch):
-        """exploit reduces the pooled set it is given to a minimal theta
-        once; verify searches the whole simplex and reduces none."""
-        calls = []
-        minimal_theta = equilibrium._minimal_theta
-
-        def counted(g, omega):
-            calls.append(omega)
-            return minimal_theta(g, omega)
-
-        monkeypatch.setattr(equilibrium, "_minimal_theta", counted)
-        path = str(FIXTURES / "example_b51.json")
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(["verify", path, "--profile", "both_uninformative",
-                         "--grid", "5"]) == 0
-        assert '"deviation"' in out.getvalue()
-        assert calls == []
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["exploit", path, "--profile", "both_uninformative",
-                         "--set", "0,1,2"]) == 0
-        assert calls == [(0, 1, 2)]
 
     def test_catches_negative_payoff_profile(self):
         g = interior_bump_game()

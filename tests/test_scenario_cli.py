@@ -753,6 +753,17 @@ CENTROID_GAP = {
 }
 
 
+# min(beta0, beta1) on the pieces of CENTROID_GAP: positive inside the edge
+# of {0, 1}, so a deviation lies there, away from the gap
+MIN_WITH_GAP = {"pieces": [
+    {"guard": piece["guard"], "form": {"coeffs": coeffs, "const": "0"}}
+    for piece, coeffs in zip(
+        CENTROID_GAP["pieces"],
+        (["1", "0", "0"], ["0", "1", "0"], ["1", "0", "0"], ["1", "0", "0"]),
+    )
+]}
+
+
 class TestCoverageGap:
     """Every command that decomposes a utility into first-match cells
     rejects a utility that leaves part of the simplex uncovered, even where
@@ -815,6 +826,32 @@ class TestCoverageGap:
         error = json.loads(err)
         assert error["error"] == "NoPieceMatches"
         assert error["message"] == 'no piece covers belief ["1/3", "1/3", "1/3"]'
+
+    @pytest.mark.parametrize("states", ["0,1", "0,1,2"])
+    def test_exploit_rejects_a_gap_away_from_its_deviation(
+        self, capsys, tmp_path, states
+    ):
+        """Sender 0 pays on the edge of {0, 1} and sender 1 is its negation:
+        the exploit's search never reaches the centroid, yet it rejects the
+        gap as validate does."""
+        path = tmp_path / "min_gap.json"
+        path.write_text(json.dumps({
+            "states": 3,
+            "prior": ["1/2", "1/4", "1/4"],
+            "senders": 2,
+            "payoffs": [MIN_WITH_GAP, _negated(MIN_WITH_GAP)],
+            "profiles": {"both_uninformative": ["uninformative", "uninformative"]},
+        }))
+        assert self.run(capsys, "validate", str(path))[0] == 2
+        code, out, err = self.run(
+            capsys, "exploit", str(path), "--profile", "both_uninformative",
+            "--set", states,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "NoPieceMatches",
+            "message": 'no piece covers belief ["1/3", "1/3", "1/3"]',
+        }
 
     def test_structural_scenario_with_a_gap_fails_at_load(self, capsys, tmp_path):
         path = tmp_path / "structural_gap.json"
