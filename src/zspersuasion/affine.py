@@ -6,10 +6,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import eq, ge, gt, le, lt
 
 from .beliefs import Belief, as_fraction
 
-OPS = ("<", "<=", ">", ">=", "==")
+# the test each op makes of a value v of the form: SIGN_TESTS[op](v, 0)
+SIGN_TESTS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
+OPS = tuple(SIGN_TESTS)
 
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _WEAKENED = {"<": "<=", "<=": "<=", ">": ">=", ">=": ">=", "==": "=="}
@@ -89,15 +92,7 @@ class Constraint:
     def holds_value(self, v: Fraction | int) -> bool:
         """Whether a value of the form, or any positive multiple of one,
         satisfies ``op 0``."""
-        if self.op == "<":
-            return v < 0
-        if self.op == "<=":
-            return v <= 0
-        if self.op == ">":
-            return v > 0
-        if self.op == ">=":
-            return v >= 0
-        return v == 0
+        return SIGN_TESTS[self.op](v, 0)
 
     def negated(self) -> "Constraint":
         if self.op == "==":

@@ -91,6 +91,14 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _open_output(path: str):
+    """A --csv or --out file opened for writing; ScenarioError if it fails."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _parse_state_set(raw: str) -> tuple[int, ...]:
     """A --pool or --set argument: two distinct states or more, since a
     set of one state pools nothing."""
@@ -204,9 +212,8 @@ def _cmd_analyze(args) -> int:
         out["overall"] = (
             "FullRevelation" if surplus.holds else "Indeterminate"
         )
-    _emit(out)
     if args.csv and report is not None:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_output(args.csv) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["state_l", "state_k", "verdict", "witness_sender"]
@@ -220,6 +227,7 @@ def _cmd_analyze(args) -> int:
                         "" if v.witness_sender is None else v.witness_sender,
                     ]
                 )
+    _emit(out)
     return 0
 
 
@@ -321,7 +329,7 @@ def _cmd_oracle_scan(args) -> int:
         joint = product(result.profile.experiments)
         out["joint"] = experiment_to_json(joint)
         if args.csv:
-            with open(args.csv, "w", newline="") as fh:
+            with _open_output(args.csv) as fh:
                 writer = csv.writer(fh)
                 writer.writerow(
                     ["sender", "expected_utility"]
@@ -349,7 +357,7 @@ def _cmd_emit_plot(args) -> int:
         | {t for f in fns for t in f.breakpoints}
     )
     with (
-        open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        _open_output(args.out) if args.out else nullcontext(sys.stdout)
     ) as fh:
         writer = csv.writer(fh)
         # decimal approximations; exact values live in `induce`/scenario JSON

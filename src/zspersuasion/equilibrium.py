@@ -140,8 +140,8 @@ def synthesize_exploit(
 
     Raw payoffs are NotNormalized, before anything else.  A utility that
     leaves part of the simplex uncovered is NoPieceMatches, wherever the
-    gap lies, and a pullback with more than ``utilities.SWEEP_CAP`` cells
-    on the face is EnumerationTooLarge.  A profile that does not pool
+    gap lies, and a search that reaches more than ``geometry.SWEEP_CAP``
+    cells of a pullback on the face is EnumerationTooLarge.  A profile that does not pool
     omega, or with no interim belief on its face that pays any sender, is
     PreconditionFailed; a profile without one experiment per sender is a
     ValueError.
@@ -258,8 +258,8 @@ def verify_profile(
     have one experiment per sender (ValueError).  A sender with a positive
     expected payoff is PreconditionFailed, since a deviation's payoff is
     then not its gain; in a zero-sum game another sender is negative, and
-    is reported first.  More than ``utilities.SWEEP_CAP`` cells in a
-    pullback are EnumerationTooLarge.
+    is reported first.  A search that reaches more than
+    ``geometry.SWEEP_CAP`` cells of a pullback is EnumerationTooLarge.
     """
     _require_normalized(g.utilities)
     grid = grid_counts(g.n_states, deviation_grid)

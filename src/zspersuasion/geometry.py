@@ -26,8 +26,10 @@ of an action game), needs no sweep: piece a's first-match cell is its
 guard with the constraints against every earlier piece made strict, one
 convex cell and one emptiness test per piece.  The cells depend on the
 guards alone: a utility keeps its decomposition, and utilities with one
-guard sequence share it.  An overlay refines one decomposition's cells by
-the next guard sequence's.
+guard sequence share it.  An overlay (``overlay_regions``) is the one
+refinement walk: it refines a cell by each guard sequence's first-match
+cells in turn, depth first and lazily.  The game's overlay and the cells
+of a pullback (``utilities.Pullback.cells``) are both overlays.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from .exceptions import EnumerationTooLarge, InvariantViolation, NoPieceMatches
 
 Point = tuple[Fraction, ...]
 
-# most cells ``first_match_cells`` holds, output cells plus remainder, most
-# refined cells ``overlay_regions`` holds, and most cells a pullback yields
-# (``utilities.Pullback.cells``)
+# most cells ``first_match_cells`` holds, output cells plus remainder, and
+# most cells one ``overlay_regions`` walk yields, a pullback's included
 SWEEP_CAP = 10_000
 
 # A linear equation coeffs . beta + const = 0
@@ -594,18 +595,20 @@ def piece_regions(pieces) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
     ]
 
 
-def overlay_regions(utilities):
-    """Common refinement of several piecewise utilities' first-match regions.
+def overlay_regions(utilities, start: tuple[Constraint, ...] = ()):
+    """Common refinement of several piecewise utilities' first-match
+    regions on the nonempty cell ``start`` (by default the simplex).
 
     Yields (constraints, summed form) for every nonempty cell of the
     refinement, on which the sum of the utilities is the summed form.
     Utilities with one guard sequence (the induced utilities of an action
     game, normalized or not) form a group, whose forms are summed piece by
-    piece.  Each group's ``first_match_cells`` refines each cell of the
-    groups before it (the first group's, of the simplex, are kept by its
-    first utility); more than ``SWEEP_CAP`` refined cells raise
-    EnumerationTooLarge.  Every cell is computed before the first is
-    yielded, so a coverage gap in any utility raises NoPieceMatches first.
+    piece.  The walk refines ``start`` by each group's
+    ``first_match_cells`` from each cell of the groups before it (from the
+    whole simplex, the sweep its first utility keeps), depth first, so the
+    cells come in the order of the groups' cells.  It is lazy: a coverage
+    gap raises NoPieceMatches, and the cell past ``SWEEP_CAP``
+    EnumerationTooLarge, when the walk reaches it.
     """
     n = utilities[0].n_states
     groups: list[tuple[tuple, object, list[AffineForm]]] = []
@@ -613,18 +616,21 @@ def overlay_regions(utilities):
         guards = tuple(p.guard for p in u.pieces)
         forms = next((f for g, _, f in groups if g == guards), None)
         if forms is None:
-            groups.append((guards, u, forms := [AffineForm.zero(n)] * len(u.pieces)))
-        forms[:] = [f + p.form for f, p in zip(forms, u.pieces)]
-    cells = [((), AffineForm.zero(n))]
-    for guards, u, forms in groups:
-        refined = []
-        for cell, total in cells:
-            # the sweep from the whole simplex is the one the utility keeps
-            sweep = first_match_cells(n, guards, cell) if cell else u.first_match_cells()
-            refined += [(sub, total + forms[k]) for k, sub in sweep]
-            if len(refined) > SWEEP_CAP:
+            groups.append((guards, u, [p.form for p in u.pieces]))
+        else:
+            forms[:] = [f + p.form for f, p in zip(forms, u.pieces)]
+    stack = [(0, start, AffineForm.zero(n))]
+    count = 0
+    while stack:
+        j, cell, total = stack.pop()
+        if j == len(groups):
+            count += 1
+            if count > SWEEP_CAP:
                 raise EnumerationTooLarge(
-                    f"overlay holds {len(refined)} cells, over sweep cap {SWEEP_CAP}"
+                    f"overlay holds {count} cells, over sweep cap {SWEEP_CAP}"
                 )
-        cells = refined
-    yield from cells
+            yield cell, total
+            continue
+        guards, u, forms = groups[j]
+        sweep = first_match_cells(n, guards, cell) if cell else u.first_match_cells()
+        stack.extend(reversed([(j + 1, sub, total + forms[k]) for k, sub in sweep]))

@@ -17,12 +17,14 @@ rows an atom pulls back depend only on the utility and the atom's
 likelihood row, so each utility keeps them per row from first use (the
 pulled-back guards once per guard sequence), and a pullback only scales
 them by its atoms' masses.  The payoff is linear on each cell of the
-refinement by every atom's pulled-back guards (``Pullback.cells``), where
-``exploit`` decides exactly whether some interim belief pays.
-The zero-sum check is exact: it is decided on the common refinement of the
-utilities' first-match cells (``geometry.overlay_regions``, kept by the
-game), never by sampling beliefs, and the decomposition into those cells
-rejects a utility whose pieces leave part of the simplex uncovered.
+overlay of one utility per atom, made of its pulled-back guards and rows
+(``Pullback.cells``), where ``exploit`` and ``verify`` decide exactly
+whether some interim belief pays.
+The zero-sum check is exact: it is decided on the game's overlay, the
+common refinement of the utilities' first-match cells, never by sampling
+beliefs, and the decomposition into those cells rejects a utility whose
+pieces leave part of the simplex uncovered.  Both overlays are walks of
+``geometry.overlay_regions``; the game keeps its own.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add, eq, ge, gt, le, lt, mul
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
-from .affine import AffineForm, Constraint
+from .affine import SIGN_TESTS, AffineForm, Constraint
 from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
-from .exceptions import EnumerationTooLarge, NoPieceMatches
+from .exceptions import NoPieceMatches
 from .experiments import Experiment, StrategyProfile
-from .geometry import SWEEP_CAP, first_match_cells, nonzero_point, overlay_regions
+from .geometry import first_match_cells, nonzero_point, overlay_regions
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,13 @@ class PiecewiseAffineUtility:
 
     @cached_property
     def _integer_pieces(self):
-        """Per piece: each guard constraint as (holds_value, a, c) from its
-        integer row, and the form's integer row."""
+        """Per piece: each guard constraint as (sign test, a, c) from its
+        op and integer row, and the form's integer row."""
         return tuple(
             (
                 tuple(
-                    (cons.holds_value,) + cons.integer_row[1:] for cons in p.guard
+                    (SIGN_TESTS[cons.op],) + cons.integer_row[1:]
+                    for cons in p.guard
                 ),
                 p.form.integer_row,
             )
@@ -154,8 +157,8 @@ class PiecewiseAffineUtility:
         k = ray(b)
         total = sum(k)
         for guard, (lam, a, c) in self._integer_pieces:
-            if all(holds(c0 * total + sum(map(mul, a0, k)))
-                   for holds, a0, c0 in guard):
+            if all(test(c0 * total + sum(map(mul, a0, k)), 0)
+                   for test, a0, c0 in guard):
                 return Fraction(c * total + sum(map(mul, a, k)), lam * total)
         raise NoPieceMatches.at(b)
 
@@ -391,9 +394,9 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
     guards = []
     for rows, _ in u._integer_pieces:
         guard = []
-        for holds, a, c in rows:
+        for test, a, c in rows:
             c, s = c + a[l], a[k] - a[l]
-            guard.append((holds, c, s))
+            guard.append((test, c, s))
             if 0 < -c * s < s * s:  # the root -c/s lies in (0, 1)
                 cuts.add(Fraction(-c, s))
         guards.append(guard)
@@ -402,7 +405,7 @@ def edge_restriction(u: PiecewiseAffineUtility, l: int, k: int) -> EdgeFunction:
     def first_match(t: Fraction) -> tuple[Fraction, Fraction]:
         p, q = t.numerator, t.denominator
         for guard, piece in zip(guards, u.pieces):
-            if all(holds(c * q + s * p) for holds, c, s in guard):
+            if all(test(c * q + s * p, 0) for test, c, s in guard):
                 return piece.form.on_edge(l, k)
         raise NoPieceMatches(f"no piece covers edge ({l},{k}) at t={t}")
 
@@ -445,8 +448,7 @@ def check_zero_sum(g: GamePayoffs) -> ZeroSumResult:
 # Payoffs against strategy profiles
 
 
-_SIGN_TESTS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq}
-_SIGN_OPS = {test: op for op, test in _SIGN_TESTS.items()}
+_SIGN_OPS = {test: op for op, test in SIGN_TESTS.items()}
 
 
 class Pullback:
@@ -517,45 +519,32 @@ class Pullback:
     ) -> Iterator[tuple[tuple[Constraint, ...], tuple[int, ...]]]:
         """The pieces of the numerator on the nonempty cell ``start``, as
         (cell, G) with ``numerator(k) == k . G`` wherever k / K lies in the
-        cell.  The cells refine ``start`` by each atom's pulled-back guards
-        (k . H op 0) in turn, with ``geometry.first_match_cells``, depth
-        first, and G sums V and the row of the piece each atom matches.  An
-        atom on a face gets a leading piece k . Z_j == 0 with row 0, where
-        ``numerator`` skips it.  More than ``SWEEP_CAP`` cells raise
-        EnumerationTooLarge, and a posterior that no piece covers raises
-        NoPieceMatches."""
-        zero = (0,) * self.n
-        levels = []
+        cell: ``geometry.overlay_regions`` from ``start`` of one utility per
+        atom, whose pieces are its pulled-back guards (k . H op 0) with
+        forms k . G_jp, V added to the first one's.  An atom on a face gets
+        a leading piece k . Z_j == 0 with form 0, where ``numerator`` skips
+        it, and an atom that no piece can match gets a guard that never
+        holds, so a posterior that no piece covers raises NoPieceMatches."""
+        zero = AffineForm.zero(self.n)
+        parts = []
         for z, face, pieces in self.atoms:
-            guards = [
-                tuple(
-                    Constraint(AffineForm(Fraction(0), h), _SIGN_OPS[test])
-                    for test, h in guard
-                )
-                for guard, _ in pieces
+            out = [
+                Piece(tuple(Constraint(AffineForm(0, h), _SIGN_OPS[test])
+                            for test, h in guard), AffineForm(0, g))
+                for guard, g in pieces
             ]
-            rows = [g for _, g in pieces]
             if face:
-                guards.insert(0, (Constraint(AffineForm(Fraction(0), z), "=="),))
-                rows.insert(0, zero)
-            levels.append((guards, rows))
-        stack = [(0, start, self.vertex or zero)]
-        count = 0
-        while stack:
-            j, cell, row = stack.pop()
-            if j == len(levels):
-                count += 1
-                if count > SWEEP_CAP:
-                    raise EnumerationTooLarge(
-                        f"pullback holds {count} cells, over sweep cap {SWEEP_CAP}"
-                    )
-                yield cell, row
-                continue
-            guards, rows = levels[j]
-            stack.extend(reversed([
-                (j + 1, sub, tuple(map(add, row, rows[p])))
-                for p, sub in first_match_cells(self.n, guards, cell)
-            ]))
+                out.insert(0, Piece((Constraint(AffineForm(0, z), "=="),), zero))
+            parts.append(PiecewiseAffineUtility(
+                tuple(out) or (Piece((Constraint(zero, "<"),), zero),)
+            ))
+        if not parts:
+            yield start, self.vertex or (0,) * self.n
+            return
+        if self.vertex:
+            parts[0] = parts[0].shifted(AffineForm(0, self.vertex))
+        for cell, form in overlay_regions(parts, start):
+            yield cell, tuple(c.numerator for c in form.coeffs)
 
     def payoff(self, k: Sequence[int]) -> Fraction:
         """The conditional payoff at x = k / sum(k)."""
@@ -609,7 +598,7 @@ def _pulled_back_guard(
         signs = {(h[l] > 0) - (h[l] < 0) for l in support}
         if 1 in signs and -1 in signs:
             signs.add(0)
-        test = _SIGN_TESTS[cons.op]
+        test = SIGN_TESTS[cons.op]
         held = {test(s, 0) for s in signs}
         if held == {True}:
             continue

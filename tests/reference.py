@@ -49,6 +49,14 @@ first-match region per utility, one emptiness test per tuple, which
 Both must cover every belief once with the same summed form, and both must
 reject a coverage gap.
 
+``overlay_levels`` is ``geometry.overlay_regions`` as it refined level by
+level, every cell of one group before the next group, before it became one
+lazy depth-first walk.  ``pullback_cells`` is the depth-first walk that
+``utilities.Pullback.cells`` ran itself, with its own stack and cap check,
+before it became the overlay of one utility per atom.  Each must give the
+same cells, with the same constraint tuples and summed forms (the integer
+rows G for the pullback), in the same order as the walk that replaced it.
+
 ``grid_strategies`` is the grid enumeration that searched every support
 of up to ``max_support`` grid beliefs and tested each mass split for
 Bayes-plausibility, building an ``Experiment`` for each plausible one,
@@ -78,8 +86,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence, Union
 
+from zspersuasion import geometry
 from zspersuasion.actions import ActionGame
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.analysis import _edge_belief, _require_normalized
@@ -109,6 +119,7 @@ from zspersuasion.experiments import (
 from zspersuasion.geometry import (
     cell_is_nonempty,
     closure_vertices,
+    first_match_cells,
     overlay_regions,
     strictly_feasible_point,
     subsimplex_constraints,
@@ -125,6 +136,7 @@ from zspersuasion.utilities import (
     Piece,
     PiecewiseAffineUtility,
     Pullback,
+    _SIGN_OPS,
     _merge_edge,
 )
 
@@ -824,6 +836,76 @@ def overlay_product(
         if cell_is_nonempty(n, cell):
             out.append((cell, sum((form for _, form in combo), AffineForm.zero(n))))
     return out
+
+
+def overlay_levels(
+    utilities: Sequence[PiecewiseAffineUtility],
+    start: tuple[Constraint, ...] = (),
+) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+    """The overlay refined level by level: each group's
+    ``first_match_cells`` refines every cell of the groups before it, from
+    ``[start]``, and every cell is computed before any is returned.  More
+    than ``SWEEP_CAP`` cells at one level raise EnumerationTooLarge."""
+    n = utilities[0].n_states
+    groups: list[tuple[tuple, PiecewiseAffineUtility, list[AffineForm]]] = []
+    for u in utilities:
+        guards = tuple(p.guard for p in u.pieces)
+        forms = next((f for g, _, f in groups if g == guards), None)
+        if forms is None:
+            groups.append((guards, u, forms := [AffineForm.zero(n)] * len(u.pieces)))
+        forms[:] = [f + p.form for f, p in zip(forms, u.pieces)]
+    cells = [(start, AffineForm.zero(n))]
+    for guards, u, forms in groups:
+        refined = []
+        for cell, total in cells:
+            sweep = first_match_cells(n, guards, cell) if cell else u.first_match_cells()
+            refined += [(sub, total + forms[k]) for k, sub in sweep]
+            if len(refined) > geometry.SWEEP_CAP:
+                raise EnumerationTooLarge(
+                    f"overlay holds {len(refined)} cells, over sweep cap {geometry.SWEEP_CAP}"
+                )
+        cells = refined
+    return cells
+
+
+def pullback_cells(p: Pullback, start: tuple[Constraint, ...]):
+    """``Pullback.cells`` as its own depth-first walk: ``start`` refined by
+    each atom's pulled-back guards in turn with ``first_match_cells``, the
+    integer row V plus each matched piece's row carried down, and a face
+    atom led by the piece k . Z == 0 with row 0.  More than ``SWEEP_CAP``
+    cells raise EnumerationTooLarge."""
+    zero = (0,) * p.n
+    levels = []
+    for z, face, pieces in p.atoms:
+        guards = [
+            tuple(
+                Constraint(AffineForm(Fraction(0), h), _SIGN_OPS[test])
+                for test, h in guard
+            )
+            for guard, _ in pieces
+        ]
+        rows = [g for _, g in pieces]
+        if face:
+            guards.insert(0, (Constraint(AffineForm(Fraction(0), z), "=="),))
+            rows.insert(0, zero)
+        levels.append((guards, rows))
+    stack = [(0, start, p.vertex or zero)]
+    count = 0
+    while stack:
+        j, cell, row = stack.pop()
+        if j == len(levels):
+            count += 1
+            if count > geometry.SWEEP_CAP:
+                raise EnumerationTooLarge(
+                    f"pullback holds {count} cells, over sweep cap {geometry.SWEEP_CAP}"
+                )
+            yield cell, row
+            continue
+        guards, rows = levels[j]
+        stack.extend(reversed([
+            (j + 1, sub, tuple(map(add, row, rows[q])))
+            for q, sub in first_match_cells(p.n, guards, cell)
+        ]))
 
 
 def grid_strategies(prior: Belief, grid: GridSpec) -> list[Experiment]:

@@ -339,8 +339,9 @@ class TestOverlayCap:
         monkeypatch.setattr(geometry, "SWEEP_CAP", count)
         assert list(overlay_regions(us)) == cells
         monkeypatch.setattr(geometry, "SWEEP_CAP", count - 1)
+        # the walk is lazy: the cells under the cap come first
         with pytest.raises(EnumerationTooLarge, match=f"overlay holds {count} cells"):
-            next(overlay_regions(us))
+            list(overlay_regions(us))
 
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_cli_exits_3_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
@@ -353,6 +354,57 @@ class TestOverlayCap:
         error = json.loads(err)
         assert error["error"] == "EnumerationTooLarge"
         assert f"overlay holds {count} cells" in error["message"]
+
+
+def one_cap_cases(tmp_path):
+    """The argv of each command that walks an overlay: the game's
+    (analyze, validate) or a pullback's (exploit, verify)."""
+    # imported here: both modules import this one, directly or not
+    from test_exact_exploit import NOTHING_PAYS
+    from test_verify_pullback import off_grid_scenario
+
+    mixed, _ = mixed_guard_scenario(tmp_path, 3)
+    nothing_pays = tmp_path / "nothing_pays.json"
+    nothing_pays.write_text(json.dumps(NOTHING_PAYS))
+    off_grid = tmp_path / "off_grid.json"
+    off_grid.write_text(json.dumps(off_grid_scenario()))
+    return {
+        "analyze": ["analyze", str(mixed)],
+        "validate": ["validate", str(mixed)],
+        "exploit": ["exploit", str(nothing_pays), "--profile", "split", "--set", "0,1"],
+        "verify": ["verify", str(off_grid), "--profile", "eq", "--grid", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "exploit", "verify"])
+def test_one_cap_binds_every_overlay(tmp_path, monkeypatch, capsys, command):
+    """``geometry.SWEEP_CAP`` alone bounds the game's overlay and the
+    pullback's: with the cap one below the most cells that one of a
+    command's walks yields, the command exits 3."""
+    argv = one_cap_cases(tmp_path)[command]
+    walks = []
+    overlay = geometry.overlay_regions
+
+    def counted(*args):
+        walks.append(0)
+        for cell in overlay(*args):
+            walks[-1] += 1
+            yield cell
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zspersuasion") and getattr(module, "overlay_regions", None) is overlay:
+                patch.setattr(module, "overlay_regions", counted)
+        assert main(argv) in (0, 2)
+    capsys.readouterr()
+    cap = max(walks) - 1
+    monkeypatch.setattr(geometry, "SWEEP_CAP", cap)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "EnumerationTooLarge"
+    assert f"over sweep cap {cap}" in error["message"]
 
 
 def count_overlays(monkeypatch):
@@ -426,7 +478,7 @@ class TestOverlayAgainstProduct:
                 expected = reference.overlay_product(us)
             except NoPieceMatches:
                 with pytest.raises(NoPieceMatches):
-                    next(overlay_regions(us))
+                    list(overlay_regions(us))
                 seen.add("gap")
                 continue
             cells = list(overlay_regions(us))
@@ -443,6 +495,38 @@ class TestOverlayAgainstProduct:
             seen.update({("N", n), ("M", m), normalized})
         assert seen == {("N", 2), ("N", 3), ("N", 4), ("M", 2), ("M", 3), True, False, "gap"}
         assert beliefs > 2000
+
+
+class TestOverlayAgainstLevels:
+    def test_agrees_on_60_games(self):
+        """The lazy depth-first walk against the level-by-level walk it
+        replaced (``reference.overlay_levels``) on the games of
+        ``TestOverlayAgainstProduct``, from the simplex, from the half
+        beta_0 <= beta_1 and from the face over {0, 1}: the same cells,
+        constraint tuples and summed forms in the same order, and a gap
+        in both."""
+        rng = random.Random(22)
+        games = cells = gaps = 0
+        while games < 60:
+            n, m = rng.randint(2, 4), rng.randint(2, 3)
+            us, _ = mixed_guard_game(rng, n, m)
+            half = (Constraint(AffineForm(0, (1, -1) + (0,) * (n - 2)), "<="),)
+            face = tuple(geometry.subsimplex_constraints(n, (0, 1)))
+            for start in ((), half, face):
+                try:
+                    expected = reference.overlay_levels(us, start)
+                except NoPieceMatches:
+                    # a gap in a cell is a gap in the simplex, found first
+                    assert start == ()
+                    with pytest.raises(NoPieceMatches):
+                        list(overlay_regions(us, start))
+                    gaps += 1
+                    break
+                assert list(overlay_regions(us, start)) == expected, (us, start)
+                cells += len(expected)
+            else:
+                games += 1
+        assert gaps > 0 and cells > 500
 
 
 class TestSweepCap:

@@ -638,6 +638,47 @@ class TestCli:
         ]
         assert rows[1:] == [["0", "1/2"], ["1", "1"]]
 
+    def assert_unwritable(self, capsys, *argv):
+        """The command exits 1 with a ScenarioError naming the path, and
+        prints nothing on standard output."""
+        code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "ScenarioError"
+        assert "cannot write" in error["message"]
+
+    def test_analyze_csv_to_an_unwritable_path_is_bad_input(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing" / "edges.csv")
+        self.assert_unwritable(
+            capsys, "analyze", str(FIXTURES / "example_b51.json"), "--csv", missing
+        )
+        # a game that is not zero-sum has no edge rows, so nothing is opened
+        path = tmp_path / "tents.json"
+        path.write_text(json.dumps(TENTS))
+        code, out, _ = self.run(capsys, "analyze", str(path), "--csv", missing)
+        assert code == 0 and json.loads(out)["edges"] is None
+
+    def test_oracle_scan_csv_to_an_unwritable_path_is_bad_input(
+        self, capsys, tmp_path
+    ):
+        missing = str(tmp_path / "missing" / "payoffs.csv")
+        path = tmp_path / "tents.json"
+        path.write_text(json.dumps(TENTS))
+        scan = ("--belief-res", "4", "--mass-res", "4", "--max-support", "2")
+        self.assert_unwritable(
+            capsys, "oracle", "scan", str(path), *scan, "--csv", missing
+        )
+        # only a non-revealing profile has payoff rows to write
+        code, out, _ = self.run(capsys, "oracle", "scan", FIG1, *scan, "--csv", missing)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "OnlyFullyRevealingFound"
+
+    def test_emit_plot_out_to_an_unwritable_path_is_bad_input(
+        self, capsys, tmp_path
+    ):
+        missing = str(tmp_path / "missing" / "plot.csv")
+        self.assert_unwritable(capsys, "emit-plot", FIG1, "--out", missing)
+
     def test_oracle_scan(self, capsys):
         code, out, _ = self.run(
             capsys,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from zspersuasion import utilities
+from zspersuasion import geometry
 from zspersuasion.actions import induced_game
 from zspersuasion.affine import AffineForm, Constraint
 from zspersuasion.beliefs import Belief, belief, degenerate, ray_belief
@@ -438,7 +438,7 @@ class TestOffGridDeviation:
         assert (out["verdict"], out["gain"]) == ("ProfitableDeviation", "25/88")
 
     def test_a_pullback_over_the_sweep_cap_exits_3(self, path, capsys, monkeypatch):
-        monkeypatch.setattr(utilities, "SWEEP_CAP", 0)
+        monkeypatch.setattr(geometry, "SWEEP_CAP", 0)
         assert main(["verify", path, "--profile", "eq", "--grid", "5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
