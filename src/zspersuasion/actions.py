@@ -8,6 +8,8 @@ plug directly into the rest of the library.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +26,9 @@ class ActionGame:
     ``receiver[a][l]`` and ``senders[i][a][l]`` give the payoff of action
     ``a`` in state ``l``.  Sender payoffs must sum to zero at every (a, l);
     to keep best-action regions well behaved, no agent may be indifferent
-    between two actions at any single state.
+    between two actions at any single state.  Both checks run on the
+    tables over their least common denominators, which the game keeps to
+    build the induced utilities' integer rows from.
     """
 
     actions: tuple[str, ...]
@@ -52,22 +56,29 @@ class ActionGame:
         for i, table in enumerate(senders):
             if len(table) != a or any(len(row) != n for row in table):
                 raise ValueError(f"sender {i} table shape mismatch")
+        receiver_rows = _integer_table(receiver)
+        sender_rows = tuple(_integer_table(t) for t in senders)
+        object.__setattr__(self, "_receiver_rows", receiver_rows)
+        object.__setattr__(self, "_sender_rows", sender_rows)
+        scale = math.lcm(*(d for d, _ in sender_rows))
         for l in range(n):
             for b in range(a):
-                total = sum((t[b][l] for t in senders), Fraction(0))
+                total = sum(t[b][l] * (scale // d) for d, t in sender_rows)
                 if total != 0:
                     raise InvariantViolation(
-                        f"sender payoffs sum to {total} at action {b}, state {l}"
+                        f"sender payoffs sum to {Fraction(total, scale)} "
+                        f"at action {b}, state {l}"
                     )
+        r = receiver_rows[1]
         for l in range(n):
             for b in range(a):
                 for c in range(b + 1, a):
-                    if receiver[b][l] == receiver[c][l]:
+                    if r[b][l] == r[c][l]:
                         raise InvariantViolation(
                             f"receiver indifferent between actions {b} and "
                             f"{c} at state {l}"
                         )
-                    for i, t in enumerate(senders):
+                    for i, (_, t) in enumerate(sender_rows):
                         if t[b][l] == t[c][l]:
                             raise InvariantViolation(
                                 f"sender {i} indifferent between actions "
@@ -87,18 +98,28 @@ class ActionGame:
         return len(self.senders)
 
 
+def _integer_table(
+    table: tuple[tuple[Fraction, ...], ...],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, T): the least common denominator D of a payoff table's entries
+    and the integer table T = D * table."""
+    scale = math.lcm(*(v.denominator for row in table for v in row))
+    return scale, tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row)
+        for row in table
+    )
+
+
 def _argmax_guards(ag: ActionGame) -> tuple[tuple[Constraint, ...], ...]:
     """Per action a, the guard "a is weakly best for the receiver": one
     constraint (R_c - R_a) . beta <= 0 for each other action c.  It depends
     on the receiver alone, so the senders' induced utilities can share it."""
-    n = ag.n_states
-    zero = Fraction(0)
+    scale, r = ag._receiver_rows
     return tuple(
         tuple(
             Constraint(
-                AffineForm(
-                    zero,
-                    tuple(ag.receiver[c][l] - ag.receiver[a][l] for l in range(n)),
+                AffineForm.of_row(
+                    scale, tuple(map(operator.sub, r[c], r[a])), 0
                 ),
                 "<=",
             )
@@ -111,12 +132,15 @@ def _argmax_guards(ag: ActionGame) -> tuple[tuple[Constraint, ...], ...]:
 
 def _induced(
     guards: tuple[tuple[Constraint, ...], ...],
-    table: tuple[tuple[Fraction, ...], ...],
+    table: tuple[int, tuple[tuple[int, ...], ...]],
 ) -> PiecewiseAffineUtility:
-    zero = Fraction(0)
-    return PiecewiseAffineUtility(
-        tuple(Piece(g, AffineForm(zero, row)) for g, row in zip(guards, table))
-    )
+    """The utility with the form row / D on the guard of each action, for
+    a table (D, T) of ``_integer_table``."""
+    scale, rows = table
+    return PiecewiseAffineUtility(tuple(
+        Piece(g, AffineForm.of_row(scale, row, 0))
+        for g, row in zip(guards, rows)
+    ))
 
 
 def induced_game(ag: ActionGame) -> GamePayoffs:
@@ -127,4 +151,6 @@ def induced_game(ag: ActionGame) -> GamePayoffs:
     exactly.  The guards are built once, and every sender's utility holds
     the same guard objects."""
     guards = _argmax_guards(ag)
-    return GamePayoffs(tuple(_induced(guards, table) for table in ag.senders))
+    return GamePayoffs(
+        tuple(_induced(guards, table) for table in ag._sender_rows)
+    )

@@ -1,4 +1,10 @@
-"""Affine forms and affine constraints over belief coordinates."""
+"""Affine forms and affine constraints over belief coordinates.
+
+A form is its integer row: the coefficients and constant times the least
+positive integer that makes them integers.  Every computation on forms is
+in those integers; a ``Fraction`` is built only where a coefficient, a
+constant or a value is handed back to the caller.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import eq, ge, gt, le, lt
+from operator import add, eq, ge, gt, le, lt
+from typing import Sequence
 
 from .beliefs import Belief, as_fraction
 
@@ -18,61 +25,97 @@ _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _WEAKENED = {"<": "<=", "<=": "<=", ">": ">=", ">=": ">=", "==": "=="}
 
 
-@dataclass(frozen=True)
 class AffineForm:
-    """const + sum_l coeffs[l] * beta_l."""
+    """const + sum_l coeffs[l] * beta_l, kept as its integer row
+    (lam, lam * coeffs, lam * const) for the least positive integer lam
+    that makes the coefficients and the constant integers, so
+    gcd(lam, row) == 1 and equal forms have equal rows.
 
-    const: Fraction
-    coeffs: tuple[Fraction, ...]
+    ``AffineForm(const, coeffs)`` reads rationals (ints, Fractions or
+    strings) and ``of_row`` takes any positive multiple of a row.  Sums,
+    negation, edge restriction, equality and hashing work on the row;
+    ``const`` and ``coeffs`` are ``Fraction`` views, built on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "const", as_fraction(self.const))
-        object.__setattr__(
-            self, "coeffs", tuple(as_fraction(c) for c in self.coeffs)
-        )
+    __slots__ = ("integer_row", "__dict__")
+
+    def __init__(self, const, coeffs):
+        values = [as_fraction(const), *map(as_fraction, coeffs)]
+        lam = math.lcm(*(v.denominator for v in values))
+        c, *a = (v.numerator * (lam // v.denominator) for v in values)
+        object.__setattr__(self, "integer_row", (lam, tuple(a), c))
+
+    @classmethod
+    def of_row(cls, lam: int, a: Sequence[int], c: int) -> "AffineForm":
+        """The form (c + a . beta) / lam, for integers with lam > 0."""
+        g = math.gcd(lam, c, *a)
+        if g != 1:
+            lam, c, a = lam // g, c // g, (v // g for v in a)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "integer_row", (lam, tuple(a), c))
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AffineForm is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AffineForm):
+            return NotImplemented
+        return self.integer_row == other.integer_row
+
+    def __hash__(self) -> int:
+        return hash(self.integer_row)
+
+    def __repr__(self) -> str:
+        return f"AffineForm(const={self.const!r}, coeffs={self.coeffs!r})"
+
+    @cached_property
+    def const(self) -> Fraction:
+        lam, _, c = self.integer_row
+        return Fraction(c, lam)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        lam, a, _ = self.integer_row
+        return tuple(Fraction(v, lam) for v in a)
 
     @property
     def n_states(self) -> int:
-        return len(self.coeffs)
+        return len(self.integer_row[1])
 
-    def __call__(self, b: Belief | tuple[Fraction, ...]) -> Fraction:
-        return self.const + sum(
-            (c * p for c, p in zip(self.coeffs, b)), Fraction(0)
-        )
+    def __call__(self, b: Belief | Sequence[Fraction]) -> Fraction:
+        """The value at a rational point b, over one common denominator."""
+        lam, a, c = self.integer_row
+        d = math.lcm(*(p.denominator for p in b))
+        total = sum(v * p.numerator * (d // p.denominator) for v, p in zip(a, b))
+        return Fraction(c * d + total, lam * d)
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            self.const + other.const,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+        lam, a, c = self.integer_row
+        lam2, a2, c2 = other.integer_row
+        if lam == lam2:
+            return AffineForm.of_row(lam, tuple(map(add, a, a2)), c + c2)
+        scale = math.lcm(lam, lam2)
+        f, f2 = scale // lam, scale // lam2
+        return AffineForm.of_row(
+            scale, tuple(f * v + f2 * w for v, w in zip(a, a2)), f * c + f2 * c2
         )
 
     def __neg__(self) -> "AffineForm":
-        return AffineForm(-self.const, tuple(-c for c in self.coeffs))
-
-    @cached_property
-    def integer_row(self) -> tuple[int, tuple[int, ...], int]:
-        """(lam, lam * coeffs, lam * const) for the least positive integer
-        lam that makes the coefficients and the constant integers.  Computed
-        on first use and kept as long as the form.  At the belief k / K of
-        a nonnegative integer vector k with K = sum(k), the form's value is
-        (lam * const * K + (lam * coeffs) . k) / (lam * K)."""
-        lam = math.lcm(
-            self.const.denominator, *(c.denominator for c in self.coeffs)
-        )
-        return (
-            lam,
-            tuple(c.numerator * (lam // c.denominator) for c in self.coeffs),
-            self.const.numerator * (lam // self.const.denominator),
-        )
+        lam, a, c = self.integer_row
+        out = AffineForm.__new__(AffineForm)
+        object.__setattr__(out, "integer_row", (lam, tuple(-v for v in a), -c))
+        return out
 
     def on_edge(self, l: int, k: int) -> tuple[Fraction, Fraction]:
         """Restrict to beta(t) = (1-t) delta_l + t delta_k; returns
         (constant, slope) in the edge parameter t."""
-        return (self.const + self.coeffs[l], self.coeffs[k] - self.coeffs[l])
+        lam, a, c = self.integer_row
+        return Fraction(c + a[l], lam), Fraction(a[k] - a[l], lam)
 
     @staticmethod
     def zero(n_states: int) -> "AffineForm":
-        return AffineForm(Fraction(0), tuple(Fraction(0) for _ in range(n_states)))
+        return AffineForm.of_row(1, (0,) * n_states, 0)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,17 @@ class Belief:
         object.__setattr__(self, "probs", probs)
         if not probs:
             raise ValueError("belief needs at least one state")
-        if any(p < 0 for p in probs):
+        # the probabilities over their least common denominator, which is
+        # the primitive ray when they sum to one
+        scale = math.lcm(*(p.denominator for p in probs))
+        k = tuple(p.numerator * (scale // p.denominator) for p in probs)
+        if any(v < 0 for v in k):
             raise ValueError(f"negative probability in {probs}")
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        if sum(k) != scale:
+            raise ValueError(
+                f"probabilities sum to {Fraction(sum(k), scale)}, not 1"
+            )
+        object.__setattr__(self, "_ray", k)
 
     @property
     def n_states(self) -> int:
@@ -72,9 +79,9 @@ def belief(values: Iterable) -> Belief:
 
 def ray(b: Belief) -> tuple[int, ...]:
     """The primitive integer ray of b: coprime k with b = k / sum(k), where
-    sum(k) is the least common denominator of b's coordinates."""
-    scale = math.lcm(*(p.denominator for p in b.probs))
-    return tuple(p.numerator * (scale // p.denominator) for p in b.probs)
+    sum(k) is the least common denominator of b's coordinates.  The belief
+    keeps it from its construction."""
+    return b._ray
 
 
 def ray_belief(k: Sequence[int]) -> Belief:

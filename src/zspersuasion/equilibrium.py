@@ -199,7 +199,7 @@ def _positive_point(
         for cell, row in p.cells(face):
             if all(row[l] <= 0 for l in states):
                 continue
-            gain = Constraint(AffineForm(Fraction(0), row), ">")
+            gain = Constraint(AffineForm.of_row(1, row, 0), ">")
             point = strictly_feasible_point(p.n, cell + (gain,))
             if point is not None:
                 return sender, Belief(point)
@@ -256,9 +256,11 @@ def verify_profile(
     Raw payoffs are NotNormalized, before anything else.  The grid is checked
     (resolution >= 1, size under the enumeration cap) and the profile must
     have one experiment per sender (ValueError).  A sender with a positive
-    expected payoff is PreconditionFailed, since a deviation's payoff is
-    then not its gain; in a zero-sum game another sender is negative, and
-    is reported first.  A search that reaches more than
+    expected payoff is not searched, since a deviation's payoff is then not
+    its gain; in a zero-sum game another sender is negative, and is
+    reported first.  Otherwise the senders that earn 0 are searched, and
+    when none of them has a deviation, a sender that earns is
+    PreconditionFailed.  A search that reaches more than
     ``geometry.SWEEP_CAP`` cells of a pullback is EnumerationTooLarge.
     """
     _require_normalized(g.utilities)
@@ -276,16 +278,12 @@ def verify_profile(
             return VerificationResult(
                 False, expected, i, fully_revealing(prior), -ui
             )
-    for i, ui in enumerate(expected):
-        if ui > 0:
-            raise PreconditionFailed(
-                f"sender {i} already earns {ui}; verify decides deviations "
-                f"only where every sender earns 0"
-            )
-    pullbacks = [
-        Pullback(u, profile.opponents(i)) for i, u in enumerate(g.utilities)
-    ]
-    screened = [(i, p) for i, p in enumerate(pullbacks) if not p.is_zero]
+    pullbacks = {
+        i: Pullback(u, profile.opponents(i))
+        for i, u in enumerate(g.utilities)
+        if expected[i] == 0
+    }
+    screened = [(i, p) for i, p in pullbacks.items() if not p.is_zero]
     on_grid = (
         (i, ray_belief(k))
         for k in (grid if screened else ())
@@ -295,6 +293,13 @@ def verify_profile(
     )
     found = next(on_grid, None) or _positive_point(screened, range(g.n_states))
     if found is None:
+        for i, ui in enumerate(expected):
+            if ui > 0:
+                raise PreconditionFailed(
+                    f"sender {i} already earns {ui}, and no sender that "
+                    f"earns 0 has a deviation; verify decides a deviation's "
+                    f"gain only for a sender that earns 0"
+                )
         return VerificationResult(True, expected)
     i, x = found
     eps = _epsilon_for(prior, x)

@@ -13,9 +13,11 @@ interim belief x = k / K with integer k then meets atom y at the posterior
 proportional to w_l = k_l Z_l, with probability M sum(w) / (E K), so a
 posterior is an integer vector, its probability an integer over E K, and no
 division is made per state or per atom.  ``product`` folds experiments
-through it, merging atoms by the primitive ray of w.  ``utilities.Pullback``,
-the one conditional-payoff engine, reads the same rows to pull a utility's
-pieces back to the interim belief.
+through it, merging atoms by the primitive ray of w.  The rows come from
+the integer rays of the atoms and the prior (``likelihood_row``), and the
+checks of masses and of Bayes plausibility run in integers too.
+``utilities.Pullback``, the one conditional-payoff engine, reads the same
+rows to pull a utility's pieces back to the interim belief.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ class Experiment:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("experiment needs at least one atom")
-        if any(m <= 0 for _, m in atoms):
+        # the masses over their least common denominator
+        scale = math.lcm(*(m.denominator for _, m in atoms))
+        masses = [m.numerator * (scale // m.denominator) for _, m in atoms]
+        if any(v <= 0 for v in masses):
             raise ValueError("atom masses must be strictly positive")
-        if sum(m for _, m in atoms) != 1:
+        if sum(masses) != scale:
             raise ValueError("atom masses must sum to 1")
         for (a, _), (b, _) in zip(atoms, atoms[1:]):
             if a == b:
@@ -90,15 +95,29 @@ class Experiment:
         ratios, and m / D = M / E, E the least common denominator of every
         atom's m / D.  Computed on first use and kept as long as the
         experiment."""
+        weights = ratio_weights(self.prior)
         rows = []
         for y, m in self.atoms:
-            ratios = [y_l / p_l for y_l, p_l in zip(y.probs, self.prior.probs)]
-            d = math.lcm(*(r.denominator for r in ratios))
-            rows.append(
-                (tuple(r.numerator * (d // r.denominator) for r in ratios), m / d)
-            )
-        e = math.lcm(*(c.denominator for _, c in rows))
-        return e, tuple((z, c.numerator * (e // c.denominator)) for z, c in rows)
+            z, d = likelihood_row(ray(y), weights)
+            den = m.denominator * d
+            g = math.gcd(m.numerator, den)
+            rows.append((z, m.numerator // g, den // g))
+        e = math.lcm(*(den for _, _, den in rows))
+        return e, tuple((z, num * (e // den)) for z, num, den in rows)
+
+    def is_bayes_plausible(self) -> bool:
+        """Whether the mean of the atoms is the prior, state by state, in
+        integers: with atom beliefs k_j / K_j and masses p_j / q_j over
+        L = lcm(q_j K_j), sum_j p_j k_jl L / (q_j K_j) == prior_l L."""
+        atoms = [(ray(b), m) for b, m in self.atoms]
+        dens = [m.denominator * sum(k) for k, m in atoms]
+        scale = math.lcm(*dens)
+        totals = [0] * self.n_states
+        for (k, m), d in zip(atoms, dens):
+            f = m.numerator * (scale // d)
+            totals = [t + f * v for t, v in zip(totals, k)]
+        t = ray(self.prior)
+        return all(v * sum(t) == tl * scale for v, tl in zip(totals, t))
 
 
 @dataclass(frozen=True)
@@ -115,10 +134,9 @@ class StrategyProfile:
             if e.prior != prior:
                 raise ValueError("experiments in a profile must share one prior")
         for e in self.experiments:
-            mean = e.mean()
-            if mean != prior:
+            if not e.is_bayes_plausible():
                 raise ValueError(
-                    f"experiment mean {mean.probs} differs from prior "
+                    f"experiment mean {e.mean().probs} differs from prior "
                     f"{prior.probs}"
                 )
 
@@ -146,6 +164,29 @@ def fully_revealing(prior: Belief) -> Experiment:
 def uninformative(prior: Belief) -> Experiment:
     """Gamma^U: the prior realized with probability one."""
     return Experiment(prior, ((prior, Fraction(1)),))
+
+
+def ratio_weights(prior: Belief) -> tuple[int, tuple[int, ...]]:
+    """(P, w) for the prior t / T, t its primitive ray and T = sum(t): P
+    the lcm of t and w_l = T P / t_l, so a belief k / K has
+    y_l / prior_l = k_l w_l / (K P) (``likelihood_row``)."""
+    t = ray(prior)
+    scale = math.lcm(*t)
+    total = sum(t)
+    return scale, tuple(total * (scale // tl) for tl in t)
+
+
+def likelihood_row(
+    k: Sequence[int], weights: tuple[int, tuple[int, ...]]
+) -> tuple[tuple[int, ...], int]:
+    """(Z, D) with y_l / prior_l = Z_l / D for the belief y = k / sum(k) of
+    a nonnegative integer vector k, D the least common denominator of the
+    ratios, from the prior's ``ratio_weights``."""
+    scale, w = weights
+    z = tuple(map(operator.mul, k, w))
+    d = sum(k) * scale
+    g = math.gcd(d, *z)
+    return (tuple(v // g for v in z), d // g) if g != 1 else (z, d)
 
 
 def conditional_posteriors(

@@ -124,14 +124,7 @@ def polytope_vertices(n: int, constraints: Sequence[Constraint]) -> list[Point]:
     """
     equalities = _simplex_equations(n)
     inequalities: list[Constraint] = [
-        Constraint(
-            AffineForm(
-                Fraction(0),
-                tuple(Fraction(-1 if i == j else 0) for i in range(n)),
-            ),
-            "<=",
-        )
-        for j in range(n)
+        Constraint(-_unit_form(n, j, 0), "<=") for j in range(n)
     ]
     for c in constraints:
         if c.is_strict:
@@ -378,14 +371,7 @@ def nondegenerate_point(
     one emptiness test of the cell cut down to it.
     """
     off_vertices = [
-        Constraint(
-            AffineForm(
-                Fraction(-1),
-                tuple(Fraction(1 if i == l else 0) for i in range(n)),
-            ),
-            "<",
-        )
-        for l in range(n)
+        Constraint(_unit_form(n, l, -1), "<") for l in range(n)
     ]
     return _has_strict_point(n, (*constraints, *off_vertices))
 
@@ -397,7 +383,8 @@ def nonzero_point(
     vanishes on the whole cell: one emptiness test with form < 0 added and
     one with form > 0.  A form that is 0 at every simplex vertex vanishes
     on the whole simplex and needs no test."""
-    if all(form.const + c == 0 for c in form.coeffs):
+    _, a, c = form.integer_row
+    if all(c + v == 0 for v in a):
         return None
     for op in ("<", ">"):
         p = strictly_feasible_point(n, (*constraints, Constraint(form, op)))
@@ -431,19 +418,14 @@ def complement_cells(
 def subsimplex_constraints(n: int, omega: Sequence[int]) -> list[Constraint]:
     """Equalities pinning beta to the face spanned by the states in omega."""
     inside = set(omega)
-    out = []
-    for j in range(n):
-        if j not in inside:
-            out.append(
-                Constraint(
-                    AffineForm(
-                        Fraction(0),
-                        tuple(Fraction(1 if i == j else 0) for i in range(n)),
-                    ),
-                    "==",
-                )
-            )
-    return out
+    return [
+        Constraint(_unit_form(n, j, 0), "==") for j in range(n) if j not in inside
+    ]
+
+
+def _unit_form(n: int, l: int, const: int) -> AffineForm:
+    """The form beta_l + const."""
+    return AffineForm.of_row(1, tuple(int(i == l) for i in range(n)), const)
 
 
 def _kept_guard(

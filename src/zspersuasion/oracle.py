@@ -34,7 +34,14 @@ from typing import Iterator, Optional, Sequence
 
 from .beliefs import Belief, ray, ray_belief
 from .exceptions import EnumerationTooLarge, PreconditionFailed
-from .experiments import Experiment, StrategyProfile, product, uninformative
+from .experiments import (
+    Experiment,
+    StrategyProfile,
+    likelihood_row,
+    product,
+    ratio_weights,
+    uninformative,
+)
 from .utilities import GamePayoffs, PiecewiseAffineUtility, Pullback
 
 DEFAULT_ENUMERATION_CAP = 500_000
@@ -168,31 +175,20 @@ def enumerate_grid_strategies(
 
 
 class _LikelihoodRows:
-    """``Experiment.likelihood_rows`` of grid strategies, from their atoms.
-    With the prior t / (r R), the belief k / R has y_l / prior_l =
-    r k_l / t_l, so its row Z over D, computed once per belief, needs only
-    integers, and an atom's mass c / r gives c / (r D) = M / E."""
+    """``Experiment.likelihood_rows`` of grid strategies, from their atoms:
+    each grid belief's row Z over D (``experiments.likelihood_row``) is
+    computed once, and an atom's mass c / r gives c / (r D) = M / E."""
 
     def __init__(self, prior: Belief, grid: GridSpec):
         self.r = grid.mass_resolution
-        self.target = tuple(
-            (p * self.r * grid.belief_resolution).numerator for p in prior.probs
-        )
+        self.weights = ratio_weights(prior)
         self.beliefs: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     def row(self, k: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """(Z, D) with y_l / prior_l = Z_l / D, D the least common
-        denominator, for the belief k / R."""
+        """(Z, D) for the belief k / R."""
         out = self.beliefs.get(k)
         if out is None:
-            ratios = []
-            for v, t in zip(k, self.target):
-                g = math.gcd(self.r * v, t)
-                ratios.append((self.r * v // g, t // g))
-            d = math.lcm(*(den for _, den in ratios))
-            out = self.beliefs[k] = (
-                tuple(num * (d // den) for num, den in ratios), d
-            )
+            out = self.beliefs[k] = likelihood_row(k, self.weights)
         return out
 
     def __call__(self, atoms: GridAtoms):

@@ -42,9 +42,20 @@ def frac_from_str(s: Any) -> Fraction:
     if isinstance(s, bool):
         raise ScenarioError(f"booleans are not allowed in scenario files: {s!r}")
     try:
+        if isinstance(s, str):
+            # the spellings frac_to_str writes, "-p/q" with ASCII digits,
+            # read as integers; any other string is Fraction's to read
+            num, slash, den = s.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if _ascii_digits(digits) and (not slash or _ascii_digits(den)):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return as_fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad rational {s!r}: {exc}") from exc
+
+
+def _ascii_digits(s: str) -> bool:
+    return s.isdigit() and s.isascii()
 
 
 def _array(data: Any, what: str) -> list:

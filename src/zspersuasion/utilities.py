@@ -4,10 +4,11 @@ Provides first-match piecewise evaluation, payoff normalization so that every
 utility vanishes at degenerate beliefs, exact conditional payoffs against
 strategy profiles, and one-dimensional edge restrictions.
 First-match evaluation signs each guard in integers, from the integer row
-its form keeps (``AffineForm.integer_row``), at the belief's primitive ray
-or, on an edge, at t = p/q; only the value of the matching form is built as
-a ``Fraction``.  Each utility keeps its edge restrictions and its vertex
-values from first use.
+that its form is (``AffineForm.integer_row``), at the belief's primitive
+ray, at a vertex or, on an edge, at t = p/q; only the value of the
+matching form is built as a ``Fraction``.  Each utility keeps its edge
+restrictions and its vertex values from first use, and normalization
+builds its correction as a row from the vertex values' rows.
 A conditional payoff is computed one way, by ``Pullback``: against a fixed
 opponents' joint, it pulls a utility's guards and forms back through each
 of the joint's atoms to integer rows in the interim counts, so the
@@ -164,17 +165,22 @@ class PiecewiseAffineUtility:
 
     @cached_property
     def vertex_values(self) -> tuple[Fraction, ...]:
-        """The utility at each degenerate belief, evaluated once.  At delta_l
-        every guard and form is const + coeffs[l], so no belief is built.
-        Raises NoPieceMatches at the first vertex no piece covers."""
-        return tuple(self._vertex_value(l) for l in range(self.n_states))
+        """The utility at each degenerate belief, from ``_vertex_rows``."""
+        return tuple(Fraction(v, lam) for lam, v in self._vertex_rows)
 
-    def _vertex_value(self, l: int) -> Fraction:
-        for p in self.pieces:
-            if all(
-                c.holds_value(c.expr.const + c.expr.coeffs[l]) for c in p.guard
-            ):
-                return p.form.const + p.form.coeffs[l]
+    @cached_property
+    def _vertex_rows(self) -> tuple[tuple[int, int], ...]:
+        """Per state l, (lam, v) with the utility v / lam at delta_l,
+        evaluated once.  There every guard and form with integer row
+        (lam, a, c) is (c + a_l) / lam, so the guards are signed by c + a_l
+        and no belief is built.  Raises NoPieceMatches at the first vertex
+        no piece covers."""
+        return tuple(map(self._vertex_value, range(self.n_states)))
+
+    def _vertex_value(self, l: int) -> tuple[int, int]:
+        for guard, (lam, a, c) in self._integer_pieces:
+            if all(test(c0 + a0[l], 0) for test, a0, c0 in guard):
+                return lam, c + a[l]
         raise NoPieceMatches.at(degenerate(self.n_states, l))
 
     def on_edge(self, l: int, k: int) -> "EdgeFunction":
@@ -275,16 +281,19 @@ def normalize_payoffs(g: GamePayoffs) -> GamePayoffs:
     and an exactly zero-sum game stays exactly zero-sum.  Idempotent.  Each
     shifted utility starts with its vertex values known: all 0.
     """
-    zeros = (Fraction(0),) * g.n_states
+    zeros = ((1, 0),) * g.n_states
     out = []
     for u in g.utilities:
-        if u.vertex_values == zeros:
+        values = u._vertex_rows
+        if values == zeros:
             out.append(u)
             continue
-        shifted = u.shifted(
-            AffineForm(Fraction(0), tuple(-v for v in u.vertex_values))
-        )
-        object.__setattr__(shifted, "vertex_values", zeros)
+        # the correction's row over the lcm of the vertex values' scales
+        scale = math.lcm(*(lam for lam, _ in values))
+        shifted = u.shifted(AffineForm.of_row(
+            scale, tuple(-v * (scale // lam) for lam, v in values), 0
+        ))
+        object.__setattr__(shifted, "_vertex_rows", zeros)
         out.append(shifted)
     return GamePayoffs(tuple(out))
 
@@ -529,12 +538,12 @@ class Pullback:
         parts = []
         for z, face, pieces in self.atoms:
             out = [
-                Piece(tuple(Constraint(AffineForm(0, h), _SIGN_OPS[test])
-                            for test, h in guard), AffineForm(0, g))
+                Piece(tuple(Constraint(_row_form(h), _SIGN_OPS[test])
+                            for test, h in guard), _row_form(g))
                 for guard, g in pieces
             ]
             if face:
-                out.insert(0, Piece((Constraint(AffineForm(0, z), "=="),), zero))
+                out.insert(0, Piece((Constraint(_row_form(z), "=="),), zero))
             parts.append(PiecewiseAffineUtility(
                 tuple(out) or (Piece((Constraint(zero, "<"),), zero),)
             ))
@@ -542,9 +551,10 @@ class Pullback:
             yield start, self.vertex or (0,) * self.n
             return
         if self.vertex:
-            parts[0] = parts[0].shifted(AffineForm(0, self.vertex))
+            parts[0] = parts[0].shifted(_row_form(self.vertex))
+        # integer forms sum to integer forms, whose scale is 1
         for cell, form in overlay_regions(parts, start):
-            yield cell, tuple(c.numerator for c in form.coeffs)
+            yield cell, form.integer_row[1]
 
     def payoff(self, k: Sequence[int]) -> Fraction:
         """The conditional payoff at x = k / sum(k)."""
@@ -568,6 +578,12 @@ class Pullback:
             else:
                 raise NoPieceMatches.at(ray_belief(tuple(map(mul, k, z))))
         return total
+
+
+def _row_form(row: tuple[int, ...]) -> AffineForm:
+    """The linear form row . k of the interim counts k, an integer row of
+    scale 1."""
+    return AffineForm.of_row(1, row, 0)
 
 
 def _pull_back(

@@ -7,6 +7,7 @@ deviation.  Where no grid belief pays, the exact search of the whole
 simplex finds the deviations the memo loop missed, each recomputed by raw
 Bayes."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -224,14 +225,18 @@ def pooled_profile(prior: Belief, rng: random.Random, m: int) -> StrategyProfile
     ))
 
 
-def grid_witness(g: GamePayoffs, profile: StrategyProfile, grid: int):
+def grid_witness(
+    g: GamePayoffs, profile: StrategyProfile, grid: int, senders=None
+):
     """The position, among the non-degenerate grid beliefs, of the first
-    one where some sender gains, or None."""
+    one where some sender (of ``senders``, by default all) gains, or
+    None."""
+    senders = range(g.n_senders) if senders is None else senders
     ks = [k for k in grid_counts(g.n_states, grid) if grid not in k]
     for j, k in enumerate(ks):
-        for i, u in enumerate(g.utilities):
+        for i in senders:
             others = profile.opponents(i)
-            if reference.conditional_payoff_against(u, others, k) > 0:
+            if reference.conditional_payoff_against(g.utilities[i], others, k) > 0:
                 return j
     return None
 
@@ -297,13 +302,15 @@ class TestDetectPooledSets:
 class TestVerifyProfile:
     def test_same_result_as_the_memo_loop(self):
         """Where a sender's payoff is negative or a grid belief pays, the
-        result is the memo loop's.  A sender that already earns is a failed
+        result is the memo loop's.  Beside a sender that already earns,
+        the senders that earn 0 are searched: one of them deviates, or no
+        grid belief pays any of them and the result is a failed
         precondition.  Where the memo loop exploited a pooled set there is
         a deviation too, and where it accepted, the exact search may still
         find one off the grid.  Every branch is met."""
         seen = dict.fromkeys((
-            "ok", "expected", "earning", "first_belief", "later_belief",
-            "exploit", "off_grid",
+            "ok", "expected", "earning", "earning_beside_a_deviation",
+            "first_belief", "later_belief", "exploit", "off_grid",
         ), 0)
         for g, profile, grid in seeded_cases():
             got = outcome(verify_profile, g, profile, grid)
@@ -314,8 +321,15 @@ class TestVerifyProfile:
                 seen["expected"] += 1
                 continue
             if max(expected) > 0:
-                assert got[0] == "PreconditionFailed", got
-                seen["earning"] += 1
+                zero = [i for i, v in enumerate(expected) if v == 0]
+                if isinstance(got, tuple):
+                    assert got[0] == "PreconditionFailed", got
+                    assert grid_witness(g, profile, grid, zero) is None
+                    seen["earning"] += 1
+                else:
+                    assert not got.ok and got.sender in zero, got
+                    assert got.gain > 0
+                    seen["earning_beside_a_deviation"] += 1
                 continue
             j = grid_witness(g, profile, grid)
             if j is not None:
@@ -326,7 +340,21 @@ class TestVerifyProfile:
                 seen["exploit"] += 1
             else:
                 seen["ok" if got.ok else "off_grid"] += 1
+        assert seen.pop("earning_beside_a_deviation") >= 1, seen
         assert min(seen.values()) >= 4, seen
+
+    def test_a_sender_that_earns_0_deviates_beside_one_that_earns(self):
+        """Seeded case 61: sender 0 earns 11/15, and sender 1, who earns
+        0, gains at the grid belief (0, 0, 0, 1/3, 2/3), where the screen
+        finds it before the exact search would."""
+        g, profile, grid = next(itertools.islice(seeded_cases(), 61, None))
+        result = verify_profile(g, profile, grid)
+        assert result.expected_utilities == (Fraction(11, 15), 0)
+        assert (result.ok, result.sender, result.gain) == (
+            False, 1, Fraction(145, 288)
+        )
+        x = [b for b, _ in result.deviation.atoms if not b.is_degenerate()]
+        assert x == [belief(["0", "0", "0", "1/3", "2/3"])]
 
     def test_every_deviation_pays_its_gain_by_raw_bayes(self):
         """The sender playing the returned deviation in place of its own
