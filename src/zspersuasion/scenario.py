@@ -48,7 +48,9 @@ def frac_from_str(s: Any) -> Fraction:
             num, slash, den = s.partition("/")
             digits = num[1:] if num[:1] == "-" else num
             if _ascii_digits(digits) and (not slash or _ascii_digits(den)):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                if slash:
+                    return Fraction(int(num), int(den))
+                return Fraction(int(num))
         return as_fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad rational {s!r}: {exc}") from exc
