@@ -156,7 +156,6 @@ def _cmd_validate(args) -> int:
             "senders": scenario.n_senders,
             "states": scenario.n_states,
             "zero_sum_ok": zero_sum_ok,
-            "zero_sum_sampled": False,
         }
     )
     return 0 if ok else EXIT_PRECONDITION

@@ -13,9 +13,13 @@ belief on a face that pays, or proves that none does.  An exploit searches
 the pooled face itself against the profile's joint, an edge as any larger
 face, and recomputes the payoff of the point found exactly.
 
-``verify_profile`` searches the whole simplex against each sender's
-opponents, after a screen of every grid belief by the sign of one integer
-per sender and belief; a ``Fraction`` is built only for the gain of the
+``verify_profile`` pulls each sender back against its opponents once and
+reads every payoff off that pullback: the sender's expected payoff is the
+mean of its conditional payoff over its own experiment's atoms
+(``Pullback.expected``), so the joint of every sender is never built.  It
+searches the whole simplex on the same pullbacks, after a screen of every
+grid belief by the sign of one integer per sender and belief; a
+``Fraction`` is built only for the expected payoffs and the gain of the
 deviation it reports.
 """
 
@@ -247,11 +251,13 @@ def verify_profile(
     gives it a positive conditional payoff against the joint of the others:
     mass at that belief and the rest on the states pays it that payoff times
     the mass.  Each sender's conditional payoff is pulled back once
-    (``utilities.Pullback``), and its sign is screened at every grid belief
-    first, by one integer per sender; when no grid belief pays,
-    ``_positive_point`` searches the whole simplex on the pullback's cells.
-    Senders whose pullback is zero are skipped, and the grid counts are
-    generated one at a time, none when every pullback is zero.
+    (``utilities.Pullback``), up front, and every payoff is read off that
+    pullback: the expected payoff (``Pullback.expected``), the sign at
+    every grid belief, screened first by one integer per sender, and, when
+    no grid belief pays, ``_positive_point``'s search of the whole simplex
+    on the pullback's cells.  Only senders that earn 0 and whose pullback
+    is not zero are screened and searched, and the grid counts are
+    generated one at a time, none when no sender is screened.
 
     Raw payoffs are NotNormalized, before anything else.  The grid is checked
     (resolution >= 1, size under the enumeration cap) and the profile must
@@ -267,10 +273,11 @@ def verify_profile(
     grid = grid_counts(g.n_states, deviation_grid)
     _require_one_experiment_per_sender(g, profile)
     prior = profile.prior
-    joint = product(profile)
+    pullbacks = [
+        Pullback(u, profile.opponents(i)) for i, u in enumerate(g.utilities)
+    ]
     expected = tuple(
-        sum((m * u(b) for b, m in joint.atoms), Fraction(0))
-        for u in g.utilities
+        p.expected(e) for p, e in zip(pullbacks, profile.experiments)
     )
     for i, ui in enumerate(expected):
         if ui < 0:
@@ -278,12 +285,10 @@ def verify_profile(
             return VerificationResult(
                 False, expected, i, fully_revealing(prior), -ui
             )
-    pullbacks = {
-        i: Pullback(u, profile.opponents(i))
-        for i, u in enumerate(g.utilities)
-        if expected[i] == 0
-    }
-    screened = [(i, p) for i, p in pullbacks.items() if not p.is_zero]
+    screened = [
+        (i, p) for i, p in enumerate(pullbacks)
+        if expected[i] == 0 and not p.is_zero
+    ]
     on_grid = (
         (i, ray_belief(k))
         for k in (grid if screened else ())

@@ -14,8 +14,9 @@ proportional to w_l = k_l Z_l, with probability M sum(w) / (E K), so a
 posterior is an integer vector, its probability an integer over E K, and no
 division is made per state or per atom.  ``product`` folds experiments
 through it, merging atoms by the primitive ray of w.  The rows come from
-the integer rays of the atoms and the prior (``likelihood_row``), and the
-checks of masses and of Bayes plausibility run in integers too.
+the integer rays of the atoms and the prior (``likelihood_row``), put over
+one denominator by ``over_one_denominator``, which ``oracle`` shares, and
+the checks of masses and of Bayes plausibility run in integers too.
 ``utilities.Pullback``, the one conditional-payoff engine, reads the same
 rows to pull a utility's pieces back to the interim belief.
 """
@@ -27,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .beliefs import Belief, as_fraction, degenerate, ray, ray_belief
 from .exceptions import EnumerationTooLarge
@@ -96,14 +97,10 @@ class Experiment:
         atom's m / D.  Computed on first use and kept as long as the
         experiment."""
         weights = ratio_weights(self.prior)
-        rows = []
-        for y, m in self.atoms:
-            z, d = likelihood_row(ray(y), weights)
-            den = m.denominator * d
-            g = math.gcd(m.numerator, den)
-            rows.append((z, m.numerator // g, den // g))
-        e = math.lcm(*(den for _, _, den in rows))
-        return e, tuple((z, num * (e // den)) for z, num, den in rows)
+        return over_one_denominator(
+            (likelihood_row(ray(y), weights), m.numerator, m.denominator)
+            for y, m in self.atoms
+        )
 
     def is_bayes_plausible(self) -> bool:
         """Whether the mean of the atoms is the prior, state by state, in
@@ -189,6 +186,23 @@ def likelihood_row(
     return (tuple(v // g for v in z), d // g) if g != 1 else (z, d)
 
 
+def over_one_denominator(
+    atoms: Iterable[tuple[tuple[tuple[int, ...], int], int, int]],
+) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """(E, rows) for atoms given as ((Z, D), p, q), a likelihood row Z over
+    D and the atom's mass p / q, as ``Experiment.likelihood_rows`` holds
+    them: each p / (q D) is reduced by its gcd, E is the lcm of the reduced
+    denominators, and each numerator is scaled to E, so the row's M is
+    p / (q D) times E."""
+    reduced = []
+    for (z, d), p, q in atoms:
+        den = q * d
+        g = math.gcd(p, den)
+        reduced.append((z, p // g, den // g))
+    e = math.lcm(*(den for _, _, den in reduced))
+    return e, tuple((z, p * (e // den)) for z, p, den in reduced)
+
+
 def conditional_posteriors(
     k: Sequence[int], other: Experiment
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -207,10 +221,7 @@ def conditional_posteriors(
             yield (tuple(v // g for v in w) if g != 1 else w), c * t
 
 
-def product(
-    profile: StrategyProfile | Sequence[Experiment],
-    cap: int = DEFAULT_PRODUCT_CAP,
-) -> Experiment:
+def product(profile: StrategyProfile | Sequence[Experiment]) -> Experiment:
     """The experiment induced by observing all senders' realizations.
 
     A single experiment is its own product and comes back as it is.
@@ -220,8 +231,8 @@ def product(
     m * p(w | k), and atoms with equal rays merge before the next fold.
     Each fold sums those masses as integers over one common denominator
     and divides once per merged atom.  Beliefs are built for the final
-    atoms only.  The cap bounds the number of support tuples,
-    prod_i |atoms_i|, and is checked first.
+    atoms only.  ``DEFAULT_PRODUCT_CAP``, read at each call, bounds the
+    number of support tuples, prod_i |atoms_i|, and is checked first.
     """
     if isinstance(profile, StrategyProfile):
         experiments = profile.experiments
@@ -230,8 +241,10 @@ def product(
         if len({e.prior for e in experiments}) != 1:
             raise ValueError("experiments in a product must share one prior")
     count = math.prod(len(e.atoms) for e in experiments)
-    if count > cap:
-        raise EnumerationTooLarge(f"{count} support tuples exceed cap {cap}")
+    if count > DEFAULT_PRODUCT_CAP:
+        raise EnumerationTooLarge(
+            f"{count} support tuples exceed cap {DEFAULT_PRODUCT_CAP}"
+        )
     if len(experiments) == 1:
         return experiments[0]
     atoms = [(ray(b), m) for b, m in experiments[0].atoms]

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .beliefs import Belief, ray, ray_belief
+from .beliefs import Belief, ray_belief
 from .exceptions import EnumerationTooLarge, PreconditionFailed
 from .experiments import (
     Experiment,
     StrategyProfile,
     likelihood_row,
+    over_one_denominator,
     product,
     ratio_weights,
     uninformative,
@@ -193,14 +194,7 @@ class _LikelihoodRows:
 
     def __call__(self, atoms: GridAtoms):
         """(E, rows) of the grid strategy with these atoms."""
-        masses = []
-        for k, c in atoms:
-            z, d = self.row(k)
-            den = self.r * d
-            g = math.gcd(c, den)
-            masses.append((z, c // g, den // g))
-        e = math.lcm(*(den for _, _, den in masses))
-        return e, tuple((z, num * (e // den)) for z, num, den in masses)
+        return over_one_denominator((self.row(k), c, self.r) for k, c in atoms)
 
 
 @dataclass(frozen=True)
@@ -242,12 +236,9 @@ def best_response_scan(
 ) -> ScanResult:
     """Exhaustive grid deviation search for one sender.  Every grid strategy
     is scored in integers (``_Scores``); her own experiment, which may lie
-    off the grid, is scored as a ``Fraction`` through ``Pullback.payoff``."""
+    off the grid, is scored as a ``Fraction`` by ``Pullback.expected``."""
     pullback = Pullback(g.utilities[i], profile.opponents(i))
-    base = sum(
-        (m * pullback.payoff(ray(b)) for b, m in profile.experiments[i].atoms),
-        Fraction(0),
-    )
+    base = pullback.expected(profile.experiments[i])
     score = _Scores(pullback, grid)
     bar = math.floor(base * score.scale)
     for atoms in _grid_strategies(profile.prior, grid):

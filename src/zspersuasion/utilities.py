@@ -20,7 +20,9 @@ pulled-back guards once per guard sequence), and a pullback only scales
 them by its atoms' masses.  The payoff is linear on each cell of the
 overlay of one utility per atom, made of its pulled-back guards and rows
 (``Pullback.cells``), where ``exploit`` and ``verify`` decide exactly
-whether some interim belief pays.
+whether some interim belief pays.  A sender's ex-ante payoff is the mean of
+that conditional payoff over its own experiment's atoms
+(``Pullback.expected``), so no payoff needs the joint of every sender.
 The zero-sum check is exact: it is decided on the game's overlay, the
 common refinement of the utilities' first-match cells, never by sampling
 beliefs, and the decomposition into those cells rejects a utility whose
@@ -559,6 +561,14 @@ class Pullback:
     def payoff(self, k: Sequence[int]) -> Fraction:
         """The conditional payoff at x = k / sum(k)."""
         return Fraction(self.numerator(k), self.denominator * sum(k))
+
+    def expected(self, e: Experiment) -> Fraction:
+        """The ex-ante payoff of playing ``e`` independently of the
+        opponents' joint: sum over e's atoms (x, m) of m payoff(x), the
+        utility's expectation over the posteriors of the joint of e and
+        the opponents.  Raises NoPieceMatches as ``numerator`` does, atoms
+        in order."""
+        return sum((m * self.payoff(ray(x)) for x, m in e.atoms), Fraction(0))
 
     def numerator(self, k: Sequence[int]) -> int:
         """K E Lam times the conditional payoff at x = k / K.  Raises

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zspersuasion import experiments
 from zspersuasion.beliefs import belief, combine, ray
 from zspersuasion.exceptions import EnumerationTooLarge
 from zspersuasion.experiments import (
@@ -93,10 +94,14 @@ class TestProduct:
         assert joint.is_fully_revealing()
         assert {m for _, m in joint.atoms} == {Fraction(1, 2)}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        """The cap is read at each call: 2^3 tuples pass a cap of 10 and
+        2^4 exceed it, before anything is folded."""
+        monkeypatch.setattr(experiments, "DEFAULT_PRODUCT_CAP", 10)
         e = skew()
-        with pytest.raises(EnumerationTooLarge):
-            product((e,) * 30, cap=10)
+        assert len(product((e,) * 3).atoms) == 4
+        with pytest.raises(EnumerationTooLarge, match="16 support tuples"):
+            product((e,) * 4)
 
     def test_random_products_stay_plausible(self):
         rng = random.Random(11)

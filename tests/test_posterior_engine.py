@@ -30,7 +30,12 @@ from zspersuasion.utilities import (
     normalize_payoffs,
 )
 
-from conftest import FIXTURES, random_action_game, random_prior
+from conftest import (
+    FIXTURES,
+    random_action_game,
+    random_experiment,
+    random_prior,
+)
 
 
 def reference_payoff(u, others: Experiment, x: Belief) -> Fraction:
@@ -160,8 +165,9 @@ def count_products(monkeypatch) -> list:
 
 class TestVerifyWork:
     """verify_profile builds each opponents' joint once, pulls each
-    sender's conditional payoff back once, and evaluates the utilities at
-    the joint's atoms only, never per grid belief."""
+    sender's conditional payoff back once, reads every payoff off those
+    pullbacks, and never builds the joint of every sender nor evaluates a
+    utility per grid belief."""
 
     @staticmethod
     def count_work(monkeypatch):
@@ -205,7 +211,7 @@ class TestVerifyWork:
         # no grid belief is generated
         assert all(p.is_zero for p in pullbacks)
         assert drawn == []
-        assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
+        assert evaluated == []  # every payoff comes off the pullbacks
         assert result.ok
         assert result.expected_utilities == (0, 0)
 
@@ -241,14 +247,15 @@ class TestVerifyWork:
         assert len(pullbacks) == 3
         assert [p.is_zero for p in pullbacks] == [False, True, True]
         assert len(pullbacks[0].atoms) == 1
-        assert len(evaluated) <= g.n_senders * len(product(profile).atoms)
+        assert evaluated == []  # every payoff comes off the pullbacks
 
-    def test_full_joint_built_once_when_exploiting(self, monkeypatch, capsys):
-        """The exact search reuses the opponents' joints verify pulled back,
-        and the gain is the pullback's payoff at the belief: one full joint,
-        for the expected utilities, and one joint per opponent, with no
-        extended joint to recompute the deviation."""
+    def test_no_full_joint_when_exploiting(self, monkeypatch, capsys):
+        """The expected payoffs, the exact search and the gain all read the
+        pullbacks of the opponents' joints: one joint per opponent, no
+        joint of both senders, and no extended joint to recompute the
+        deviation."""
         products = count_products(monkeypatch)
+        pullbacks, _, _ = self.count_work(monkeypatch)
         code = main([
             "verify", str(FIXTURES / "example_b51.json"),
             "--profile", "both_uninformative", "--grid", "5",
@@ -259,4 +266,36 @@ class TestVerifyWork:
             len(p.experiments if isinstance(p, StrategyProfile) else tuple(p))
             for p in products
         ]
-        assert sorted(sizes) == [1, 1, 2]
+        assert sorted(sizes) == [1, 1]
+        assert len(pullbacks) == 2
+
+    def test_one_pullback_per_sender(self, monkeypatch):
+        """Three senders, whatever the verdict: a sender that loses, a
+        belief that pays a sender that earns 0, or an equilibrium.  Each
+        sender is pulled back once, and every product folds the two
+        opponents of one sender, never all three."""
+        products = count_products(monkeypatch)
+        pullbacks, _, _ = self.count_work(monkeypatch)
+        rng = random.Random(20261022)
+        kinds = set()
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            prior = random_prior(n, rng)
+            g = normalize_payoffs(
+                induced_game(random_action_game(rng, n, rng.randint(2, 3), 3))
+            )
+            profile = StrategyProfile(tuple(
+                random_experiment(prior, rng, splits=1) if rng.random() < 0.3
+                else random_face_experiment(prior, rng, rng.randint(0, 2))
+                for _ in range(3)
+            ))
+            del products[:], pullbacks[:]
+            result = verify_profile(g, profile, deviation_grid=2)
+            kinds.add(
+                "accepted" if result.ok
+                else "loses" if min(result.expected_utilities) < 0
+                else "deviation"
+            )
+            assert len(pullbacks) == 3
+            assert all(len(tuple(p)) == 2 for p in products)
+        assert kinds == {"accepted", "loses", "deviation"}

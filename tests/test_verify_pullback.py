@@ -5,7 +5,8 @@ the posteriors of ``reference.conditional_payoff_against``, the same
 the memo loop of ``reference.verify_profile`` wherever its grid finds a
 deviation.  Where no grid belief pays, the exact search of the whole
 simplex finds the deviations the memo loop missed, each recomputed by raw
-Bayes."""
+Bayes.  Each sender's expected payoff, read off its pullback, is the sum
+over the joint of every sender (``reference.expected_utility``)."""
 
 import itertools
 import json
@@ -403,6 +404,109 @@ class TestVerifyProfile:
                 assert got[0] == "NoPieceMatches"
                 raised += 1
         assert raised >= 5
+
+
+def expected_cases():
+    """Seeded games and profiles of one to three senders, each game raw and,
+    where it can be, normalized: zero-sum action games, and games of
+    independent random utilities, which are not zero-sum and may leave a
+    coverage gap."""
+    rng = random.Random(20261022)
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        m = rng.randint(1, 3)
+        prior = random_prior(n, rng)
+        if m > 1 and rng.random() < 0.4:
+            g = induced_game(random_action_game(rng, n, rng.randint(2, 3), m))
+        else:
+            g = GamePayoffs(tuple(random_utility(rng, n) for _ in range(m)))
+        profile = StrategyProfile(tuple(
+            some_opponent(prior, rng, rng.choice(KINDS)) for _ in range(m)
+        ))
+        yield g, profile, False
+        normalized = outcome(normalize_payoffs, g)
+        if not isinstance(normalized, tuple):
+            yield normalized, profile, True
+
+
+def pulled_back_expected(g: GamePayoffs, profile: StrategyProfile, i: int):
+    pullback = Pullback(g.utilities[i], profile.opponents(i))
+    return pullback.expected(profile.experiments[i])
+
+
+def full_joint_sums(g: GamePayoffs, profile: StrategyProfile) -> list:
+    return [
+        outcome(reference.expected_utility, g, profile, i)
+        for i in range(g.n_senders)
+    ]
+
+
+def count_not_zero_sum(seen: dict, g: GamePayoffs, sums: list) -> None:
+    """Counts a profile whose payoffs, all defined, do not sum to 0."""
+    if all(isinstance(v, Fraction) for v in sums) and sum(sums) != 0:
+        seen["not_zero_sum"] += 1
+        seen["three_not_zero_sum"] += g.n_senders == 3
+
+
+class TestExpectedPayoff:
+    """Each sender's ex-ante payoff, read off its pullback of the others'
+    joint, against ``reference.expected_utility``, the utility summed over
+    the atoms of the joint of every sender."""
+
+    def test_the_pullback_gives_the_full_joint_sum(self):
+        seen = dict(
+            values=0, three=0, not_zero_sum=0, three_not_zero_sum=0, gap=0
+        )
+        for g, profile, _ in expected_cases():
+            want = full_joint_sums(g, profile)
+            for i, w in enumerate(want):
+                got = outcome(pulled_back_expected, g, profile, i)
+                if isinstance(w, tuple):
+                    assert w[0] == got[0] == "NoPieceMatches", (w, got)
+                    seen["gap"] += 1
+                    continue
+                assert got == w
+                seen["values"] += 1
+                seen["three"] += g.n_senders == 3
+            count_not_zero_sum(seen, g, want)
+        assert seen["values"] >= 400, seen
+        assert seen["three"] >= 150, seen
+        assert seen["not_zero_sum"] >= 80, seen
+        assert seen["three_not_zero_sum"] >= 10, seen
+        assert seen["gap"] >= 20, seen
+
+    def test_verify_reports_the_full_joint_sums(self):
+        """Wherever verify returns, its expected utilities are the full
+        joint's sums; a profile it refuses has a sender that earns and none
+        that loses, and a gap that a full joint sum meets, verify meets
+        too."""
+        seen = dict(
+            results=0, three=0, not_zero_sum=0, three_not_zero_sum=0,
+            refused=0,
+        )
+        for g, profile, normalized in expected_cases():
+            if not normalized:
+                continue
+            want = full_joint_sums(g, profile)
+            got = outcome(verify_profile, g, profile, 2)
+            if any(isinstance(w, tuple) for w in want):
+                assert got[0] == "NoPieceMatches", got
+            elif isinstance(got, tuple):
+                if got[0] == "PreconditionFailed":
+                    assert min(want) >= 0 < max(want), want
+                    seen["refused"] += 1
+                else:  # a gap that only the search reaches
+                    assert got[0] == "NoPieceMatches", got
+            else:
+                assert got.expected_utilities == tuple(want)
+                seen["results"] += 1
+                seen["three"] += g.n_senders == 3
+                count_not_zero_sum(seen, g, want)
+        assert seen["results"] >= 80, seen
+        assert seen["three"] >= 20, seen
+        assert seen["not_zero_sum"] >= 10, seen
+        assert seen["three_not_zero_sum"] >= 2, seen
+        assert seen["refused"] >= 10, seen
 
 
 def off_grid_scenario() -> dict:
