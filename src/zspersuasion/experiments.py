@@ -189,11 +189,11 @@ def likelihood_row(
 def over_one_denominator(
     atoms: Iterable[tuple[tuple[tuple[int, ...], int], int, int]],
 ) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """(E, rows) for atoms given as ((Z, D), p, q), a likelihood row Z over
-    D and the atom's mass p / q, as ``Experiment.likelihood_rows`` holds
-    them: each p / (q D) is reduced by its gcd, E is the lcm of the reduced
-    denominators, and each numerator is scaled to E, so the row's M is
-    p / (q D) times E."""
+    """(E, rows), in the form of ``Experiment.likelihood_rows``, for atoms
+    given as ((Z, D), p, q): a likelihood row Z over D and the atom's mass
+    p / q.  Each p / (q D) is reduced by its gcd, E is the lcm of the
+    reduced denominators, and each numerator is scaled to E, so the row's
+    M is p / (q D) times E."""
     reduced = []
     for (z, d), p, q in atoms:
         den = q * d
